@@ -4,20 +4,25 @@
 
 1. parse (if given source text) and build the CFG;
 2. assemble invariants: user annotations, optionally strengthened by
-   the automatic interval generator;
+   the automatic invariant generator, and lint them when asked;
 3. classify the soundness regime (Section 6.2 vs 6.3) from the side
    conditions;
 4. optionally certify concentration with a ranking supermartingale;
 5. synthesize the PUCS upper bound and, when the regime admits one,
    the PLCS lower bound.
 
-This is the function the examples and the experiment harness call.
+Steps 1-4 do not depend on the template degree.  :func:`analyze_ladder`
+runs them once and then step 5 per degree of a plan, stopping at the
+first degree that yields every requested bound; :func:`analyze` is its
+one-degree case and :func:`analyze_for` its settings-driven form, the
+one entry point of the batch engine, ``Benchmark.analyze_with`` and
+``Analyzer.synthesize``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Mapping, Optional, Union
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # runtime imports would be circular; these are lazy below
     from ..check.diagnostics import Diagnostic
@@ -26,17 +31,21 @@ if TYPE_CHECKING:  # runtime imports would be circular; these are lazy below
 from ..core.conditions import AnalysisMode, classify
 from ..core.synthesis import BoundResult, synthesize
 from ..errors import InfeasibleError, SynthesisError, UnboundedError
-from ..invariants import (
-    InvariantMap,
-    generate_interval_invariants,
-    generate_octagon_invariants,
-)
+from ..invariants import InvariantMap
+from ..invariants.generator import INVARIANT_DOMAINS, strengthen_invariants
 from ..semantics.cfg import CFG, build_cfg
 from ..syntax.ast import Program
 from ..syntax.parser import parse_program
 from ..termination import RankingCertificate, certify_concentration
 
-__all__ = ["CostAnalysisResult", "analyze", "attach_tail_bound", "attach_tail_bound_for"]
+__all__ = [
+    "CostAnalysisResult",
+    "analyze",
+    "analyze_for",
+    "analyze_ladder",
+    "attach_tail_bound",
+    "degree_plan",
+]
 
 
 @dataclass
@@ -62,6 +71,9 @@ class CostAnalysisResult:
     #: reading order.  ``None`` means the check did not run; an empty
     #: list means it ran and the program is clean.
     diagnostics: Optional[List["Diagnostic"]] = None
+    #: The template degrees synthesis ran at, in order (the last one is
+    #: the degree of ``upper``/``lower``).
+    degrees_tried: List[int] = field(default_factory=list)
 
     @property
     def upper_bound(self):
@@ -98,9 +110,10 @@ class CostAnalysisResult:
     def complete_for(self, compute_lower: bool) -> bool:
         """Did the analysis produce everything that was asked for?
 
-        The degree-escalation loops (engine, CLI, ``Analyzer``) share
-        this rule: an upper bound must exist, and — when a lower bound
-        was requested and the regime admits one — a lower bound too.
+        The degree ladder (:func:`analyze_ladder`) stops at the first
+        degree meeting this rule: an upper bound must exist, and — when
+        a lower bound was requested and the regime admits one — a lower
+        bound too.
         """
         if self.upper is None:
             return False
@@ -180,10 +193,118 @@ def analyze(
         are validated — the auto-generated interval invariants are
         consistent with the abstract states by construction.
     """
+    return analyze_ladder(
+        program,
+        init,
+        [degree],
+        invariants,
+        auto_invariants=auto_invariants,
+        check_concentration=check_concentration,
+        compute_lower=compute_lower,
+        max_multiplicands=max_multiplicands,
+        mode=mode,
+        invariant_domain=invariant_domain,
+        tails=tails,
+        tail_horizon=tail_horizon,
+        tail_probes=tail_probes,
+        check=check,
+    )
+
+
+def degree_plan(settings, default: Optional[int] = None) -> list:
+    """The degrees to attempt, in order, for a settings record.
+
+    ``settings`` carries ``degree`` and ``max_degree`` (an
+    :class:`~repro.api.AnalysisOptions` or an
+    :class:`~repro.batch.spec.AnalysisRequest`).  ``"auto"`` escalates
+    1..``max_degree``; a fixed degree is a one-element plan; ``None``
+    defers to ``default`` (a benchmark's own degree — kept as ``None``
+    when no default is given so the callee can resolve it).
+    """
+    if settings.degree == "auto":
+        return list(range(1, settings.max_degree + 1))
+    if settings.degree is not None:
+        return [int(settings.degree)]
+    return [default]
+
+
+def analyze_for(
+    program: Union[str, Program],
+    init: Mapping[str, float],
+    invariants,
+    settings,
+    *,
+    degree: int = 2,
+    mode: str = "auto",
+    check_concentration: bool = False,
+) -> CostAnalysisResult:
+    """:func:`analyze_ladder` driven by a settings record.
+
+    ``settings`` is an :class:`~repro.api.AnalysisOptions` or an
+    :class:`~repro.batch.spec.AnalysisRequest`; their analysis fields
+    are name-aligned by design.  ``degree`` and ``mode`` are the
+    program's own defaults (a benchmark's), used where the settings
+    leave them unset.  The single entry point of the batch engine,
+    ``Benchmark.analyze_with`` and ``Analyzer.synthesize``, so the
+    ladder cannot drift between them.  An ``"auto"`` plan that runs out
+    of degrees before every requested bound exists says so in a
+    warning.
+    """
+    probes = settings.tail_probes
+    result = analyze_ladder(
+        program,
+        init,
+        degree_plan(settings, default=degree),
+        invariants,
+        auto_invariants=settings.auto_invariants,
+        check_concentration=check_concentration,
+        compute_lower=settings.compute_lower,
+        max_multiplicands=settings.max_multiplicands,
+        mode=settings.mode if settings.mode is not None else mode,
+        invariant_domain=settings.invariant_domain,
+        tails=settings.tails,
+        tail_horizon=settings.tail_horizon,
+        tail_probes=list(probes) if probes else None,
+        check=settings.check,
+    )
+    if settings.degree == "auto" and not result.complete_for(settings.compute_lower):
+        result.warnings.append(
+            f"degree escalation exhausted at d={settings.max_degree} "
+            "without a feasible bound for every requested side"
+        )
+    return result
+
+
+def analyze_ladder(
+    program: Union[str, Program],
+    init: Mapping[str, float],
+    degrees: Sequence[int],
+    invariants: Optional[Union[InvariantMap, Mapping[int, object]]] = None,
+    *,
+    auto_invariants: bool = True,
+    check_concentration: bool = False,
+    compute_lower: bool = True,
+    max_multiplicands: Optional[int] = None,
+    mode: str = "auto",
+    invariant_domain: str = "interval",
+    tails: bool = False,
+    tail_horizon: Optional[int] = None,
+    tail_probes: Optional[List[float]] = None,
+    check: str = "off",
+) -> CostAnalysisResult:
+    """The degree ladder: the degree-independent prefix once, then
+    synthesis per degree.
+
+    The prefix builds the CFG, assembles user plus automatic
+    invariants, lints when ``check`` asks, classifies the regime and
+    certifies concentration.  The ``degrees`` are then tried in order,
+    stopping at the first whose result is
+    :meth:`~CostAnalysisResult.complete_for` the request; the tail
+    bound is derived once, on that result, and ``degrees_tried``
+    records the rungs run.  The other parameters are :func:`analyze`'s.
+    """
     if check not in ("off", "warn", "strict"):
         raise ValueError("check must be 'off', 'warn' or 'strict'")
-    from ..invariants.generator import INVARIANT_DOMAINS
-
     if invariant_domain not in INVARIANT_DOMAINS:
         raise ValueError(
             f"invariant_domain must be one of {INVARIANT_DOMAINS}, got {invariant_domain!r}"
@@ -191,12 +312,6 @@ def analyze(
     if isinstance(program, str):
         program = parse_program(program)
     cfg = build_cfg(program)
-    unknown_vars = set(init) - set(cfg.pvars)
-    if unknown_vars:
-        from ..errors import SemanticsError
-
-        raise SemanticsError(f"initial valuation mentions unknown variables: {sorted(unknown_vars)}")
-
     if isinstance(invariants, InvariantMap):
         # Copy before strengthening below: the caller's map may be
         # cached/shared and must not observe our additions.
@@ -227,27 +342,14 @@ def analyze(
                 diagnostics=check_result.diagnostics,
             )
 
+    unknown_vars = set(init) - set(cfg.pvars)
+    if unknown_vars:
+        from ..errors import SemanticsError
+
+        raise SemanticsError(f"initial valuation mentions unknown variables: {sorted(unknown_vars)}")
+
     if auto_invariants:
-        if invariant_domain == "octagon":
-            # The relational rows are sound by construction, so they can
-            # be conjoined into annotated labels too — this is what lets
-            # previously annotation-dependent benchmarks synthesize with
-            # their hand-written invariants deleted.
-            auto = generate_octagon_invariants(cfg, init)
-            for label_id, region in auto.items():
-                if label_id not in inv:
-                    inv.set(label_id, region)
-                else:
-                    inv.conjoin(label_id, region)
-        else:
-            # Strengthen only labels the user left unannotated:
-            # hand-written invariants are typically tighter, and mixing
-            # in anchor-specific point intervals (e.g. ``n = 320``) can
-            # degrade LP conditioning.
-            auto = generate_interval_invariants(cfg, init)
-            for label_id, poly in auto.items():
-                if label_id not in inv:
-                    inv.set(label_id, poly)
+        strengthen_invariants(inv, cfg, init, invariant_domain)
 
     if mode not in ("auto", "signed", "nonnegative"):
         raise ValueError("mode must be 'auto', 'signed' or 'nonnegative'")
@@ -280,30 +382,61 @@ def analyze(
             reports=detected.reports,
         )
     mode_info = detected
-    result = CostAnalysisResult(program=program, cfg=cfg, invariants=inv, mode=mode_info)
-    result.warnings.extend(forced_warnings)
+    base = CostAnalysisResult(program=program, cfg=cfg, invariants=inv, mode=mode_info)
+    base.warnings.extend(forced_warnings)
     if check != "off":
-        result.diagnostics = list(check_result.diagnostics)
+        base.diagnostics = list(check_result.diagnostics)
 
     if mode_info.name == "unsupported":
-        result.warnings.append(
+        base.warnings.append(
             "program has both negative costs and unbounded updates; "
             "no soundness theorem of the paper applies (Section 10)"
         )
 
     if check_concentration:
-        result.concentration = certify_concentration(cfg, inv, init)
-        if result.concentration is None:
-            result.warnings.append("no linear ranking supermartingale found; concentration unverified")
-        elif not result.concentration.certifies_concentration:
-            result.warnings.append(
+        base.concentration = certify_concentration(cfg, inv, init)
+        if base.concentration is None:
+            base.warnings.append("no linear ranking supermartingale found; concentration unverified")
+        elif not base.concentration.certifies_concentration:
+            base.warnings.append(
                 "RSM found but updates are unbounded; concentration unverified"
             )
 
+    result: Optional[CostAnalysisResult] = None
+    tried: List[int] = []
+    for degree in degrees:
+        tried.append(degree)
+        result = _synthesize_at(base, init, degree, compute_lower, max_multiplicands)
+        if result.complete_for(compute_lower):
+            break
+    assert result is not None, "the degree plan is empty"
+    result.degrees_tried = tried
+
+    if tails:
+        attach_tail_bound(
+            result,
+            horizon=tail_horizon,
+            probes=tail_probes,
+            max_multiplicands=max_multiplicands,
+        )
+    return result
+
+
+def _synthesize_at(
+    base: CostAnalysisResult,
+    init: Mapping[str, float],
+    degree: int,
+    compute_lower: bool,
+    max_multiplicands: Optional[int],
+) -> CostAnalysisResult:
+    """One rung: ``base`` (the prefix's result) plus the degree-``degree``
+    PUCS bound and, when requested and admitted, the PLCS bound."""
+    result = replace(base, warnings=list(base.warnings))
+    mode_info = base.mode
     try:
         result.upper = synthesize(
-            cfg,
-            inv,
+            base.cfg,
+            base.invariants,
             init,
             kind="upper",
             degree=degree,
@@ -318,8 +451,8 @@ def analyze(
         if mode_info.lower:
             try:
                 result.lower = synthesize(
-                    cfg,
-                    inv,
+                    base.cfg,
+                    base.invariants,
                     init,
                     kind="lower",
                     degree=degree,
@@ -337,15 +470,6 @@ def analyze(
             result.lower_skipped = (
                 f"PLCS not attempted: regime {mode_info.name!r} admits no lower bound"
             )
-
-    if tails:
-        attach_tail_bound(
-            result,
-            horizon=tail_horizon,
-            probes=tail_probes,
-            max_multiplicands=max_multiplicands,
-        )
-
     return result
 
 
@@ -359,9 +483,8 @@ def attach_tail_bound(
 
     Unavailability (no upper certificate, or no constant
     step-difference bound at any tried degree) becomes a warning, not
-    an error.  Degree-escalation callers (the engine, ``analyze_with``,
-    ``Analyzer.synthesize``) call this once on the *final* result
-    rather than paying the auxiliary LP at every discarded degree.
+    an error.  :func:`analyze_ladder` calls this once, on the *final*
+    rung, rather than paying the auxiliary LP at every discarded degree.
     """
     from .tails import derive_tail_bound
 
@@ -387,26 +510,3 @@ def attach_tail_bound(
             f"{result.upper.degree} certificate has no constant "
             "step-difference bound"
         )
-
-
-def attach_tail_bound_for(result: CostAnalysisResult, settings) -> None:
-    """:func:`attach_tail_bound` driven by a settings record.
-
-    ``settings`` is anything carrying ``tails`` / ``tail_horizon`` /
-    ``tail_probes`` / ``max_multiplicands`` — an
-    :class:`~repro.api.AnalysisOptions` or an
-    :class:`~repro.batch.spec.AnalysisRequest` (the fields are
-    name-aligned by design).  The single shared entry point for every
-    degree-escalation caller, so tail handling cannot drift between the
-    engine, the staged facade and ``Benchmark.analyze_with``.  No-op
-    unless ``settings.tails`` is set.
-    """
-    if not settings.tails:
-        return
-    probes = settings.tail_probes
-    attach_tail_bound(
-        result,
-        horizon=settings.tail_horizon,
-        probes=list(probes) if probes else None,
-        max_multiplicands=settings.max_multiplicands,
-    )

@@ -29,10 +29,11 @@ import threading
 from pathlib import Path
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Union
 
-from ..analysis.bounds import CostAnalysisResult, attach_tail_bound_for
+from ..analysis.bounds import CostAnalysisResult, analyze_for
 from ..batch.engine import _cached_execute, run_batch
 from ..batch.spec import AnalysisReport, AnalysisRequest
-from ..invariants import InvariantMap, generate_invariants
+from ..invariants import InvariantMap
+from ..invariants.generator import strengthen_invariants
 from ..programs import Benchmark, get_benchmark
 from ..semantics.cfg import CFG, build_cfg
 from ..syntax.ast import Program
@@ -385,12 +386,7 @@ class Analyzer:
             else:
                 inv = InvariantMap.trivial()
         if opts.auto_invariants:
-            auto = generate_invariants(cfg, init, domain=opts.invariant_domain)
-            for label_id, region in auto.items():
-                if label_id not in inv:
-                    inv.set(label_id, region)
-                elif opts.invariant_domain == "octagon":
-                    inv.conjoin(label_id, region)
+            strengthen_invariants(inv, cfg, init, opts.invariant_domain)
         return inv
 
     def synthesize(
@@ -411,7 +407,6 @@ class Analyzer:
         parsed :class:`Program` is analyzed *as parsed* (no
         pretty-print round trip, so exact float literals survive).
         """
-        from ..analysis.bounds import analyze as _analyze
         from ..core.solvers import use_solver
         from ..syntax.transform import replace_nondet
 
@@ -430,36 +425,14 @@ class Analyzer:
             )
         if opts.nondet_prob is not None and parsed.has_nondeterminism():
             parsed = replace_nondet(parsed, prob=opts.nondet_prob)
-        result: Optional[CostAnalysisResult] = None
-        diagnostics = None
         with use_solver(opts.solver):
-            for index, degree in enumerate(opts.degree_plan(default=2)):
-                result = _analyze(
-                    parsed,
-                    init=dict(opts.init) if opts.init is not None else {},
-                    invariants=dict(opts.invariants) if opts.invariants else None,
-                    degree=degree,
-                    auto_invariants=opts.auto_invariants,
-                    invariant_domain=opts.invariant_domain,
-                    check_concentration=check_concentration,
-                    compute_lower=opts.compute_lower,
-                    max_multiplicands=opts.max_multiplicands,
-                    mode=opts.mode if opts.mode is not None else "auto",
-                    # Lint once, on the first degree — the program and
-                    # invariants don't change across escalation steps.
-                    check=opts.check if index == 0 else "off",
-                )
-                if index == 0:
-                    diagnostics = result.diagnostics
-                if result.complete_for(opts.compute_lower):
-                    break
-            assert result is not None  # the degree plan is never empty
-            # The escalation winner may be a later degree whose analyze()
-            # call skipped the lint; carry the findings over.
-            result.diagnostics = diagnostics
-            # Once, on the final result only (see analyze_with).
-            attach_tail_bound_for(result, opts)
-        return result
+            return analyze_for(
+                parsed,
+                dict(opts.init) if opts.init is not None else {},
+                dict(opts.invariants) if opts.invariants else None,
+                opts,
+                check_concentration=check_concentration,
+            )
 
     def __repr__(self) -> str:
         cache = getattr(self._cache, "root", None)

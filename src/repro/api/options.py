@@ -239,18 +239,11 @@ class AnalysisOptions:
         return cls.from_dict(data)
 
     def degree_plan(self, default: Optional[int] = None) -> list:
-        """The degrees a caller should attempt, in order.
+        """The degrees a caller should attempt, in order
+        (:func:`repro.analysis.bounds.degree_plan`)."""
+        from ..analysis.bounds import degree_plan
 
-        ``"auto"`` escalates 1..``max_degree``; a fixed degree is a
-        one-element plan; ``None`` defers to ``default`` (a benchmark's
-        own degree — kept as ``None`` when no default is given so the
-        callee can resolve it).
-        """
-        if self.degree == "auto":
-            return list(range(1, self.max_degree + 1))
-        if self.degree is not None:
-            return [int(self.degree)]
-        return [default]
+        return degree_plan(self, default)
 
     # -- bridging to the engine -----------------------------------------
 

@@ -15,7 +15,9 @@ output, only the wall clock.
 
 Adaptive degree escalation (``degree="auto"``) mirrors how the paper's
 evaluation picks template degrees: try d = 1, 2, ... ``max_degree`` and
-keep the first degree at which the requested bounds are feasible.
+keep the first degree at which the requested bounds are feasible
+(:func:`repro.analysis.bounds.analyze_for`, shared with the staged
+API).
 
 The analysis itself is deterministic (LP synthesis; Monte-Carlo columns
 are seeded), which is what makes sequential/parallel equivalence exact —
@@ -35,29 +37,16 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.bounds import CostAnalysisResult, attach_tail_bound_for
+from ..analysis.bounds import CostAnalysisResult, analyze_for
 from ..core.solvers import resolved_solver_id, use_solver
 from ..deadline import DeadlineExceeded, deadline_scope
-from ..errors import ReproError
+from ..errors import CheckError, ReproError
 from ..programs import Benchmark, get_benchmark, probabilistic_variant
 from ..resilience import DEFAULT_RETRY_POLICY, PoolTask, ResilientPool, RetryPolicy, faults
 from ..semantics import simulate
 from .spec import AnalysisReport, AnalysisRequest
 
 __all__ = ["execute_request", "run_batch"]
-
-
-class _CheckRejected(Exception):
-    """Internal: strict-mode static checks refused the program.
-
-    Raised inside the task budget so ``execute_request`` can convert it
-    into a ``status="rejected"`` report on the normal bookkeeping path
-    (``runtime`` is stamped after the try block either way).
-    """
-
-    def __init__(self, codes: Sequence[str]):
-        super().__init__(", ".join(codes))
-        self.codes = list(codes)
 
 
 class BatchTimeout(Exception):
@@ -150,19 +139,6 @@ def _resolve_benchmark(request: AnalysisRequest) -> Benchmark:
     return bench
 
 
-def _degree_plan(request: AnalysisRequest, bench: Benchmark) -> List[int]:
-    if request.degree == "auto":
-        return list(range(1, request.max_degree + 1))
-    if request.degree is not None:
-        return [int(request.degree)]
-    return [bench.degree]
-
-
-def _is_complete(request: AnalysisRequest, result: CostAnalysisResult) -> bool:
-    """Did this degree produce everything the request asked for?"""
-    return result.complete_for(request.compute_lower)
-
-
 def _fill_bounds(report: AnalysisReport, result: CostAnalysisResult) -> None:
     report.mode = result.mode.name
     report.warnings = list(result.warnings)
@@ -218,46 +194,24 @@ def execute_request(request: AnalysisRequest, attempt: int = 1) -> AnalysisRepor
             init = dict(request.init) if request.init is not None else dict(bench.init)
             report.init = init
 
-            if request.check != "off":
-                # Static front gate: lint the exact CFG the analysis
-                # will see.  In strict mode an error-severity finding
-                # rejects the task before any template/LP work.
-                from ..check import check_benchmark
-
-                findings = check_benchmark(
-                    bench, init=init, invariant_domain=request.invariant_domain
-                )
-                report.diagnostics = findings.to_dicts()
-                if request.check == "strict" and not findings.ok:
-                    raise _CheckRejected(sorted({d.code for d in findings.errors}))
-
-            result: Optional[CostAnalysisResult] = None
+            # The degree ladder lints first when asked: in strict mode an
+            # error-severity finding rejects the task before any
+            # template/LP work.
             with use_solver(report.solver):
-                for degree in _degree_plan(request, bench):
-                    report.degrees_tried.append(degree)
-                    result = bench._analyze_resolved(
-                        init=init,
-                        degree=degree,
-                        compute_lower=request.compute_lower,
-                        mode=request.mode,
-                        max_multiplicands=request.max_multiplicands,
-                        auto_invariants=request.auto_invariants,
-                        invariant_domain=request.invariant_domain,
-                    )
-                    report.degree = degree
-                    if _is_complete(request, result):
-                        break
-                assert result is not None  # degree plan is never empty
-                # Tail bound once, on the degree the report actually
-                # carries (not per escalation step).
-                attach_tail_bound_for(result, request)
-            report.analysis_runtime = time.perf_counter() - start
-            _fill_bounds(report, result)
-            if request.degree == "auto" and not _is_complete(request, result):
-                report.warnings.append(
-                    f"degree escalation exhausted at d={request.max_degree} "
-                    "without a feasible bound for every requested side"
+                result = analyze_for(
+                    bench.program,
+                    init,
+                    bench.invariant_map(init),
+                    request,
+                    degree=bench.degree,
+                    mode=bench.mode,
                 )
+            report.analysis_runtime = time.perf_counter() - start
+            report.degrees_tried = list(result.degrees_tried)
+            report.degree = result.degrees_tried[-1]
+            if result.diagnostics is not None:
+                report.diagnostics = [d.to_dict() for d in result.diagnostics]
+            _fill_bounds(report, result)
 
             if request.simulate_runs is not None:
                 if bench.has_nondeterminism and not request.simulate_nondet:
@@ -291,9 +245,11 @@ def execute_request(request: AnalysisRequest, attempt: int = 1) -> AnalysisRepor
                             f"{stats.truncated_mean:g}); raise simulate_max_steps "
                             "to cover them"
                         )
-    except _CheckRejected as exc:
+    except CheckError as exc:
         report.status = "rejected"
-        report.error = f"rejected by static checks: {exc}"
+        report.diagnostics = [d.to_dict() for d in exc.diagnostics]
+        codes = sorted({d.code for d in exc.diagnostics if d.severity == "error"})
+        report.error = f"rejected by static checks: {', '.join(codes)}"
     except (BatchTimeout, DeadlineExceeded):
         report.status = "timeout"
         report.error = f"TimeoutError: task exceeded {request.timeout_s:g}s budget"

@@ -278,7 +278,8 @@ def request_fingerprint(request) -> Dict[str, Any]:
     callers treat that as "uncacheable" and fall through to execution,
     which will surface the same failure as a structured report.
     """
-    from .batch.engine import _degree_plan, _resolve_benchmark
+    from .analysis.bounds import degree_plan
+    from .batch.engine import _resolve_benchmark
     from .core.solvers import resolved_solver_id
 
     request.validate()
@@ -320,7 +321,7 @@ def request_fingerprint(request) -> Dict[str, Any]:
         "auto_invariants": bool(request.auto_invariants),
         "invariant_domain": request.invariant_domain,
         "init": {var: float(value) for var, value in init.items()},
-        "degrees": _degree_plan(request, bench),
+        "degrees": degree_plan(request, default=bench.degree),
         "mode": request.mode if request.mode is not None else bench.mode,
         "compute_lower": bool(request.compute_lower),
         "max_multiplicands": request.max_multiplicands,

@@ -7,12 +7,12 @@ surfaces as a deep ``SynthesisError`` or an infeasible LP minutes later.
 
 Layout:
 
-* :mod:`~repro.check.interp` — the forward interval abstract
-  interpreter over the probabilistic CFG (also the engine behind
+* :mod:`~repro.check.interp` — the one fixpoint driver over the
+  probabilistic CFG and the interval domain (also the engine behind
   :func:`repro.invariants.generate_interval_invariants`);
-* :mod:`~repro.check.octagon` — the relational octagon interpreter
-  (``+-x +-y <= c`` as a closed difference-bound matrix; the engine
-  behind :func:`repro.invariants.generate_octagon_invariants`);
+* :mod:`~repro.check.octagon` — the relational octagon domain for the
+  same driver (``+-x +-y <= c`` as a closed difference-bound matrix;
+  the engine behind :func:`repro.invariants.generate_octagon_invariants`);
 * :mod:`~repro.check.diagnostics` — ``Diagnostic`` records with stable
   ``REP0xx`` codes (catalogued in ``docs/checks.md``);
 * :mod:`~repro.check.rules` — the lint rules;

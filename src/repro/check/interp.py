@@ -1,26 +1,33 @@
-"""Forward interval abstract interpretation over the probabilistic CFG.
+"""Forward abstract interpretation over the probabilistic CFG.
 
 This is the shared abstract-interpretation core of the reproduction:
 the automatic invariant generator (:mod:`repro.invariants.generator`)
-and the lint pass (:mod:`repro.check.rules`) both run it.  It computes
-one interval per program variable at every CFG label:
+and the lint pass (:mod:`repro.check.rules`) both run it.  It holds
+the one fixpoint driver, :func:`fixpoint`, and the interval domain;
+:mod:`repro.check.octagon` supplies the relational domain to the same
+driver.
 
-* transfer functions follow the label kinds — assignments evaluate
-  their polynomial over intervals (sampling variables contribute their
-  distribution's support bounds), branch guards refine the intervals of
-  variables they bound, probabilistic and nondeterministic branches
-  propagate to both successors;
-* a FIFO worklist with widening at frequently-revisited labels (loop
-  heads among them) guarantees termination, and a few descending
-  (narrowing) passes recover the guard-derived bounds widening
-  destroyed;
-* the result is sound: every concretely reachable state at a label lies
-  inside that label's abstract box (the property test in
-  ``tests/check`` exercises exactly this containment).
+* The driver is a FIFO worklist that widens a label once it has
+  changed :data:`WIDEN_AFTER` times, followed by descending (narrowing)
+  passes that recover the guard-derived bounds widening destroyed.
+* It is parametrised by a small domain object: the entry state, join,
+  widen, equality, the per-edge transfer function, and ``close``, the
+  normal form a stored state is read through (the identity for
+  intervals, the strong closure for octagons).
+* The interval domain keeps one interval per program variable at every
+  label.  Assignments evaluate their polynomial over intervals
+  (sampling variables contribute their distribution's support bounds),
+  branch guards refine the intervals of the variables they bound, and
+  probabilistic and nondeterministic branches propagate to both
+  successors.
+* The result is sound: every concretely reachable state at a label lies
+  inside that label's abstract state (the property tests in
+  ``tests/check`` exercise exactly this containment).
 
-Beyond the per-label states, :class:`AbstractAnalysis` answers the
-queries the lint rules need: reachability, branch-edge feasibility and
-interval evaluation of polynomials at a label.
+:class:`FixpointAnalysis` holds one fixpoint and the queries every
+domain answers (``state``, ``reachable``, ``contains``);
+:class:`AbstractAnalysis` adds what the lint rules need of intervals:
+branch-edge feasibility and interval evaluation of polynomials.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ from ..semantics.cfg import (
 )
 from ..syntax.ast import Atom, BoolExpr
 
-__all__ = ["AbstractAnalysis", "Interval", "State", "analyze_cfg"]
+__all__ = ["AbstractAnalysis", "FixpointAnalysis", "Interval", "State", "analyze_cfg", "fixpoint"]
 
 _INF = math.inf
 
@@ -77,9 +84,6 @@ class Interval:
 
     def __hash__(self) -> int:
         return hash((self.lo, self.hi))
-
-    def is_top(self) -> bool:
-        return self.lo == -_INF and self.hi == _INF
 
     # -- lattice operations ------------------------------------------------
 
@@ -198,71 +202,16 @@ def _linear_bound(atom: Atom) -> Optional[Tuple[str, float, float]]:
     return var, a, b
 
 
-class _RefineMemo:
-    """Per-analysis cache of guard decompositions.
-
-    The worklist revisits the same branch conditions dozens of times;
-    DNF conversion and the per-atom linear-bound decomposition are pure
-    functions of AST nodes that stay alive (referenced by the CFG) for
-    the whole analysis, so they are memoised by node identity here.
-    """
-
-    __slots__ = ("dnf", "bounds")
-
-    def __init__(self):
-        self.dnf: Dict[Tuple[int, bool], list] = {}
-        self.bounds: Dict[int, Optional[Tuple[str, float, float]]] = {}
-
-    def disjuncts(self, cond: BoolExpr, assume_true: bool) -> list:
-        key = (id(cond), assume_true)
-        cached = self.dnf.get(key)
-        if cached is None:
-            cached = cond.to_dnf() if assume_true else cond.negate().to_dnf()
-            self.dnf[key] = cached
-        return cached
-
-    def linear_bound(self, atom: Atom) -> Optional[Tuple[str, float, float]]:
-        key = id(atom)
-        if key not in self.bounds:
-            self.bounds[key] = _linear_bound(atom)
-        return self.bounds[key]
-
-
-def _refine(
-    state: State, cond: BoolExpr, assume_true: bool, memo: _RefineMemo
-) -> Optional[State]:
-    """Refine intervals assuming ``cond`` is true (or false).
-
-    Only single-variable linear atoms refine; anything else is ignored
-    (a sound over-approximation).  Returns ``None`` when the branch is
-    provably unreachable.
-    """
-    disjuncts = memo.disjuncts(cond, assume_true)
-    if not disjuncts:
-        return None  # condition is constant-false: branch unreachable
-    refined_states: List[State] = []
-    for conj in disjuncts:
-        current: Optional[State] = dict(state)
-        for atom in conj:
-            decomp = memo.linear_bound(atom)
-            if decomp is None or current is None:
-                continue
-            var, a, b = decomp
-            bound = -b / a
-            limit = Interval(bound, _INF) if a > 0 else Interval(-_INF, bound)
-            met = current.get(var, Interval.top()).meet(limit)
-            if met is None:
-                current = None
-                break
-            current[var] = met
-        if current is not None:
-            refined_states.append(current)
-    if not refined_states:
-        return None
-    out = refined_states[0]
-    for other in refined_states[1:]:
-        out = _join_states(out, other)
-    return out
+def _box_rows(state: Mapping[str, Interval]) -> List[Polynomial]:
+    """Canonical ``p >= 0`` rows of one box: per variable in name order,
+    the finite lower bound then the finite upper bound."""
+    rows: List[Polynomial] = []
+    for var, interval in sorted(state.items()):
+        if math.isfinite(interval.lo):
+            rows.append(Polynomial.variable(var) - interval.lo)
+        if math.isfinite(interval.hi):
+            rows.append(Polynomial.constant(interval.hi) - Polynomial.variable(var))
+    return rows
 
 
 def _join_states(a: State, b: State) -> State:
@@ -277,52 +226,242 @@ def _states_equal(a: Optional[State], b: Optional[State]) -> bool:
     return all(a.get(k, Interval.top()) == b.get(k, Interval.top()) for k in keys)
 
 
-def _edge_states(
-    label,
-    state: State,
-    rvar_bounds: Mapping[str, Tuple[float, float]],
-    memo: _RefineMemo,
-) -> List[Tuple[int, Optional[State]]]:
-    """The abstract states flowing out of ``label`` along each edge."""
-    if isinstance(label, AssignLabel):
+class _Domain:
+    """What the fixpoint driver needs of an abstract domain.
+
+    One instance per analysis.  Subclasses supply the state operations
+    — ``entry``, ``join``, ``widen``, ``equals``, ``contains`` — and the
+    transfer primitives: ``assign``, ``assume`` (meet a conjunction of
+    guard atoms) and ``_decompose`` (one guard atom to the form
+    ``assume`` consumes, or ``None``).  ``close`` is the normal form a
+    stored state is read through: the identity here, the strong closure
+    for octagons, whose widened states are stored unclosed.
+
+    The worklist revisits the same branch conditions dozens of times;
+    DNF conversion and per-atom decomposition are pure functions of AST
+    nodes that stay alive (referenced by the CFG) for the whole
+    analysis, so they are memoised here by node identity.
+    """
+
+    def __init__(self, cfg: CFG):
+        self.rvar_bounds = {name: dist.support_bounds() for name, dist in cfg.rvars.items()}
+        self._dnf: Dict[Tuple[int, bool], list] = {}
+        self._atoms: Dict[int, object] = {}
+
+    def close(self, state):
+        return state
+
+    def atom(self, atom: Atom):
+        """The domain's decomposition of one guard atom (memoised)."""
+        key = id(atom)
+        if key not in self._atoms:
+            self._atoms[key] = self._decompose(atom)
+        return self._atoms[key]
+
+    def refine(self, state, cond: BoolExpr, assume_true: bool):
+        """``state`` assuming ``cond`` is true (or false): the join of the
+        DNF disjuncts' refinements, or ``None`` when the branch is
+        provably unreachable."""
+        key = (id(cond), assume_true)
+        disjuncts = self._dnf.get(key)
+        if disjuncts is None:
+            disjuncts = cond.to_dnf() if assume_true else cond.negate().to_dnf()
+            self._dnf[key] = disjuncts
+        out = None
+        for conj in disjuncts:
+            refined = self.assume(state, conj)
+            if refined is not None:
+                out = refined if out is None else self.join(out, refined)
+        return out
+
+    def transfer(self, label, state) -> list:
+        """The states flowing out of ``label`` along each edge."""
+        if isinstance(label, AssignLabel):
+            return [(label.succ, self.assign(state, label.var, label.expr))]
+        if isinstance(label, BranchLabel):
+            return [
+                (label.succ_true, self.refine(state, label.cond, True)),
+                (label.succ_false, self.refine(state, label.cond, False)),
+            ]
+        if isinstance(label, (ProbLabel, NondetLabel)):
+            return [(label.succ_then, state), (label.succ_else, state)]
+        if isinstance(label, TickLabel):
+            return [(label.succ, state)]
+        return []  # terminal
+
+
+class _IntervalDomain(_Domain):
+    """One interval per program variable at every label."""
+
+    def __init__(self, cfg: CFG):
+        super().__init__(cfg)
+        self.pvars = cfg.pvars
+
+    def entry(self, init: Mapping[str, float]) -> State:
+        return {var: Interval.point(float(init.get(var, 0.0))) for var in self.pvars}
+
+    join = staticmethod(_join_states)
+    equals = staticmethod(_states_equal)
+    _decompose = staticmethod(_linear_bound)
+
+    @staticmethod
+    def widen(old: State, merged: State) -> State:
+        return {
+            k: old.get(k, Interval.top()).widen(merged.get(k, Interval.top())) for k in merged
+        }
+
+    @staticmethod
+    def contains(state: State, valuation: Mapping[str, float], tol: float) -> bool:
+        return all(
+            interval.contains(float(valuation.get(var, 0.0)), tol)
+            for var, interval in state.items()
+        )
+
+    def assign(self, state: State, var: str, expr: Polynomial) -> State:
         new_state = dict(state)
-        new_state[label.var] = _eval_poly(label.expr, state, rvar_bounds)
-        return [(label.succ, new_state)]
-    if isinstance(label, BranchLabel):
-        return [
-            (label.succ_true, _refine(state, label.cond, True, memo)),
-            (label.succ_false, _refine(state, label.cond, False, memo)),
-        ]
-    if isinstance(label, (ProbLabel, NondetLabel)):
-        return [(label.succ_then, dict(state)), (label.succ_else, dict(state))]
-    if isinstance(label, TickLabel):
-        return [(label.succ, dict(state))]
-    return []  # terminal
+        new_state[var] = _eval_poly(expr, state, self.rvar_bounds)
+        return new_state
+
+    def assume(self, state: State, conj) -> Optional[State]:
+        """Meet the single-variable linear atoms of ``conj``; any other
+        atom is ignored (a sound over-approximation)."""
+        current = dict(state)
+        for atom in conj:
+            decomp = self.atom(atom)
+            if decomp is None:
+                continue
+            var, a, b = decomp
+            bound = -b / a
+            limit = Interval(bound, _INF) if a > 0 else Interval(-_INF, bound)
+            met = current.get(var, Interval.top()).meet(limit)
+            if met is None:
+                return None
+            current[var] = met
+        return current
+
+
+#: The driver's fixed settings: a label is widened once it has changed
+#: this many times, narrowing may take this many passes per CFG label,
+#: and the ascending phase stops after this many worklist pops.
+WIDEN_AFTER = 3
+NARROW_PASSES = 3
+MAX_ITERATIONS = 10_000
+
+
+def fixpoint(cfg: CFG, init: Mapping[str, float], domain) -> Tuple[object, Dict[int, object]]:
+    """The one worklist / widening / narrowing driver of every domain.
+
+    Returns ``(entry state, {label id: closed state or None})``.  The
+    ascending phase is a FIFO worklist that widens a label once it has
+    changed :data:`WIDEN_AFTER` times.  Descending (narrowing) passes
+    then recompute every label's state from its predecessors' stable
+    states; each stays sound and recovers guard bounds widening
+    destroyed.  A refinement travels one edge per pass, so passes repeat
+    until stable (a fixed count under-narrows the loop heads of long
+    loop bodies), capped in proportion to the CFG.
+    """
+    entry_state = domain.entry(init)
+    states: Dict[int, object] = {label.id: None for label in cfg}
+    visit_counts: Dict[int, int] = {label.id: 0 for label in cfg}
+    states[cfg.entry] = entry_state
+
+    worklist: List[int] = [cfg.entry]
+    iterations = 0
+    while worklist and iterations < MAX_ITERATIONS:
+        iterations += 1
+        label_id = worklist.pop(0)
+        state = states[label_id]
+        if state is None:
+            continue
+        closed = domain.close(state)
+        if closed is None:
+            continue
+        for succ, new_state in domain.transfer(cfg.labels[label_id], closed):
+            if new_state is None:
+                continue
+            old = states[succ]
+            merged = new_state if old is None else domain.join(old, new_state)
+            if old is not None and visit_counts[succ] >= WIDEN_AFTER:
+                merged = domain.widen(old, merged)
+            if old is None or not domain.equals(old, merged):
+                states[succ] = merged
+                visit_counts[succ] += 1
+                if succ not in worklist:
+                    worklist.append(succ)
+
+    for _ in range(NARROW_PASSES * max(1, len(cfg.labels))):
+        inflow: Dict[int, object] = {label.id: None for label in cfg}
+        inflow[cfg.entry] = entry_state
+        for label_id, state in states.items():
+            if state is None:
+                continue
+            closed = domain.close(state)
+            if closed is None:
+                continue
+            for succ, new_state in domain.transfer(cfg.labels[label_id], closed):
+                if new_state is None:
+                    continue
+                old = inflow[succ]
+                inflow[succ] = new_state if old is None else domain.join(old, new_state)
+        stable = all(
+            (states[label_id] is None) == (inflow[label_id] is None)
+            and (states[label_id] is None or domain.equals(states[label_id], inflow[label_id]))
+            for label_id in states
+        )
+        states = inflow
+        if stable:
+            break
+
+    return entry_state, {
+        label_id: None if state is None else domain.close(state)
+        for label_id, state in states.items()
+    }
 
 
 @dataclass
-class AbstractAnalysis:
-    """The fixpoint of one interval analysis, plus lint-rule queries.
+class FixpointAnalysis:
+    """The fixpoint of one analysis and the queries every domain answers.
 
-    ``states`` maps every label id to its abstract box (one interval
-    per program variable) or ``None`` for labels the analysis proved
-    unreachable.  All queries are over-approximating: "unreachable" and
-    "infeasible" answers are proofs, "reachable"/"feasible" are not.
+    ``states`` maps every label id to its (closed) abstract state or
+    ``None`` for labels the analysis proved unreachable.  All queries
+    are over-approximating: "unreachable" and "infeasible" answers are
+    proofs, "reachable" and "feasible" ones are not.
     """
 
     cfg: CFG
     init: Dict[str, float]
-    entry_state: State
-    states: Dict[int, Optional[State]]
-    rvar_bounds: Dict[str, Tuple[float, float]]
-    _memo: _RefineMemo = field(repr=False, default_factory=_RefineMemo)
+    entry_state: object
+    states: Dict[int, object]
+    domain: _Domain = field(repr=False)
 
-    def state(self, label_id: int) -> Optional[State]:
+    @classmethod
+    def run(cls, cfg: CFG, init: Mapping[str, float], domain: _Domain):
+        """The analysis of ``cfg`` in ``domain``; variables not mentioned
+        by ``init`` start at 0 (matching the interpreter)."""
+        entry_state, states = fixpoint(cfg, init, domain)
+        init = {var: float(value) for var, value in init.items()}
+        return cls(cfg=cfg, init=init, entry_state=entry_state, states=states, domain=domain)
+
+    def state(self, label_id: int):
         return self.states.get(label_id)
 
     def reachable(self, label_id: int) -> bool:
         """False only when the label is *provably* unreachable."""
         return self.states.get(label_id) is not None
+
+    def contains(self, label_id: int, valuation: Mapping[str, float], tol: float = 1e-9) -> bool:
+        """Is the concrete ``valuation`` inside the label's state?
+
+        The soundness property: every concretely reachable state must
+        satisfy this (the property tests drive the interpreter against
+        it).  An unreachable label contains nothing.
+        """
+        state = self.states.get(label_id)
+        return state is not None and self.domain.contains(state, valuation, tol)
+
+
+class AbstractAnalysis(FixpointAnalysis):
+    """The interval fixpoint plus the lint rules' queries."""
 
     def branch_feasibility(self, label: BranchLabel) -> Tuple[bool, bool]:
         """(true-edge feasible, false-edge feasible) at ``label``.
@@ -334,8 +473,8 @@ class AbstractAnalysis:
         if state is None:
             return (False, False)
         return (
-            _refine(state, label.cond, True, self._memo) is not None,
-            _refine(state, label.cond, False, self._memo) is not None,
+            self.domain.refine(state, label.cond, True) is not None,
+            self.domain.refine(state, label.cond, False) is not None,
         )
 
     def eval_poly(self, label_id: int, poly: Polynomial) -> Optional[Interval]:
@@ -343,106 +482,15 @@ class AbstractAnalysis:
         state = self.states.get(label_id)
         if state is None:
             return None
-        return _eval_poly(poly, state, self.rvar_bounds)
+        return _eval_poly(poly, state, self.domain.rvar_bounds)
 
-    def contains(self, label_id: int, valuation: Mapping[str, float], tol: float = 1e-9) -> bool:
-        """Is the concrete ``valuation`` inside the label's box?
-
-        The soundness property: every concretely reachable state must
-        satisfy this (the property test drives the interpreter against
-        it).  An unreachable label contains nothing.
-        """
+    def constraints_at(self, label_id: int) -> Optional[List[Polynomial]]:
+        """The label's box as canonical ``p >= 0`` Gamma rows (``None``
+        for unreachable labels)."""
         state = self.states.get(label_id)
-        if state is None:
-            return False
-        for var, interval in state.items():
-            if not interval.contains(float(valuation.get(var, 0.0)), tol):
-                return False
-        return True
+        return None if state is None else _box_rows(state)
 
 
-def analyze_cfg(
-    cfg: CFG,
-    init: Mapping[str, float],
-    widen_after: int = 3,
-    narrow_passes: int = 3,
-    max_iterations: int = 10_000,
-) -> AbstractAnalysis:
-    """Run the interval analysis from the initial valuation ``init``.
-
-    Variables not mentioned by ``init`` start at 0 (matching the
-    interpreter).  The ascending phase uses widening for termination; a
-    few descending (narrowing) passes then recover the guard-derived
-    bounds that widening destroyed.
-    """
-    rvar_bounds = {name: dist.support_bounds() for name, dist in cfg.rvars.items()}
-    memo = _RefineMemo()
-    entry_state: State = {var: Interval.point(float(init.get(var, 0.0))) for var in cfg.pvars}
-
-    states: Dict[int, Optional[State]] = {label.id: None for label in cfg}
-    visit_counts: Dict[int, int] = {label.id: 0 for label in cfg}
-    states[cfg.entry] = entry_state
-
-    worklist: List[int] = [cfg.entry]
-    iterations = 0
-    while worklist and iterations < max_iterations:
-        iterations += 1
-        label_id = worklist.pop(0)
-        state = states[label_id]
-        if state is None:
-            continue
-        label = cfg.labels[label_id]
-
-        for succ, new_state in _edge_states(label, state, rvar_bounds, memo):
-            if new_state is None:
-                continue
-            old = states[succ]
-            merged = new_state if old is None else _join_states(old, new_state)
-            if old is not None and visit_counts[succ] >= widen_after:
-                merged = {
-                    k: old.get(k, Interval.top()).widen(merged.get(k, Interval.top()))
-                    for k in merged
-                }
-            if not _states_equal(old, merged):
-                states[succ] = merged
-                visit_counts[succ] += 1
-                if succ not in worklist:
-                    worklist.append(succ)
-
-    # Descending (narrowing) passes: recompute every label's state from
-    # its predecessors' stable states.  Starting from a sound
-    # post-fixpoint, each pass stays sound and recovers guard bounds.
-    # A refinement travels one edge per pass, so a fixed pass count
-    # silently under-narrows loop heads of long loop bodies (the fuzz
-    # generator found this as loop-head invariants missing the counter's
-    # lower bound); iterate until stable instead, scaling the cap with
-    # the CFG so termination stays unconditional.
-    max_narrow = narrow_passes * max(1, len(cfg.labels)) if narrow_passes else 0
-    for _ in range(max_narrow):
-        inflow: Dict[int, Optional[State]] = {label.id: None for label in cfg}
-        inflow[cfg.entry] = dict(entry_state)
-        for label_id, state in states.items():
-            if state is None:
-                continue
-            for succ, new_state in _edge_states(cfg.labels[label_id], state, rvar_bounds, memo):
-                if new_state is None:
-                    continue
-                old = inflow[succ]
-                inflow[succ] = new_state if old is None else _join_states(old, new_state)
-        stable = all(
-            (states[label_id] is None) == (inflow[label_id] is None)
-            and (states[label_id] is None or _states_equal(states[label_id], inflow[label_id]))
-            for label_id in states
-        )
-        states = inflow
-        if stable:
-            break
-
-    return AbstractAnalysis(
-        cfg=cfg,
-        init={var: float(value) for var, value in init.items()},
-        entry_state=entry_state,
-        states=states,
-        rvar_bounds=rvar_bounds,
-        _memo=memo,
-    )
+def analyze_cfg(cfg: CFG, init: Mapping[str, float]) -> AbstractAnalysis:
+    """Run the interval analysis from the initial valuation ``init``."""
+    return AbstractAnalysis.run(cfg, init, _IntervalDomain(cfg))

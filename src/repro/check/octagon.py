@@ -22,36 +22,30 @@ where ``V`` is the signed valuation.  Concretely:
 The coherence invariant ``m[i][j] == m[bar(j)][bar(i)]`` (``bar`` flips
 ``2k <-> 2k+1``) is maintained by every constructor and mutator.
 
-The fixpoint engine mirrors :func:`repro.check.interp.analyze_cfg`
-exactly — same FIFO worklist, widening-after-k, descending narrowing
-passes scaled by CFG size, distributions abstracted to their support
-and nondeterministic branches joined — and carries the same soundness
-contract: every concretely reachable state at a label satisfies every
-constraint of that label's octagon (``tests/check/test_octagon.py``
-drives the interpreter against this containment).
+The domain plugs into the one fixpoint driver of
+:mod:`repro.check.interp` (:func:`~repro.check.interp.fixpoint`): it
+supplies the entry point, join, widening, equality, the per-edge
+transfer functions and ``close``.  Distributions are abstracted to
+their support and nondeterministic branches joined, as in the interval
+domain, and the soundness contract is the same: every concretely
+reachable state at a label satisfies every constraint of that label's
+octagon (``tests/check/test_octagon.py`` drives the interpreter against
+this containment).
 
 Widened states are stored *unclosed* (closing a widened DBM can undo
-the extrapolation and forfeit termination); they are closed lazily, on
-a copy, whenever used as a transfer input or queried.
+the extrapolation and forfeit termination); the driver reads every
+stored state through ``close``, on a copy, before using it as a
+transfer input, and closes the final states it returns.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..polynomials import Monomial, Polynomial
-from ..semantics.cfg import (
-    CFG,
-    AssignLabel,
-    BranchLabel,
-    NondetLabel,
-    ProbLabel,
-    TickLabel,
-)
-from ..syntax.ast import BoolExpr
-from .interp import Interval, _eval_poly, _RefineMemo
+from ..semantics.cfg import CFG
+from .interp import FixpointAnalysis, Interval, _box_rows, _Domain, _eval_poly
 
 __all__ = ["Octagon", "OctagonAnalysis", "analyze_cfg_octagon"]
 
@@ -361,14 +355,14 @@ def _assign(
     return oct_
 
 
-def _apply_atom(oct_: Octagon, decomp) -> bool:
+def _apply_atom(oct_: Octagon, decomp) -> None:
     """Meet one decomposed guard atom into ``oct_`` (in place).
 
-    ``decomp`` is the output of :func:`_octagon_atom`; returns False
-    when the atom is not octagon-expressible (sound skip).
+    ``decomp`` is the output of :func:`_octagon_atom`; ``None`` (the
+    atom is not octagon-expressible) is skipped, which is sound.
     """
     if decomp is None:
-        return False
+        return
     kind, payload = decomp
     if kind == "unary":
         k, lower, bound = payload
@@ -376,7 +370,7 @@ def _apply_atom(oct_: Octagon, decomp) -> bool:
             oct_.set_bound(2 * k + 1, 2 * k, -2.0 * bound)
         else:  # x <= bound
             oct_.set_bound(2 * k, 2 * k + 1, 2.0 * bound)
-        return True
+        return
     s1, k, s2, ell, c = payload  # s1*x_k + s2*x_l <= c
     if s1 > 0 and s2 > 0:
         oct_.set_bound(2 * k, 2 * ell + 1, c)
@@ -386,7 +380,6 @@ def _apply_atom(oct_: Octagon, decomp) -> bool:
         oct_.set_bound(2 * ell, 2 * k, c)
     else:
         oct_.set_bound(2 * k + 1, 2 * ell, c)
-    return True
 
 
 def _octagon_atom(atom, pvar_index: Mapping[str, int]):
@@ -425,64 +418,47 @@ def _octagon_atom(atom, pvar_index: Mapping[str, int]):
     return None
 
 
-class _OctagonMemo(_RefineMemo):
-    """The interval refine-memo plus per-atom octagon decompositions."""
+class _OctagonDomain(_Domain):
+    """One closed difference-bound matrix per label."""
 
-    __slots__ = ("octagon_atoms",)
+    def __init__(self, cfg: CFG):
+        super().__init__(cfg)
+        self.variables = tuple(sorted(cfg.pvars))
+        self.index = {var: k for k, var in enumerate(self.variables)}
 
-    def __init__(self):
-        super().__init__()
-        self.octagon_atoms: Dict[int, object] = {}
+    def entry(self, init: Mapping[str, float]) -> Octagon:
+        return Octagon.from_point(self.variables, init)
 
-    def octagon_atom(self, atom, pvar_index):
-        key = id(atom)
-        if key not in self.octagon_atoms:
-            self.octagon_atoms[key] = _octagon_atom(atom, pvar_index)
-        return self.octagon_atoms[key]
+    def close(self, state: Octagon) -> Optional[Octagon]:
+        return state.close()
 
+    @staticmethod
+    def join(a: Octagon, b: Octagon) -> Octagon:
+        return a.join(b)
 
-def _refine(
-    state: Octagon, cond: BoolExpr, assume_true: bool, memo: _OctagonMemo
-) -> Optional[Octagon]:
-    """Refine a *closed* state assuming ``cond`` is true (or false)."""
-    disjuncts = memo.disjuncts(cond, assume_true)
-    if not disjuncts:
-        return None  # condition is constant-false: branch unreachable
-    refined: List[Octagon] = []
-    for conj in disjuncts:
+    @staticmethod
+    def widen(old: Octagon, merged: Octagon) -> Octagon:
+        return old.widen(merged)
+
+    @staticmethod
+    def equals(a: Octagon, b: Octagon) -> bool:
+        return a.equals(b)
+
+    contains = staticmethod(Octagon.contains)
+
+    def _decompose(self, atom):
+        return _octagon_atom(atom, self.index)
+
+    def assign(self, state: Octagon, var: str, expr: Polynomial) -> Octagon:
+        return _assign(state, var, expr, self.rvar_bounds)
+
+    def assume(self, state: Octagon, conj) -> Optional[Octagon]:
+        """Meet the octagon-expressible atoms of ``conj`` into a *closed*
+        state; any other atom is skipped (sound)."""
         current = state.copy()
         for atom in conj:
-            _apply_atom(current, memo.octagon_atom(atom, state.index))
-        closed = current.close()
-        if closed is not None:
-            refined.append(closed)
-    if not refined:
-        return None
-    out = refined[0]
-    for other in refined[1:]:
-        out = out.join(other)
-    return out
-
-
-def _edge_states(
-    label,
-    state: Octagon,
-    rvar_bounds: Mapping[str, Tuple[float, float]],
-    memo: _OctagonMemo,
-) -> List[Tuple[int, Optional[Octagon]]]:
-    """The abstract states flowing out of ``label`` (input closed)."""
-    if isinstance(label, AssignLabel):
-        return [(label.succ, _assign(state, label.var, label.expr, rvar_bounds))]
-    if isinstance(label, BranchLabel):
-        return [
-            (label.succ_true, _refine(state, label.cond, True, memo)),
-            (label.succ_false, _refine(state, label.cond, False, memo)),
-        ]
-    if isinstance(label, (ProbLabel, NondetLabel)):
-        return [(label.succ_then, state), (label.succ_else, state)]
-    if isinstance(label, TickLabel):
-        return [(label.succ, state)]
-    return []  # terminal
+            _apply_atom(current, self.atom(atom))
+        return current.close()
 
 
 # ---------------------------------------------------------------------------
@@ -490,40 +466,12 @@ def _edge_states(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class OctagonAnalysis:
-    """The fixpoint of one octagon analysis, plus rule/Gamma queries.
+class OctagonAnalysis(FixpointAnalysis):
+    """The octagon fixpoint plus rule/Gamma queries.
 
     ``states`` maps every label id to its *closed* octagon or ``None``
-    for labels the analysis proved unreachable; the query surface
-    mirrors :class:`~repro.check.interp.AbstractAnalysis`.
+    for labels the analysis proved unreachable.
     """
-
-    cfg: CFG
-    init: Dict[str, float]
-    entry_state: Octagon
-    states: Dict[int, Optional[Octagon]]
-    rvar_bounds: Dict[str, Tuple[float, float]]
-    _memo: _OctagonMemo = field(repr=False, default_factory=_OctagonMemo)
-
-    def state(self, label_id: int) -> Optional[Octagon]:
-        return self.states.get(label_id)
-
-    def reachable(self, label_id: int) -> bool:
-        """False only when the label is *provably* unreachable."""
-        return self.states.get(label_id) is not None
-
-    def contains(self, label_id: int, valuation: Mapping[str, float], tol: float = 1e-9) -> bool:
-        """Is the concrete ``valuation`` inside the label's octagon?
-
-        The soundness property (mirroring the interval analysis): every
-        concretely reachable state must satisfy this; an unreachable
-        label contains nothing.
-        """
-        state = self.states.get(label_id)
-        if state is None:
-            return False
-        return state.contains(valuation, tol)
 
     def eval_poly(self, label_id: int, poly: Polynomial) -> Optional[Interval]:
         """Bounds of ``poly`` over the label's octagon.
@@ -537,7 +485,7 @@ class OctagonAnalysis:
         if state is None:
             return None
         if poly.is_linear():
-            parts = _linear_parts(poly, self.rvar_bounds, state.index)
+            parts = _linear_parts(poly, self.domain.rvar_bounds, state.index)
             if parts is not None:
                 coeffs, g_lo, g_hi = parts
                 live = {v: c for v, c in coeffs.items() if c != 0.0}
@@ -561,7 +509,7 @@ class OctagonAnalysis:
                             sum_lo, sum_hi = state.sum_bounds(va, vb)
                             lo, hi = -sum_hi, -sum_lo
                         return Interval(s * lo + g_lo, s * hi + g_hi)
-        return _eval_poly(poly, state.box(), self.rvar_bounds)
+        return _eval_poly(poly, state.box(), self.domain.rvar_bounds)
 
     def constraints_at(self, label_id: int) -> Optional[List[Polynomial]]:
         """The label's octagon as canonical ``p >= 0`` Gamma rows.
@@ -575,14 +523,8 @@ class OctagonAnalysis:
         state = self.states.get(label_id)
         if state is None:
             return None
-        rows: List[Polynomial] = []
-        box = {var: state.interval_of(var) for var in state.vars}
-        for var in sorted(state.vars):
-            iv = box[var]
-            if math.isfinite(iv.lo):
-                rows.append(Polynomial.variable(var) - iv.lo)
-            if math.isfinite(iv.hi):
-                rows.append(Polynomial.constant(iv.hi) - Polynomial.variable(var))
+        box = state.box()
+        rows = _box_rows(box)
         ordered = sorted(state.vars)
         for a_pos, va in enumerate(ordered):
             for vb in ordered[a_pos + 1 :]:
@@ -600,90 +542,6 @@ class OctagonAnalysis:
         return rows
 
 
-def analyze_cfg_octagon(
-    cfg: CFG,
-    init: Mapping[str, float],
-    widen_after: int = 3,
-    narrow_passes: int = 3,
-    max_iterations: int = 10_000,
-) -> OctagonAnalysis:
-    """Run the octagon analysis from the initial valuation ``init``.
-
-    Variables not mentioned by ``init`` start at 0 (matching the
-    interpreter).  Defaults and loop structure mirror
-    :func:`repro.check.interp.analyze_cfg` entry for entry.
-    """
-    rvar_bounds = {name: dist.support_bounds() for name, dist in cfg.rvars.items()}
-    memo = _OctagonMemo()
-    variables = tuple(sorted(cfg.pvars))
-    entry_state = Octagon.from_point(variables, init)
-
-    states: Dict[int, Optional[Octagon]] = {label.id: None for label in cfg}
-    visit_counts: Dict[int, int] = {label.id: 0 for label in cfg}
-    states[cfg.entry] = entry_state
-
-    worklist: List[int] = [cfg.entry]
-    iterations = 0
-    while worklist and iterations < max_iterations:
-        iterations += 1
-        label_id = worklist.pop(0)
-        state = states[label_id]
-        if state is None:
-            continue
-        closed = state.close()
-        if closed is None:
-            continue
-        label = cfg.labels[label_id]
-
-        for succ, new_state in _edge_states(label, closed, rvar_bounds, memo):
-            if new_state is None:
-                continue
-            old = states[succ]
-            merged = new_state if old is None else old.join(new_state)
-            if old is not None and visit_counts[succ] >= widen_after:
-                merged = old.widen(merged)
-            if old is None or not old.equals(merged):
-                states[succ] = merged
-                visit_counts[succ] += 1
-                if succ not in worklist:
-                    worklist.append(succ)
-
-    # Descending (narrowing) passes, mirroring the interval engine: a
-    # refinement travels one edge per pass, so the cap scales with the
-    # CFG and iteration stops early once the states stabilise.
-    max_narrow = narrow_passes * max(1, len(cfg.labels)) if narrow_passes else 0
-    for _ in range(max_narrow):
-        inflow: Dict[int, Optional[Octagon]] = {label.id: None for label in cfg}
-        inflow[cfg.entry] = entry_state
-        for label_id, state in states.items():
-            if state is None:
-                continue
-            closed = state.close()
-            if closed is None:
-                continue
-            for succ, new_state in _edge_states(cfg.labels[label_id], closed, rvar_bounds, memo):
-                if new_state is None:
-                    continue
-                old = inflow[succ]
-                inflow[succ] = new_state if old is None else old.join(new_state)
-        stable = all(
-            (states[label_id] is None) == (inflow[label_id] is None)
-            and (states[label_id] is None or states[label_id].equals(inflow[label_id]))
-            for label_id in states
-        )
-        states = inflow
-        if stable:
-            break
-
-    final: Dict[int, Optional[Octagon]] = {}
-    for label_id, state in states.items():
-        final[label_id] = None if state is None else state.close()
-
-    return OctagonAnalysis(
-        cfg=cfg,
-        init={var: float(value) for var, value in init.items()},
-        entry_state=entry_state,
-        states=final,
-        rvar_bounds=rvar_bounds,
-        _memo=memo,
-    )
+def analyze_cfg_octagon(cfg: CFG, init: Mapping[str, float]) -> OctagonAnalysis:
+    """Run the octagon analysis from the initial valuation ``init``."""
+    return OctagonAnalysis.run(cfg, init, _OctagonDomain(cfg))

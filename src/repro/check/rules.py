@@ -29,7 +29,7 @@ from ..semantics.cfg import (
 )
 from ..syntax.ast import Assign, If, Tick, While
 from .diagnostics import Diagnostic, sort_diagnostics
-from .interp import AbstractAnalysis, _eval_poly
+from .interp import AbstractAnalysis
 
 __all__ = ["run_rules"]
 
@@ -305,6 +305,21 @@ def _rule_unused_vars(cfg: CFG, out: List[Diagnostic]) -> None:
             out.append(Diagnostic.of("REP009", f"sampling variable {var!r} is never used"))
 
 
+def _excludes_every_state(analysis, label_id: int, region) -> bool:
+    """Is ``region`` provably disjoint from the label's abstract state?
+
+    True when every disjunct has a constraint that is negative over the
+    whole state (an interval box or an octagon).  An unreachable label
+    excludes nothing: any invariant is vacuously fine there.
+    """
+    if not analysis.reachable(label_id):
+        return False
+    return bool(region.disjuncts) and all(
+        any(analysis.eval_poly(label_id, g).hi < -_TOL for g in polyhedron.constraints)
+        for polyhedron in region.disjuncts
+    )
+
+
 def _rule_invariants(
     cfg: CFG,
     analysis: AbstractAnalysis,
@@ -337,21 +352,7 @@ def _rule_invariants(
                 )
             )
             continue
-        state = analysis.state(label_id)
-        if state is None:
-            continue  # unreachable label: any invariant is vacuously fine
-        all_empty = True
-        for polyhedron in region.disjuncts:
-            empty = False
-            for constraint in polyhedron.constraints:
-                value = _eval_poly(constraint, state, analysis.rvar_bounds)
-                if value.hi < -_TOL:
-                    empty = True
-                    break
-            if not empty:
-                all_empty = False
-                break
-        if all_empty and region.disjuncts:
+        if _excludes_every_state(analysis, label_id, region):
             out.append(
                 Diagnostic.of(
                     "REP010",
@@ -395,21 +396,7 @@ def _rule_octagon_invariants(
             continue
         if label_id == cfg.entry and not region.contains(point):
             continue  # REP010's entry check already covers this shape
-        state = octagon.state(label_id)
-        if state is None:
-            continue  # unreachable label: any invariant is vacuously fine
-        all_empty = bool(region.disjuncts)
-        for polyhedron in region.disjuncts:
-            empty = False
-            for constraint in polyhedron.constraints:
-                value = octagon.eval_poly(label_id, constraint)
-                if value is not None and value.hi < -_TOL:
-                    empty = True
-                    break
-            if not empty:
-                all_empty = False
-                break
-        if all_empty:
+        if _excludes_every_state(octagon, label_id, region):
             out.append(
                 Diagnostic.of(
                     "REP014",

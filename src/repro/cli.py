@@ -217,17 +217,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     )
     # The staged facade analyzes the parsed AST directly — exact float
     # literals, no cache/pool — and owns the auto-degree escalation.
+    # An exhausted escalation is one of the result's warnings, printed
+    # by summary() in the batch engine's wording.
     result = Analyzer(options).synthesize(program, check_concentration=args.concentration)
-    degrees = options.degree_plan(default=2)
     if degree == "auto":
-        print(f"degree:  {result.upper.degree if result.upper else degrees[-1]} (auto)")
-        if result.upper is None:
-            # Same wording as the batch engine's escalation warning.
-            print(
-                f"warning: degree escalation exhausted at d={args.max_degree} "
-                "without a feasible bound for every requested side",
-                file=sys.stderr,
-            )
+        print(f"degree:  {result.degrees_tried[-1]} (auto)")
     print(result.summary())
     return 0 if result.upper is not None else 1
 

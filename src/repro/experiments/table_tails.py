@@ -11,12 +11,14 @@ certificate fails loudly here, exactly like the Monte-Carlo bracket
 checks do for the expected-cost bounds.
 
 Run as ``python -m repro.experiments.table_tails [--runs N]
-[--horizon N] [--seed S]``.
+[--horizon N] [--seed S]``; the exit status is 1 when a bound is
+violated or none could be validated.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -126,10 +128,9 @@ def build_table_tails(
     return rows
 
 
-def main(
-    runs: int = 2000, horizon: int = 2000, seed: int = 0, analyzer=None
-) -> str:
-    rows = build_table_tails(runs=runs, horizon=horizon, seed=seed, analyzer=analyzer)
+def _render(rows: List[TailRow], runs: int, horizon: int) -> Tuple[str, bool]:
+    """The table text, and whether it validates: at least one row has a
+    tail bound and no row's empirical tail exceeds it."""
     text_rows = []
     for row in rows:
         if row.unavailable is not None:
@@ -158,26 +159,45 @@ def main(
         footer = f"\n{violated} violated bound(s)"
     elif not available:
         # Never claim success when nothing was validated: an infeasible
-        # tail LP across the whole suite must fail the CI grep loudly.
+        # tail LP across the whole suite must fail loudly.
         footer = "\nno tail bounds available - nothing validated"
     else:
         footer = (
             f"\nall empirical tails within bounds "
             f"({len(available)}/{len(rows)} rows validated)"
         )
-    return (
+    text = (
         f"Tail bounds: Azuma-Hoeffding vs {runs} simulated runs (horizon {horizon})\n"
         + render_table(headers, text_rows)
         + footer
     )
+    return text, bool(available) and not violated
 
 
-if __name__ == "__main__":
+def main(
+    runs: int = 2000, horizon: int = 2000, seed: int = 0, analyzer=None
+) -> str:
+    rows = build_table_tails(runs=runs, horizon=horizon, seed=seed, analyzer=analyzer)
+    return _render(rows, runs, horizon)[0]
+
+
+def cli(argv: Optional[List[str]] = None) -> int:
+    """Print the table; exit status 1 when a bound is violated or none
+    could be validated, 0 otherwise."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--runs", type=int, default=2000, help="simulated runs per benchmark")
     parser.add_argument("--horizon", type=int, default=2000, help="step horizon n")
     parser.add_argument("--seed", type=int, default=0)
     add_driver_args(parser)
-    args = parser.parse_args()
-    with driver_analyzer(args) as _analyzer:
-        print(main(runs=args.runs, horizon=args.horizon, seed=args.seed, analyzer=_analyzer))
+    args = parser.parse_args(argv)
+    with driver_analyzer(args) as analyzer:
+        rows = build_table_tails(
+            runs=args.runs, horizon=args.horizon, seed=args.seed, analyzer=analyzer
+        )
+    text, ok = _render(rows, args.runs, args.horizon)
+    print(text)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(cli())

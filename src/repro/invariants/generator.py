@@ -19,7 +19,6 @@ request fingerprints derived from them are stable and minimal.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Mapping
 
 from ..check.interp import Interval, analyze_cfg
@@ -35,6 +34,7 @@ __all__ = [
     "generate_interval_invariants",
     "generate_invariants",
     "generate_octagon_invariants",
+    "strengthen_invariants",
 ]
 
 #: The recognised values of the ``invariant_domain`` option.
@@ -60,84 +60,33 @@ def _canonical_rows(rows: List[Polynomial]) -> List[Polynomial]:
     return out
 
 
-def _box_rows(state: Mapping[str, Interval]) -> List[Polynomial]:
-    """Canonical interval rows for one abstract box: per variable in
-    name order, the finite lower bound then the finite upper bound."""
-    rows: List[Polynomial] = []
-    for var, interval in sorted(state.items()):
-        if math.isfinite(interval.lo):
-            rows.append(Polynomial.variable(var) - interval.lo)
-        if math.isfinite(interval.hi):
-            rows.append(Polynomial.constant(interval.hi) - Polynomial.variable(var))
-    return rows
-
-
-def generate_interval_invariants(
-    cfg: CFG,
-    init: Mapping[str, float],
-    widen_after: int = 3,
-    narrow_passes: int = 3,
-    max_iterations: int = 10_000,
-) -> InvariantMap:
-    """Run the interval analysis from the initial valuation ``init``.
-
-    Variables not mentioned by ``init`` start at 0 (matching the
-    interpreter).  Returns interval constraints at every reachable
-    label; unreachable labels get the (vacuous) trivial invariant.
-    """
-    analysis = analyze_cfg(
-        cfg,
-        init,
-        widen_after=widen_after,
-        narrow_passes=narrow_passes,
-        max_iterations=max_iterations,
-    )
-    entries: Dict[int, Region] = {}
-    for label_id, state in analysis.states.items():
-        if state is None:
-            continue
-        constraints = _canonical_rows(_box_rows(state))
-        entries[label_id] = Region.of(Polyhedron(constraints))
-    return InvariantMap(entries)
-
-
-def generate_octagon_invariants(
-    cfg: CFG,
-    init: Mapping[str, float],
-    widen_after: int = 3,
-    narrow_passes: int = 3,
-    max_iterations: int = 10_000,
-) -> InvariantMap:
-    """Run the octagon analysis from the initial valuation ``init``.
-
-    Returns, at every reachable label, the unary bounds plus every
-    relational constraint ``+-x +-y <= c`` that is strictly stronger
-    than what the unary bounds already imply (the entailed ones would
-    only bloat the Handelman products).
-    """
-    analysis = analyze_cfg_octagon(
-        cfg,
-        init,
-        widen_after=widen_after,
-        narrow_passes=narrow_passes,
-        max_iterations=max_iterations,
-    )
+def _invariant_map(analysis) -> InvariantMap:
+    """The analysis' canonical rows at every reachable label;
+    unreachable labels get the (vacuous) trivial invariant."""
     entries: Dict[int, Region] = {}
     for label_id in analysis.states:
         rows = analysis.constraints_at(label_id)
-        if rows is None:
-            continue
-        entries[label_id] = Region.of(Polyhedron(_canonical_rows(rows)))
+        if rows is not None:
+            entries[label_id] = Region.of(Polyhedron(_canonical_rows(rows)))
     return InvariantMap(entries)
 
 
+def generate_interval_invariants(cfg: CFG, init: Mapping[str, float]) -> InvariantMap:
+    """Interval bounds ``x - lo >= 0`` and ``hi - x >= 0`` from the
+    analysis started at ``init`` (unmentioned variables start at 0,
+    matching the interpreter)."""
+    return _invariant_map(analyze_cfg(cfg, init))
+
+
+def generate_octagon_invariants(cfg: CFG, init: Mapping[str, float]) -> InvariantMap:
+    """The unary bounds plus every relational constraint ``+-x +-y <= c``
+    strictly stronger than what the unary bounds already imply (the
+    entailed ones would only bloat the Handelman products)."""
+    return _invariant_map(analyze_cfg_octagon(cfg, init))
+
+
 def generate_invariants(
-    cfg: CFG,
-    init: Mapping[str, float],
-    domain: str = "interval",
-    widen_after: int = 3,
-    narrow_passes: int = 3,
-    max_iterations: int = 10_000,
+    cfg: CFG, init: Mapping[str, float], domain: str = "interval"
 ) -> InvariantMap:
     """Generate invariants in the requested abstract ``domain``."""
     if domain not in INVARIANT_DOMAINS:
@@ -147,10 +96,24 @@ def generate_invariants(
     generate = (
         generate_octagon_invariants if domain == "octagon" else generate_interval_invariants
     )
-    return generate(
-        cfg,
-        init,
-        widen_after=widen_after,
-        narrow_passes=narrow_passes,
-        max_iterations=max_iterations,
-    )
+    return generate(cfg, init)
+
+
+def strengthen_invariants(
+    inv: InvariantMap, cfg: CFG, init: Mapping[str, float], domain: str
+) -> None:
+    """Add the generated ``domain`` invariants to ``inv``, in place.
+
+    Interval invariants fill only the labels the user left unannotated:
+    hand-written invariants are typically tighter, and mixing in
+    anchor-specific point intervals (e.g. ``n = 320``) can degrade LP
+    conditioning.  Octagon rows are also conjoined into annotated
+    labels — they are sound by construction, and this is what lets
+    annotation-dependent benchmarks synthesize with their hand-written
+    invariants deleted.
+    """
+    for label_id, region in generate_invariants(cfg, init, domain).items():
+        if label_id not in inv:
+            inv.set(label_id, region)
+        elif domain == "octagon":
+            inv.conjoin(label_id, region)

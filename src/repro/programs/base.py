@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from ..analysis.bounds import CostAnalysisResult, analyze, attach_tail_bound_for
+from ..analysis.bounds import CostAnalysisResult, analyze, analyze_for
 from ..invariants import InvariantMap
 from ..semantics.cfg import CFG, build_cfg
 from ..syntax.ast import Program
@@ -96,40 +96,6 @@ class Benchmark:
 
     # -- analysis ---------------------------------------------------------------
 
-    def _analyze_resolved(
-        self,
-        init: Optional[Mapping[str, float]] = None,
-        degree: Optional[int] = None,
-        compute_lower: bool = True,
-        check_concentration: bool = False,
-        mode: Optional[str] = None,
-        max_multiplicands: Optional[int] = None,
-        auto_invariants: bool = True,
-        invariant_domain: str = "interval",
-        check: str = "off",
-    ) -> CostAnalysisResult:
-        """One concrete pipeline run (the engine's per-degree workhorse).
-
-        ``degree``, ``mode`` and ``max_multiplicands`` default to the
-        benchmark's own settings.  No degree escalation, no solver
-        context — callers (the batch engine, :meth:`analyze_with`)
-        own those.
-        """
-        anchor = dict(init if init is not None else self.init)
-        return analyze(
-            self.program,
-            init=anchor,
-            invariants=self.invariant_map(anchor),
-            degree=degree if degree is not None else self.degree,
-            auto_invariants=auto_invariants,
-            invariant_domain=invariant_domain,
-            mode=mode if mode is not None else self.mode,
-            compute_lower=compute_lower,
-            check_concentration=check_concentration,
-            max_multiplicands=max_multiplicands,
-            check=check,
-        )
-
     def analyze_with(
         self, options, *, check_concentration: bool = False
     ) -> CostAnalysisResult:
@@ -137,10 +103,12 @@ class Benchmark:
 
         Honors the synthesis-relevant subset of the options: the degree
         plan (``"auto"`` escalates d = 1..``max_degree`` until every
-        requested bound is feasible, exactly like the batch engine),
-        mode, multiplicand cap, invariant policy, init valuation,
-        solver backend and the ``nondet_prob`` coin-flip
-        transformation.  Simulation and timeout settings are
+        requested bound is feasible, through the same
+        :func:`~repro.analysis.bounds.analyze_for` ladder as the batch
+        engine), mode, multiplicand cap, invariant policy, lint, tails,
+        init valuation, solver backend and the ``nondet_prob`` coin-flip
+        transformation.  Unset degree and mode fall back to the
+        benchmark's own.  Simulation and timeout settings are
         engine-level concerns — use :meth:`repro.api.Analyzer.analyze`
         for those.
         """
@@ -149,38 +117,17 @@ class Benchmark:
         bench = self
         if options.nondet_prob is not None and self.has_nondeterminism:
             bench = probabilistic_variant(self, prob=options.nondet_prob)
-        # None entries defer to the benchmark's own default degree.
-        degrees = options.degree_plan()
-        result: Optional[CostAnalysisResult] = None
-        diagnostics = None
+        anchor = dict(options.init) if options.init is not None else dict(bench.init)
         with use_solver(options.solver):
-            for index, degree in enumerate(degrees):
-                result = bench._analyze_resolved(
-                    init=dict(options.init) if options.init is not None else None,
-                    degree=degree,
-                    compute_lower=options.compute_lower,
-                    check_concentration=check_concentration,
-                    mode=options.mode,
-                    max_multiplicands=options.max_multiplicands,
-                    auto_invariants=options.auto_invariants,
-                    invariant_domain=getattr(options, "invariant_domain", "interval"),
-                    # Lint once, on the first degree — program and
-                    # invariants are escalation-invariant.
-                    check=getattr(options, "check", "off") if index == 0 else "off",
-                )
-                if index == 0:
-                    diagnostics = result.diagnostics
-                if result.complete_for(options.compute_lower):
-                    break
-            assert result is not None  # the degree plan is never empty
-            # Re-attach the first degree's findings to the escalation
-            # winner (later analyze() calls skipped the lint).
-            result.diagnostics = diagnostics
-            # Once, on the final result only — the auxiliary LP (and a
-            # possible degree-1 refit) must not run per discarded
-            # escalation degree.
-            attach_tail_bound_for(result, options)
-        return result
+            return analyze_for(
+                bench.program,
+                anchor,
+                bench.invariant_map(anchor),
+                options,
+                degree=bench.degree,
+                mode=bench.mode,
+                check_concentration=check_concentration,
+            )
 
     def analyze(
         self,
@@ -238,12 +185,15 @@ class Benchmark:
                 "degree='auto' escalation needs a degree ceiling; use "
                 "analyze(AnalysisOptions(degree='auto', max_degree=...))"
             )
-        return self._analyze_resolved(
-            init=init,
-            degree=degree,  # type: ignore[arg-type]
+        anchor = dict(init if init is not None else self.init)
+        return analyze(
+            self.program,
+            init=anchor,
+            invariants=self.invariant_map(anchor),
+            degree=degree if degree is not None else self.degree,  # type: ignore[arg-type]
+            mode=mode if mode is not None else self.mode,
             compute_lower=True if compute_lower is None else compute_lower,
             check_concentration=bool(check_concentration),
-            mode=mode,
             max_multiplicands=max_multiplicands,
         )
 

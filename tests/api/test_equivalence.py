@@ -13,12 +13,16 @@ and 5 workloads:
 * semantically identical cold reports — modulo wall-clock fields.
 """
 
+import sys
+
 import pytest
 
+from repro.analysis import bounds
 from repro.api import AnalysisOptions, Analyzer, report_to_v1
 from repro.batch import AnalysisRequest, requests_from_spec, run_batch
 from repro.cache import ResultCache, request_key
-from repro.programs import get_benchmark
+from repro.check.octagon import analyze_cfg_octagon
+from repro.programs import all_benchmarks, get_benchmark
 
 #: (suite, bench_name, extra request fields) — one cheap representative
 #: per table workload, coin-flip transformation included for table5.
@@ -29,8 +33,28 @@ REPRESENTATIVES = [
     ("table5", "bitcoin_mining", {"nondet_prob": 0.5, "simulate_runs": 20}),
 ]
 
+#: Every registry benchmark (analyzed at its anchor valuation).
+REGISTRY = [bench.name for bench in all_benchmarks()]
+
 #: Report fields that legitimately differ between two executions.
 WALL_CLOCK_FIELDS = ("runtime", "analysis_runtime", "upper_runtime", "lower_runtime")
+
+
+def _count_octagon_runs(monkeypatch):
+    """Count ``analyze_cfg_octagon`` calls through every ``repro``
+    module that imported it."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return analyze_cfg_octagon(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "repro" and (
+            getattr(module, "analyze_cfg_octagon", None) is analyze_cfg_octagon
+        ):
+            monkeypatch.setattr(module, "analyze_cfg_octagon", counting)
+    return calls
 
 
 def _strip_clock(report_dict):
@@ -96,6 +120,44 @@ class TestStagedVsEngine:
         assert upper == report.upper_value
         assert lower == report.lower_value
         assert result.lower_skipped == report.lower_skipped
+
+    @pytest.mark.parametrize("domain", ["interval", "octagon"])
+    @pytest.mark.parametrize("name", REGISTRY)
+    def test_three_front_ends_agree_under_auto(self, name, domain):
+        options = AnalysisOptions(degree="auto", invariant_domain=domain)
+        report = Analyzer(options).analyze(name)
+        assert report.status == "ok", report.error
+        staged = Analyzer(options).synthesize(name)
+        direct = get_benchmark(name).analyze_with(options)
+        for result in (staged, direct):
+            assert result.degrees_tried == report.degrees_tried
+            assert result.degrees_tried[-1] == report.degree
+            assert (result.upper.value if result.upper else None) == report.upper_value
+            assert (result.lower.value if result.lower else None) == report.lower_value
+            assert result.lower_skipped == report.lower_skipped
+            assert result.warnings == report.warnings
+
+    @pytest.mark.parametrize("front_end", ["engine", "synthesize", "analyze_with"])
+    def test_ladder_runs_the_prefix_once(self, monkeypatch, front_end):
+        # simple_loop escalates to degree 2 under the octagon domain;
+        # the CFG and the octagon fixpoint must not be rebuilt per rung.
+        octagon_runs = _count_octagon_runs(monkeypatch)
+        cfg_builds = []
+        original_build = bounds.build_cfg
+        monkeypatch.setattr(
+            bounds, "build_cfg", lambda program: cfg_builds.append(1) or original_build(program)
+        )
+        options = AnalysisOptions(degree="auto", invariant_domain="octagon", check="off")
+        if front_end == "engine":
+            report = Analyzer(options).analyze("simple_loop")
+            degrees = report.degrees_tried
+        elif front_end == "synthesize":
+            degrees = Analyzer(options).synthesize("simple_loop").degrees_tried
+        else:
+            degrees = get_benchmark("simple_loop").analyze_with(options).degrees_tried
+        assert degrees == [1, 2]
+        assert len(octagon_runs) == 1
+        assert len(cfg_builds) == 1
 
     def test_legacy_benchmark_kwargs_match_options_path(self):
         bench = get_benchmark("ber")

@@ -31,12 +31,12 @@ def _unsound_rdwalk():
 class TestAnalyzeCheck:
     def test_off_leaves_diagnostics_none(self):
         bench = get_benchmark("rdwalk")
-        result = bench._analyze_resolved(compute_lower=False)
+        result = bench.analyze(AnalysisOptions(compute_lower=False))
         assert result.diagnostics is None
 
     def test_warn_attaches_empty_list_when_clean(self):
         bench = get_benchmark("rdwalk")
-        result = bench._analyze_resolved(compute_lower=False, check="warn")
+        result = bench.analyze(AnalysisOptions(compute_lower=False, check="warn"))
         assert result.diagnostics == []
         assert result.upper is not None
 

@@ -11,6 +11,7 @@ from repro.experiments import (
     probabilistic_variant,
     render_table,
 )
+from repro.experiments import table_tails
 from repro.experiments.table2 import PAPER_74_UPPER, main as table2_main
 from repro.experiments.table3 import build_table3
 from repro.programs import get_benchmark
@@ -134,6 +135,19 @@ class TestJobsParity:
         assert [key(r) for r in par] == [key(r) for r in seq]
 
 
+def _tail_row(freq, bound):
+    """A one-probe tail row whose empirical frequency is ``freq``."""
+    return table_tails.TailRow(
+        benchmark="rdwalk",
+        init={"x": 10.0},
+        expected=20.0,
+        c=3.0,
+        horizon=100,
+        runs=1,
+        checks=[table_tails.TailCheck(t=5.0, bound=bound, freq=freq)],
+    )
+
+
 class TestTableTails:
     """The tail-bound validation driver (new workload)."""
 
@@ -166,3 +180,25 @@ class TestTableTails:
         text = main(runs=50, horizon=400)
         assert "Tail bounds" in text
         assert "all empirical tails within bounds" in text
+
+    @pytest.mark.parametrize(
+        "row, footer",
+        [
+            (_tail_row(freq=0.5, bound=0.1), "1 violated bound(s)"),
+            (
+                table_tails.TailRow(benchmark="pol04", init={}, unavailable="no c"),
+                "no tail bounds available - nothing validated",
+            ),
+        ],
+        ids=["violated", "nothing-validated"],
+    )
+    def test_cli_exits_nonzero_unless_validated(self, monkeypatch, capsys, row, footer):
+        monkeypatch.setattr(table_tails, "build_table_tails", lambda **kwargs: [row])
+        assert table_tails.cli(["--runs", "1", "--no-cache"]) == 1
+        assert footer in capsys.readouterr().out
+
+    def test_cli_exits_zero_when_every_bound_holds(self, monkeypatch, capsys):
+        row = _tail_row(freq=0.01, bound=0.1)
+        monkeypatch.setattr(table_tails, "build_table_tails", lambda **kwargs: [row])
+        assert table_tails.cli(["--runs", "1", "--no-cache"]) == 0
+        assert "all empirical tails within bounds (1/1" in capsys.readouterr().out
