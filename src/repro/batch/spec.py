@@ -80,6 +80,24 @@ _REPORT_V4_FIELDS = ("attempts",)
 _REPORT_V5_FIELDS = ("diagnostics",)
 #: Fields present in v6 report dicts but not v5 ones.
 _REPORT_V6_FIELDS = ("invariant_domain",)
+#: The fields each schema added over its predecessor, v2 first.
+_REPORT_FIELDS_ADDED = (
+    _REPORT_V2_FIELDS,
+    _REPORT_V3_FIELDS,
+    _REPORT_V4_FIELDS,
+    _REPORT_V5_FIELDS,
+    _REPORT_V6_FIELDS,
+)
+
+
+def _copy_json(value: Any) -> Any:
+    """A copy of a JSON value whose dicts and lists are all fresh."""
+    if isinstance(value, dict):
+        return {key: _copy_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_copy_json(item) for item in value]
+    return value
+
 
 #: Suites a spec task may name.  ``table5`` is the Table 3 set with
 #: nondeterminism replaced by a fair coin (the paper's Table 5 setup).
@@ -399,61 +417,80 @@ class AnalysisReport:
         return self.status == "ok"
 
     def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
+        # Field by field rather than ``dataclasses.asdict``: every field
+        # already holds plain JSON values, so copying the containers
+        # gives the same dict (key order included) at a fraction of the
+        # cost of asdict's recursive deep copy, which was the largest
+        # Python cost of a service cache-hit reply.
+        return {
+            "name": self.name,
+            "status": self.status,
+            "init": dict(self.init),
+            "mode": self.mode,
+            "degree": self.degree,
+            "degrees_tried": list(self.degrees_tried),
+            "upper_value": self.upper_value,
+            "upper_bound": self.upper_bound,
+            "upper_runtime": self.upper_runtime,
+            "lower_value": self.lower_value,
+            "lower_bound": self.lower_bound,
+            "lower_runtime": self.lower_runtime,
+            "policy_enumerated": self.policy_enumerated,
+            "sim_mean": self.sim_mean,
+            "sim_std": self.sim_std,
+            "sim_truncated": self.sim_truncated,
+            "sim_termination_rate": self.sim_termination_rate,
+            "warnings": list(self.warnings),
+            "error": self.error,
+            "runtime": self.runtime,
+            "analysis_runtime": self.analysis_runtime,
+            "tag": self.tag,
+            "lower_skipped": self.lower_skipped,
+            "solver": self.solver,
+            "tail": _copy_json(self.tail),
+            "attempts": self.attempts,
+            "diagnostics": _copy_json(self.diagnostics),
+            "invariant_domain": self.invariant_domain,
+        }
+
+    def _down_level_dict(self, version: int) -> Dict[str, Any]:
+        """:meth:`to_dict` minus every field added after schema v*version*."""
+        payload = self.to_dict()
+        for added in _REPORT_FIELDS_ADDED[version - 1 :]:
+            for fieldname in added:
+                del payload[fieldname]
+        return payload
 
     def to_v1_dict(self) -> Dict[str, Any]:
         """The report as a pre-``repro.api`` (v1) dict.
 
-        Drops the v2- and v3-only fields; everything else — key order
+        Drops the v2-and-later fields; everything else — key order
         included — is bitwise what a v1 writer produced, so v1
         consumers (and the golden-table comparisons) keep working
         unchanged.
         """
-        payload = asdict(self)
-        for fieldname in (
-            _REPORT_V2_FIELDS
-            + _REPORT_V3_FIELDS
-            + _REPORT_V4_FIELDS
-            + _REPORT_V5_FIELDS
-            + _REPORT_V6_FIELDS
-        ):
-            payload.pop(fieldname, None)
-        return payload
+        return self._down_level_dict(1)
 
     def to_v2_dict(self) -> Dict[str, Any]:
         """The report as a pre-tail-bound (v2) dict — bitwise what a v2
         writer produced for the same analysis."""
-        payload = asdict(self)
-        for fieldname in (
-            _REPORT_V3_FIELDS + _REPORT_V4_FIELDS + _REPORT_V5_FIELDS + _REPORT_V6_FIELDS
-        ):
-            payload.pop(fieldname, None)
-        return payload
+        return self._down_level_dict(2)
 
     def to_v3_dict(self) -> Dict[str, Any]:
         """The report as a pre-resilience (v3) dict — bitwise what a v3
         writer produced for the same analysis (no ``attempts``)."""
-        payload = asdict(self)
-        for fieldname in _REPORT_V4_FIELDS + _REPORT_V5_FIELDS + _REPORT_V6_FIELDS:
-            payload.pop(fieldname, None)
-        return payload
+        return self._down_level_dict(3)
 
     def to_v4_dict(self) -> Dict[str, Any]:
         """The report as a pre-lint (v4) dict — bitwise what a v4 writer
         produced for the same analysis (no ``diagnostics``)."""
-        payload = asdict(self)
-        for fieldname in _REPORT_V5_FIELDS + _REPORT_V6_FIELDS:
-            payload.pop(fieldname, None)
-        return payload
+        return self._down_level_dict(4)
 
     def to_v5_dict(self) -> Dict[str, Any]:
         """The report as a pre-relational-invariants (v5) dict — bitwise
         what a v5 writer produced for the same analysis (no
         ``invariant_domain``)."""
-        payload = asdict(self)
-        for fieldname in _REPORT_V6_FIELDS:
-            payload.pop(fieldname, None)
-        return payload
+        return self._down_level_dict(5)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AnalysisReport":

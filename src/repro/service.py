@@ -36,7 +36,17 @@ Analysis failures (bad benchmark name, parse errors, infeasible LPs)
 are *not* HTTP errors: they come back as structured reports with
 ``status: "error"`` inside a 200 response, exactly as in batch output.
 HTTP 400 is reserved for malformed envelopes (bad JSON, unknown
-request fields), 404/405 for bad routes.
+request fields).  Route errors are JSON too: ``404`` for an unknown
+path, ``405`` + ``Allow`` for a known path under the wrong method
+(``GET /analyze``, ``POST /healthz``); an unsupported verb (``PUT``,
+``DELETE``, ...) keeps the stdlib's ``501``.
+
+Keep-alive is the fast path: connections speak HTTP/1.1 with Nagle's
+algorithm off (``TCP_NODELAY``), so a client that reuses one
+connection pays for a cache hit what the lookup costs, not a TCP
+delayed-ACK round.  Route errors keep the connection open (a POST
+body is read before the reply, so its bytes cannot pose as the next
+request); ``429`` and ``503`` replies close it.
 
 ``ThreadingHTTPServer`` handles each connection on its own thread; the
 shared :class:`~repro.cache.ResultCache` is thread-safe and the engine
@@ -203,6 +213,11 @@ def _benchmark_listing() -> List[Dict[str, Any]]:
     ]
 
 
+#: Paths each method serves; a known path under the other method is a 405.
+_GET_ROUTES = ("/healthz", "/benchmarks", "/options/defaults", "/version", "/cache/stats")
+_POST_ROUTES = ("/analyze", "/lint")
+
+
 def _parse_analyze_body(body: Any) -> Tuple[List[AnalysisRequest], bool]:
     """Expand a ``POST /analyze`` body into engine requests.
 
@@ -223,6 +238,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     # Keep-alive is safe: every response carries Content-Length.
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY on each accepted socket: headers and body go out in
+    # two writes, and with Nagle on the body waits for the client's
+    # delayed ACK of the headers (~40 ms per keep-alive reply).
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
         if self.server.verbose:
@@ -272,8 +291,34 @@ class _Handler(BaseHTTPRequestHandler):
             extra_headers={"Connection": "close"},
         )
 
-    def _send_error_json(self, status: int, message: str) -> None:
-        self._send_json(status, {"error": message})
+    def _send_error_json(
+        self, status: int, message: str, extra_headers: Optional[Mapping[str, str]] = None
+    ) -> None:
+        self._send_json(status, {"error": message}, extra_headers=extra_headers)
+
+    def _send_route_error(self, path: str, hint: str = "") -> None:
+        """Answer a path this method does not serve: 405 + ``Allow``
+        when the other method serves it, 404 otherwise."""
+        if path in _GET_ROUTES or path in _POST_ROUTES:
+            allow = "GET" if path in _GET_ROUTES else "POST"
+            self._send_error_json(
+                405, f"method not allowed on {path!r}; use {allow}", {"Allow": allow}
+            )
+        else:
+            self._send_error_json(404, f"unknown path {path!r}{hint}")
+
+    def _discard_body(self) -> None:
+        """Consume a request body the route will not read, so its bytes
+        do not parse as the next request on a keep-alive connection; an
+        unusable ``Content-Length`` closes the connection instead."""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            self.close_connection = True
+        elif length:
+            self.rfile.read(length)
 
     def _read_body(self) -> Optional[Any]:
         try:
@@ -347,7 +392,7 @@ class _Handler(BaseHTTPRequestHandler):
                     200, {"schema": SERVICE_SCHEMA, "enabled": True, **cache.stats().to_dict()}
                 )
         else:
-            self._send_error_json(404, f"unknown path {path!r}")
+            self._send_route_error(path)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
         self.server.request_started()
@@ -362,7 +407,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._post_lint()
             return
         if path != "/analyze":
-            self._send_error_json(404, f"unknown path {path!r}; POST /analyze or POST /lint")
+            self._discard_body()
+            self._send_route_error(path, "; POST /analyze or POST /lint")
             return
         if self.server.draining.is_set():
             self._send_draining()
