@@ -17,6 +17,7 @@ Run:  python examples/crypto_mining.py
 """
 
 import repro
+from repro.api import AnalysisOptions
 from repro.baseline import baseline_upper_bound
 from repro.errors import UnsupportedProgramError
 from repro.programs import get_benchmark
@@ -27,7 +28,7 @@ def main() -> None:
     print(bench.cfg.pretty())
     print()
 
-    result = bench.analyze(init={"x": 100})
+    result = bench.analyze(AnalysisOptions(init={"x": 100}))
     print("--- demonic nondeterminism (the adversary may withhold rewards) ---")
     print(result.summary())
     print()

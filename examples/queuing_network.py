@@ -15,6 +15,7 @@ Run:  python examples/queuing_network.py
 """
 
 import repro
+from repro.api import AnalysisOptions
 from repro.programs import get_benchmark
 
 
@@ -26,7 +27,7 @@ def main() -> None:
     print(f"{'horizon n':>10} {'PLCS lower':>12} {'sim mean':>10} {'PUCS upper':>12}")
     for n in (80.0, 160.0, 240.0, 320.0):
         init = {"l1": 0.0, "l2": 0.0, "i": 1.0, "n": n}
-        result = bench.analyze(init=init)
+        result = bench.analyze(AnalysisOptions(init=init))
         stats = repro.simulate(bench.cfg, init, runs=300, seed=0)
         print(
             f"{n:>10.0f} {result.lower.value:>12.3f} {stats.mean:>10.3f} "

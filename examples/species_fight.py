@@ -16,6 +16,7 @@ Run:  python examples/species_fight.py
 """
 
 import repro
+from repro.api import AnalysisOptions
 from repro.programs import get_benchmark
 
 
@@ -35,7 +36,7 @@ def main() -> None:
     print(f"{'a0':>5} {'b0':>5} {'sim mean':>12} {'PUCS upper':>12}")
     for a0, b0 in ((8.0, 8.0), (12.0, 10.0), (16.0, 10.0), (20.0, 20.0)):
         init = {"a": a0, "b": b0}
-        res = bench.analyze(init=init)
+        res = bench.analyze(AnalysisOptions(init=init))
         stats = repro.simulate(bench.cfg, init, runs=400, seed=0)
         print(f"{a0:>5.0f} {b0:>5.0f} {stats.mean:>12.1f} {res.upper.value:>12.1f}")
 

@@ -15,7 +15,7 @@ Steps 1-4 do not depend on the template degree.  :func:`analyze_ladder`
 runs them once and then step 5 per degree of a plan, stopping at the
 first degree that yields every requested bound; :func:`analyze` is its
 one-degree case and :func:`analyze_for` its settings-driven form, the
-one entry point of the batch engine, ``Benchmark.analyze_with`` and
+one entry point of the batch engine, ``Benchmark.analyze`` and
 ``Analyzer.synthesize``.
 """
 
@@ -25,6 +25,7 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Union
 
 if TYPE_CHECKING:  # runtime imports would be circular; these are lazy below
+    from ..api.options import AnalysisOptions
     from ..check.diagnostics import Diagnostic
     from .tails import TailBound
 
@@ -211,20 +212,18 @@ def analyze(
     )
 
 
-def degree_plan(settings, default: Optional[int] = None) -> list:
+def degree_plan(settings: "AnalysisOptions", default: Optional[int] = None) -> list:
     """The degrees to attempt, in order, for a settings record.
 
-    ``settings`` carries ``degree`` and ``max_degree`` (an
-    :class:`~repro.api.AnalysisOptions` or an
-    :class:`~repro.batch.spec.AnalysisRequest`).  ``"auto"`` escalates
-    1..``max_degree``; a fixed degree is a one-element plan; ``None``
-    defers to ``default`` (a benchmark's own degree — kept as ``None``
-    when no default is given so the callee can resolve it).
+    ``"auto"`` escalates 1..``max_degree``; a fixed degree is a
+    one-element plan; ``None`` defers to ``default`` (a benchmark's own
+    degree — kept as ``None`` when no default is given so the callee can
+    resolve it).
     """
     if settings.degree == "auto":
         return list(range(1, settings.max_degree + 1))
     if settings.degree is not None:
-        return [int(settings.degree)]
+        return [settings.degree]
     return [default]
 
 
@@ -232,7 +231,7 @@ def analyze_for(
     program: Union[str, Program],
     init: Mapping[str, float],
     invariants,
-    settings,
+    settings: "AnalysisOptions",
     *,
     degree: int = 2,
     mode: str = "auto",
@@ -240,17 +239,15 @@ def analyze_for(
 ) -> CostAnalysisResult:
     """:func:`analyze_ladder` driven by a settings record.
 
-    ``settings`` is an :class:`~repro.api.AnalysisOptions` or an
-    :class:`~repro.batch.spec.AnalysisRequest`; their analysis fields
-    are name-aligned by design.  ``degree`` and ``mode`` are the
-    program's own defaults (a benchmark's), used where the settings
-    leave them unset.  The single entry point of the batch engine,
-    ``Benchmark.analyze_with`` and ``Analyzer.synthesize``, so the
+    ``settings`` is an :class:`~repro.api.AnalysisOptions` (an engine
+    :class:`~repro.batch.spec.AnalysisRequest` is one).  ``degree`` and
+    ``mode`` are the program's own defaults (a benchmark's), used where
+    the settings leave them unset.  The single entry point of the batch
+    engine, ``Benchmark.analyze`` and ``Analyzer.synthesize``, so the
     ladder cannot drift between them.  An ``"auto"`` plan that runs out
     of degrees before every requested bound exists says so in a
     warning.
     """
-    probes = settings.tail_probes
     result = analyze_ladder(
         program,
         init,
@@ -264,7 +261,7 @@ def analyze_for(
         invariant_domain=settings.invariant_domain,
         tails=settings.tails,
         tail_horizon=settings.tail_horizon,
-        tail_probes=list(probes) if probes else None,
+        tail_probes=list(settings.tail_probes) if settings.tail_probes else None,
         check=settings.check,
     )
     if settings.degree == "auto" and not result.complete_for(settings.compute_lower):

@@ -5,11 +5,11 @@ batch engine, the Table 2-5 experiment drivers, the perf harness) is a
 thin adapter over the three names this package exports first:
 
 :class:`AnalysisOptions`
-    A frozen, validated, JSON-round-trippable record of *how* to
-    analyze — degree plan (including ``"auto"`` escalation), soundness
-    mode, Handelman multiplicand cap, invariant policy, initial
-    valuation, coin-flip transformation, simulation settings, timeout
-    and LP solver backend.
+    The one settings record: frozen, validated, JSON-round-trippable,
+    saying *how* to analyze — degree plan (including ``"auto"``
+    escalation), soundness mode, Handelman multiplicand cap, invariant
+    policy, initial valuation, coin-flip transformation, simulation
+    settings, timeout and LP solver backend.
 :class:`Analyzer`
     A session facade owning the result cache, the solver backend and
     the worker pool; ``analyze()`` returns the canonical
@@ -17,10 +17,10 @@ thin adapter over the three names this package exports first:
     ``parse``/``build_cfg``/``derive_invariants``/``synthesize``
     expose the pipeline stage by stage.
 :class:`AnalysisRequest` / :class:`AnalysisReport`
-    The JSON work unit and the canonical result record (schema
-    ``repro-report/v6``; :func:`report_to_v1` ... :func:`report_to_v5`
-    and the lenient :meth:`AnalysisReport.from_dict` bridge older
-    consumers and producers).
+    The JSON work unit — an :class:`AnalysisOptions` record plus the
+    program it applies to — and the canonical result record (schema
+    ``repro-report/v6``; the lenient :func:`report_from_dict` also
+    reads reports written under v1 … v5).
 
 The static lint pass (:mod:`repro.check`) surfaces here through
 ``AnalysisOptions(check="warn"|"strict")`` — findings ride on
@@ -52,12 +52,8 @@ from __future__ import annotations
 from typing import Any, Dict, Mapping
 
 from ..batch.spec import (
+    REPORT_COMPAT_SCHEMAS,
     REPORT_SCHEMA,
-    REPORT_SCHEMA_V1,
-    REPORT_SCHEMA_V2,
-    REPORT_SCHEMA_V3,
-    REPORT_SCHEMA_V4,
-    REPORT_SCHEMA_V5,
     AnalysisReport,
     AnalysisRequest,
     load_spec,
@@ -88,11 +84,6 @@ __all__ = [
     "CheckResult",
     "Diagnostic",
     "REPORT_SCHEMA",
-    "REPORT_SCHEMA_V1",
-    "REPORT_SCHEMA_V2",
-    "REPORT_SCHEMA_V3",
-    "REPORT_SCHEMA_V4",
-    "REPORT_SCHEMA_V5",
     "ResultCache",
     "RetryPolicy",
     "SolveOutcome",
@@ -104,11 +95,6 @@ __all__ = [
     "load_spec",
     "register_backend",
     "report_from_dict",
-    "report_to_v1",
-    "report_to_v2",
-    "report_to_v3",
-    "report_to_v4",
-    "report_to_v5",
     "request_fingerprint",
     "request_key",
     "requests_from_spec",
@@ -116,36 +102,6 @@ __all__ = [
     "use_solver",
     "version_info",
 ]
-
-
-def report_to_v1(report: AnalysisReport) -> Dict[str, Any]:
-    """``report`` as a pre-``repro.api`` (``repro-report/v1``) dict —
-    bitwise what a v1 writer produced for the same analysis."""
-    return report.to_v1_dict()
-
-
-def report_to_v2(report: AnalysisReport) -> Dict[str, Any]:
-    """``report`` as a pre-tail-bound (``repro-report/v2``) dict —
-    bitwise what a v2 writer produced for the same analysis."""
-    return report.to_v2_dict()
-
-
-def report_to_v3(report: AnalysisReport) -> Dict[str, Any]:
-    """``report`` as a pre-resilience (``repro-report/v3``) dict —
-    bitwise what a v3 writer produced for the same analysis."""
-    return report.to_v3_dict()
-
-
-def report_to_v4(report: AnalysisReport) -> Dict[str, Any]:
-    """``report`` as a pre-lint (``repro-report/v4``) dict — bitwise
-    what a v4 writer produced for the same analysis."""
-    return report.to_v4_dict()
-
-
-def report_to_v5(report: AnalysisReport) -> Dict[str, Any]:
-    """``report`` as a pre-relational-invariants (``repro-report/v5``)
-    dict — bitwise what a v5 writer produced for the same analysis."""
-    return report.to_v5_dict()
 
 
 def report_from_dict(data: Mapping[str, Any]) -> AnalysisReport:
@@ -163,13 +119,7 @@ def version_info() -> Dict[str, Any]:
         "repro": __version__,
         "schemas": {
             "report": REPORT_SCHEMA,
-            "report_compat": [
-                REPORT_SCHEMA_V1,
-                REPORT_SCHEMA_V2,
-                REPORT_SCHEMA_V3,
-                REPORT_SCHEMA_V4,
-                REPORT_SCHEMA_V5,
-            ],
+            "report_compat": list(REPORT_COMPAT_SCHEMAS),
             "cache_entry": ENTRY_SCHEMA,
         },
         "solver_backends": backend_specs(),

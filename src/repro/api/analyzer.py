@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import re
 import threading
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Union
 
@@ -174,16 +175,7 @@ class Analyzer:
         """
         opts = self._merged(options, overrides)
         if isinstance(program, Benchmark):
-            payload = opts.to_dict()
-            # The program identity supplies init/invariants defaults;
-            # drop unset degree/mode so for_benchmark can fall back to
-            # an ad-hoc benchmark's own settings.
-            init = payload.pop("init")
-            payload.pop("invariants")
-            for key in ("degree", "mode"):
-                if payload[key] is None:
-                    payload.pop(key)
-            return AnalysisRequest.for_benchmark(program, init=init, **payload)
+            return AnalysisRequest.for_benchmark(program, opts)
         if isinstance(program, Program):
             return opts.to_request(source=pretty(program), name=program.name)
         if isinstance(program, str):
@@ -218,9 +210,7 @@ class Analyzer:
         if self._cache is None:
             return None
         if request.solver is None and self._options.solver is not None:
-            from dataclasses import replace as _dc_replace
-
-            request = _dc_replace(request, solver=self._options.solver)
+            request = replace(request, solver=self._options.solver)
         return self._cache.request_key(request)
 
     def cached_report(self, key: str, request: AnalysisRequest) -> Optional[AnalysisReport]:
@@ -280,14 +270,8 @@ class Analyzer:
                 )
         session_solver = self._options.solver
         if session_solver is not None:
-            from dataclasses import replace as _dc_replace
-
-            # Fill on copies: the caller's request objects must not be
-            # retroactively pinned to this session's backend.
             resolved = [
-                _dc_replace(request, solver=session_solver)
-                if request.solver is None
-                else request
+                replace(request, solver=session_solver) if request.solver is None else request
                 for request in resolved
             ]
         effective_jobs = self._jobs if jobs is None else jobs
@@ -411,12 +395,10 @@ class Analyzer:
         from ..syntax.transform import replace_nondet
 
         opts = self._merged(options, overrides)
-        if isinstance(program, Benchmark):
-            return program.analyze_with(opts, check_concentration=check_concentration)
         if isinstance(program, str) and _NAME_RE.match(program):
-            return get_benchmark(program).analyze_with(
-                opts, check_concentration=check_concentration
-            )
+            program = get_benchmark(program)
+        if isinstance(program, Benchmark):
+            return program.analyze(opts, check_concentration=check_concentration)
         parsed = self.parse(program) if isinstance(program, str) else program
         if not isinstance(parsed, Program):
             raise TypeError(

@@ -1,11 +1,13 @@
-"""The one typed options object of the public API.
+"""The one settings record of the analysis pipeline.
 
-Every front end used to re-thread its own copy of the degree / mode /
-invariant / simulation / timeout kwarg sprawl.  :class:`AnalysisOptions`
-consolidates all of it: an immutable, validated, JSON-round-trippable
-record of *how* to analyze — the *what* (a benchmark name, source text,
-a :class:`~repro.programs.Benchmark`) stays separate and is supplied to
-:meth:`repro.api.Analyzer.analyze` next to it.
+:class:`AnalysisOptions` is an immutable, validated, JSON-round-trippable
+record of *how* to analyze — degree plan, soundness regime, invariant
+policy, initial valuation, simulation, tails, lint, timeout and retry
+settings.  Every field is declared, coerced and validated here, once.
+The engine's work unit, :class:`repro.batch.spec.AnalysisRequest`, is
+this record plus the *what* — a benchmark name or inline source text —
+so the options, the batch engine, the HTTP service and the cache
+fingerprint can never disagree about what a setting means.
 
 Layering (spec-file ``defaults`` + per-task overrides, session options
 + per-call overrides) goes through :meth:`AnalysisOptions.merge`, which
@@ -19,20 +21,45 @@ from __future__ import annotations
 import json
 from collections.abc import Mapping as _MappingABC
 from dataclasses import dataclass, fields, replace
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Union
 
-from ..batch.spec import DEFAULT_MAX_DEGREE, AnalysisRequest
 from ..resilience import RetryPolicy
 
+if TYPE_CHECKING:  # batch.spec subclasses this module's record
+    from ..batch.spec import AnalysisRequest
+
 __all__ = ["AnalysisOptions"]
+
+#: Degree ceiling for ``degree="auto"`` escalation unless overridden.
+DEFAULT_MAX_DEGREE = 4
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _invalid(name: str, expected: str, value: Any) -> ValueError:
+    return ValueError(f"{name} must be {expected}, got {value!r}")
+
+
+def _as_float(value: Any) -> float:
+    """``float(value)`` for numbers only — ``"5"`` and ``True`` are not."""
+    if isinstance(value, (str, bytes, bool)):
+        raise TypeError(value)
+    return float(value)
 
 
 @dataclass(frozen=True)
 class AnalysisOptions:
     """Everything that configures one expected-cost analysis.
 
-    All fields are JSON-plain and validated at construction.  Instances
-    are frozen: derive variations with :meth:`merge`.
+    All fields are JSON-plain and validated at construction; a bad value
+    raises ``ValueError`` naming the field.  Instances are frozen:
+    derive variations with :meth:`merge` or ``dataclasses.replace``.
     """
 
     #: Template degree plan: ``None`` (the benchmark's default, 2 for
@@ -49,10 +76,13 @@ class AnalysisOptions:
     #: Handelman multiplicand cap K (``None`` = the degree default).
     max_multiplicands: Optional[int] = None
     #: LP solver backend id (see ``repro.core.solvers``); ``None`` or
-    #: ``"auto"`` resolves to the environment default.
+    #: ``"auto"`` resolves to the environment default.  The *resolved*
+    #: id is part of the cache fingerprint, so backends never alias.
     solver: Optional[str] = None
-    #: Per-label invariant annotations for inline-source programs
-    #: (registry benchmarks carry their own).
+    #: Per-label invariant annotations.  For inline source these are the
+    #: only annotations; on a registry benchmark name a non-``None``
+    #: value *overrides* the registry's (``{}`` drops them).  Keys may
+    #: be ints or numeric strings (JSON).
     invariants: Optional[Dict[int, str]] = None
     #: Strengthen annotations with automatically generated interval
     #: invariants (the paper uses StInG similarly).
@@ -79,7 +109,9 @@ class AnalysisOptions:
     #: scheduler); off because a demonic bound is not comparable to one
     #: fixed policy's statistics.
     simulate_nondet: bool = False
-    #: Per-task wall-clock budget in seconds (``status="timeout"``).
+    #: Per-task wall-clock budget in seconds (``status="timeout"``);
+    #: SIGALRM on main threads, the cooperative :mod:`repro.deadline`
+    #: everywhere else (service handler threads included).
     timeout_s: Optional[float] = None
     #: Free-form caller tag, echoed on the report (not fingerprinted).
     tag: Optional[str] = None
@@ -92,7 +124,7 @@ class AnalysisOptions:
     tail_horizon: Optional[int] = None
     #: Offsets ``t`` to pre-evaluate the tail bound at; ``None`` picks
     #: multiples of the natural scale ``c * sqrt(horizon)``.
-    tail_probes: Optional[list] = None
+    tail_probes: Optional[List[float]] = None
     #: Static lint pass (:mod:`repro.check`) before synthesis:
     #: ``"off"`` skips it, ``"warn"`` attaches diagnostics to the
     #: result/report and proceeds, ``"strict"`` rejects programs with
@@ -107,79 +139,93 @@ class AnalysisOptions:
     #: never part of the cache fingerprint.
     retry: Optional[RetryPolicy] = None
 
+    #: What error messages call one field of this record.
+    _noun = "option"
+
     def __post_init__(self) -> None:
-        # Normalize the mapping fields to plain, correctly-typed dicts
+        # Normalize the container fields to plain, correctly-typed values
         # (JSON object keys arrive as strings) before validating.
         if self.invariants is not None:
             try:
-                coerced = {int(label): str(cond) for label, cond in dict(self.invariants).items()}
-            except (TypeError, ValueError):
+                coerced = {int(label): str(cond) for label, cond in self.invariants.items()}
+            except (AttributeError, TypeError, ValueError):
                 raise ValueError(
-                    f"invariant labels must be integers, got {sorted(dict(self.invariants))!r}"
+                    f"invariants must map integer labels to conditions, got {self.invariants!r}"
                 ) from None
             object.__setattr__(self, "invariants", coerced)
         if self.init is not None:
             try:
-                object.__setattr__(
-                    self, "init", {str(var): float(value) for var, value in dict(self.init).items()}
-                )
-            except (TypeError, ValueError):
-                raise ValueError(f"init values must be numbers, got {self.init!r}") from None
+                coerced = {str(var): _as_float(value) for var, value in self.init.items()}
+            except (AttributeError, TypeError, ValueError):
+                raise ValueError(f"init must map variables to numbers, got {self.init!r}") from None
+            object.__setattr__(self, "init", coerced)
         if self.tail_probes is not None:
             try:
-                object.__setattr__(self, "tail_probes", [float(t) for t in self.tail_probes])
+                if not isinstance(self.tail_probes, (list, tuple)):
+                    raise TypeError(self.tail_probes)
+                probes = [_as_float(t) for t in self.tail_probes]
             except (TypeError, ValueError):
-                raise ValueError(f"tail_probes must be numbers, got {self.tail_probes!r}") from None
+                raise ValueError(
+                    f"tail_probes must be a list of numbers, got {self.tail_probes!r}"
+                ) from None
+            object.__setattr__(self, "tail_probes", probes)
         if self.retry is not None:
-            object.__setattr__(self, "retry", RetryPolicy.coerce(self.retry))
+            try:
+                object.__setattr__(self, "retry", RetryPolicy.coerce(self.retry))
+            except TypeError:
+                raise ValueError(
+                    f"retry must map RetryPolicy fields to numbers, got {self.retry!r}"
+                ) from None
         self._validate()
 
     def _validate(self) -> None:
-        if self.degree is not None and self.degree != "auto":
-            if not isinstance(self.degree, int) or isinstance(self.degree, bool) or self.degree < 1:
-                raise ValueError(f"degree must be a positive int or 'auto', got {self.degree!r}")
-        if not isinstance(self.max_degree, int) or self.max_degree < 1:
-            raise ValueError(f"max_degree must be an int >= 1, got {self.max_degree!r}")
-        if self.mode is not None and self.mode not in ("auto", "signed", "nonnegative"):
-            raise ValueError(f"mode must be 'auto', 'signed' or 'nonnegative', got {self.mode!r}")
-        if self.max_multiplicands is not None and self.max_multiplicands < 1:
-            raise ValueError(f"max_multiplicands must be >= 1, got {self.max_multiplicands!r}")
+        degree = self.degree
+        if not (degree is None or degree == "auto" or _is_int(degree) and degree >= 1):
+            raise _invalid("degree", "a positive int or 'auto'", degree)
+        if not (_is_int(self.max_degree) and self.max_degree >= 1):
+            raise _invalid("max_degree", "an int >= 1", self.max_degree)
+        if self.mode not in (None, "auto", "signed", "nonnegative"):
+            raise _invalid("mode", "'auto', 'signed' or 'nonnegative'", self.mode)
+        cap = self.max_multiplicands
+        if not (cap is None or _is_int(cap) and cap >= 1):
+            raise _invalid("max_multiplicands", "an int >= 1", cap)
+        if not (self.solver is None or isinstance(self.solver, str)):
+            raise _invalid("solver", "a backend name string", self.solver)
         if self.invariant_domain not in ("interval", "octagon"):
-            raise ValueError(
-                f"invariant_domain must be 'interval' or 'octagon', got {self.invariant_domain!r}"
-            )
-        if self.solver is not None and not isinstance(self.solver, str):
-            raise ValueError(f"solver must be a backend name string, got {self.solver!r}")
-        if self.nondet_prob is not None and not (0.0 <= self.nondet_prob <= 1.0):
-            raise ValueError(f"nondet_prob must be in [0, 1], got {self.nondet_prob}")
-        if self.simulate_runs is not None and self.simulate_runs <= 0:
-            raise ValueError(f"simulate_runs must be positive, got {self.simulate_runs}")
-        if self.simulate_max_steps < 1:
-            raise ValueError(f"simulate_max_steps must be >= 1, got {self.simulate_max_steps}")
+            raise _invalid("invariant_domain", "'interval' or 'octagon'", self.invariant_domain)
+        prob = self.nondet_prob
+        if not (prob is None or _is_number(prob) and 0.0 <= prob <= 1.0):
+            raise _invalid("nondet_prob", "a number in [0, 1]", prob)
+        runs = self.simulate_runs
+        if not (runs is None or _is_int(runs) and runs >= 1):
+            raise _invalid("simulate_runs", "a positive int", runs)
+        if not _is_int(self.simulate_seed):
+            raise _invalid("simulate_seed", "an int", self.simulate_seed)
+        if not (_is_int(self.simulate_max_steps) and self.simulate_max_steps >= 1):
+            raise _invalid("simulate_max_steps", "an int >= 1", self.simulate_max_steps)
         if self.simulate_engine not in ("auto", "vectorized", "reference"):
-            raise ValueError(
-                "simulate_engine must be 'auto', 'vectorized' or 'reference', "
-                f"got {self.simulate_engine!r}"
+            raise _invalid(
+                "simulate_engine", "'auto', 'vectorized' or 'reference'", self.simulate_engine
             )
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-        if not isinstance(self.tails, bool):
-            raise ValueError(f"tails must be a bool, got {self.tails!r}")
-        if self.tail_horizon is not None:
-            if not isinstance(self.tail_horizon, int) or isinstance(self.tail_horizon, bool) or self.tail_horizon < 1:
-                raise ValueError(f"tail_horizon must be an int >= 1, got {self.tail_horizon!r}")
-        if self.tail_probes is not None:
-            if not self.tail_probes:
-                raise ValueError("tail_probes must be a non-empty list of positive offsets")
-            if any(t <= 0 for t in self.tail_probes):
-                raise ValueError(f"tail_probes must be positive, got {self.tail_probes!r}")
+        timeout = self.timeout_s
+        if not (timeout is None or _is_number(timeout) and timeout > 0):
+            raise _invalid("timeout_s", "a positive number", timeout)
+        horizon = self.tail_horizon
+        if not (horizon is None or _is_int(horizon) and horizon >= 1):
+            raise _invalid("tail_horizon", "an int >= 1", horizon)
+        probes = self.tail_probes
+        if not (probes is None or probes and all(t > 0 for t in probes)):
+            raise _invalid("tail_probes", "a non-empty list of positive offsets", probes)
         if self.check not in ("off", "warn", "strict"):
-            raise ValueError(f"check must be 'off', 'warn' or 'strict', got {self.check!r}")
+            raise _invalid("check", "'off', 'warn' or 'strict'", self.check)
+        for name in ("compute_lower", "auto_invariants", "simulate_nondet", "tails"):
+            if not isinstance(getattr(self, name), bool):
+                raise _invalid(name, "a bool", getattr(self, name))
 
     # -- layering -------------------------------------------------------
 
     def merge(self, *layers: Mapping[str, Any], **overrides: Any) -> "AnalysisOptions":
-        """A new options object with later layers winning.
+        """A new record with later layers winning.
 
         ``layers`` are mappings of explicitly-set fields (e.g. a spec
         file's ``defaults`` then a task object); ``overrides`` apply
@@ -187,7 +233,6 @@ class AnalysisOptions:
 
             AnalysisOptions().merge(spec["defaults"], task, degree=3)
         """
-        known = {f.name for f in fields(self)}
         updates: Dict[str, Any] = {}
         for layer in layers:
             if not isinstance(layer, _MappingABC):
@@ -198,12 +243,16 @@ class AnalysisOptions:
                 )
             updates.update(layer)
         updates.update(overrides)
-        unknown = set(updates) - known
-        if unknown:
-            raise ValueError(f"unknown option field(s): {sorted(unknown)}")
+        self._reject_unknown(updates)
         return replace(self, **updates)
 
     # -- JSON -----------------------------------------------------------
+
+    @classmethod
+    def _reject_unknown(cls, data: Mapping[str, Any]) -> None:
+        unknown = data.keys() - cls.__dataclass_fields__.keys()
+        if unknown:
+            raise ValueError(f"unknown {cls._noun} field(s): {sorted(unknown)}")
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-plain dict of every field (round-trips via
@@ -213,26 +262,22 @@ class AnalysisOptions:
             value = getattr(self, f.name)
             if isinstance(value, RetryPolicy):
                 value = value.to_dict()
-            elif isinstance(value, dict):
-                value = dict(value)
-            elif isinstance(value, list):
-                value = list(value)
+            elif isinstance(value, (dict, list)):
+                value = value.copy()
             out[f.name] = value
         return out
 
     @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AnalysisOptions":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown option field(s): {sorted(unknown)}")
-        return cls(**dict(data))
+    def from_dict(cls, data: Mapping[str, Any]):
+        """The record for a JSON object; unknown keys raise."""
+        cls._reject_unknown(data)
+        return cls(**data)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "AnalysisOptions":
+    def from_json(cls, text: str):
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError(f"options JSON must be an object, got {type(data).__name__}")
@@ -245,73 +290,27 @@ class AnalysisOptions:
 
         return degree_plan(self, default)
 
-    # -- bridging to the engine -----------------------------------------
+    # -- the engine's work unit -----------------------------------------
+
+    def _settings(self) -> Dict[str, Any]:
+        """The option fields as keyword arguments (identity fields of an
+        :class:`~repro.batch.spec.AnalysisRequest` excluded)."""
+        return {f.name: getattr(self, f.name) for f in fields(AnalysisOptions)}
 
     def to_request(
         self,
         benchmark: Optional[str] = None,
         source: Optional[str] = None,
         name: Optional[str] = None,
-    ) -> AnalysisRequest:
-        """The engine/cache work unit for these options applied to one
-        program (exactly one of ``benchmark``/``source``)."""
-        request = AnalysisRequest(
-            benchmark=benchmark,
-            source=source,
-            name=name,
-            init=dict(self.init) if self.init is not None else None,
-            invariants=dict(self.invariants) if self.invariants is not None else None,
-            degree=self.degree,
-            max_degree=self.max_degree,
-            mode=self.mode,
-            compute_lower=self.compute_lower,
-            max_multiplicands=self.max_multiplicands,
-            solver=self.solver,
-            auto_invariants=self.auto_invariants,
-            invariant_domain=self.invariant_domain,
-            nondet_prob=self.nondet_prob,
-            simulate_runs=self.simulate_runs,
-            simulate_seed=self.simulate_seed,
-            simulate_max_steps=self.simulate_max_steps,
-            simulate_engine=self.simulate_engine,
-            simulate_nondet=self.simulate_nondet,
-            timeout_s=self.timeout_s,
-            tag=self.tag,
-            tails=self.tails,
-            tail_horizon=self.tail_horizon,
-            tail_probes=list(self.tail_probes) if self.tail_probes is not None else None,
-            check=self.check,
-            retry=self.retry.to_dict() if self.retry is not None else None,
-        )
-        request.validate()
-        return request
+    ) -> "AnalysisRequest":
+        """These options applied to one program (exactly one of
+        ``benchmark``/``source``)."""
+        from ..batch.spec import AnalysisRequest
+
+        return AnalysisRequest(benchmark=benchmark, source=source, name=name, **self._settings())
 
     @classmethod
-    def from_request(cls, request: AnalysisRequest) -> "AnalysisOptions":
-        """The options embedded in an engine request (drops the program
-        identity — ``benchmark``/``source``/``name``)."""
-        return cls(
-            degree=request.degree,
-            max_degree=request.max_degree,
-            mode=request.mode,
-            compute_lower=request.compute_lower,
-            max_multiplicands=request.max_multiplicands,
-            solver=request.solver,
-            invariants=dict(request.invariants) if request.invariants is not None else None,
-            auto_invariants=request.auto_invariants,
-            invariant_domain=request.invariant_domain,
-            init=dict(request.init) if request.init is not None else None,
-            nondet_prob=request.nondet_prob,
-            simulate_runs=request.simulate_runs,
-            simulate_seed=request.simulate_seed,
-            simulate_max_steps=request.simulate_max_steps,
-            simulate_engine=request.simulate_engine,
-            simulate_nondet=request.simulate_nondet,
-            timeout_s=request.timeout_s,
-            tag=request.tag,
-            tails=request.tails,
-            tail_horizon=request.tail_horizon,
-            tail_probes=list(request.tail_probes) if request.tail_probes is not None else None,
-            check=request.check,
-            retry=request.retry,
-        )
+    def from_request(cls, request: "AnalysisRequest") -> "AnalysisOptions":
+        """The options of an engine request (drops the program identity
+        — ``benchmark``/``source``/``name``)."""
+        return cls(**request._settings())

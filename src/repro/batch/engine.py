@@ -161,15 +161,13 @@ def execute_request(request: AnalysisRequest, attempt: int = 1) -> AnalysisRepor
 
     Never raises for analysis-level failures: parse errors, infeasible
     LPs, bad valuations and timeouts all come back as structured
-    reports.  (Programming errors in the request object itself — e.g.
-    neither ``benchmark`` nor ``source`` — still raise ``ValueError``
-    from :meth:`AnalysisRequest.validate` before any work starts.)
+    reports.  (Ill-formed settings never get here: the request raised
+    ``ValueError`` when it was constructed.)
 
     ``attempt`` is the 1-based execution count the resilient pool
     passes on crash retries; it feeds the deterministic fault-injection
     hook and nothing else — the analysis itself is attempt-invariant.
     """
-    request.validate()
     start = time.perf_counter()
     report = AnalysisReport(
         name=request.display_name,
@@ -385,8 +383,6 @@ def run_batch(
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    for request in requests:
-        request.validate()
     if not requests:
         return []
 
@@ -425,7 +421,7 @@ def run_batch(
         PoolTask(
             task_id=index,
             payload=(index, request.to_dict(), cache_config),
-            retry=request.retry_policy() if request.retry is not None else fallback,
+            retry=request.retry if request.retry is not None else fallback,
             name=request.display_name,
         )
         for index, request in enumerate(requests)

@@ -22,24 +22,18 @@ Tasks may also name a whole suite::
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Union
+
+from ..api.options import AnalysisOptions
 
 __all__ = [
     "AnalysisReport",
     "AnalysisRequest",
     "REPORT_SCHEMA",
-    "REPORT_SCHEMA_V1",
-    "REPORT_SCHEMA_V2",
-    "REPORT_SCHEMA_V3",
-    "REPORT_SCHEMA_V4",
-    "REPORT_SCHEMA_V5",
     "load_spec",
     "requests_from_spec",
 ]
-
-#: Degree ceiling for ``degree="auto"`` escalation unless overridden.
-DEFAULT_MAX_DEGREE = 4
 
 #: Canonical report schema.  v6 added ``invariant_domain`` (the abstract
 #: domain the automatic invariant generator ran in — ``"interval"`` or
@@ -53,41 +47,9 @@ DEFAULT_MAX_DEGREE = 4
 #: v2 added ``lower_skipped`` (why no PLCS lower bound was produced)
 #: and ``solver`` (the resolved LP backend).
 REPORT_SCHEMA = "repro-report/v6"
-#: The pre-``repro.api`` shape; :meth:`AnalysisReport.from_dict` reads
-#: every schema, :meth:`AnalysisReport.to_v1_dict` writes this one.
-REPORT_SCHEMA_V1 = "repro-report/v1"
-#: The pre-tail-bound shape; :meth:`AnalysisReport.from_dict` is
-#: lenient (a v2 dict simply has no ``tail``), and
-#: :meth:`AnalysisReport.to_v2_dict` writes it.
-REPORT_SCHEMA_V2 = "repro-report/v2"
-#: The pre-resilience shape (no ``attempts``);
-#: :meth:`AnalysisReport.to_v3_dict` writes it.
-REPORT_SCHEMA_V3 = "repro-report/v3"
-#: The pre-lint shape (no ``diagnostics``);
-#: :meth:`AnalysisReport.to_v4_dict` writes it.
-REPORT_SCHEMA_V4 = "repro-report/v4"
-#: The pre-relational-invariants shape (no ``invariant_domain``);
-#: :meth:`AnalysisReport.to_v5_dict` writes it.
-REPORT_SCHEMA_V5 = "repro-report/v5"
-
-#: Fields present in v2 report dicts but not v1 ones.
-_REPORT_V2_FIELDS = ("lower_skipped", "solver")
-#: Fields present in v3 report dicts but not v2 ones.
-_REPORT_V3_FIELDS = ("tail",)
-#: Fields present in v4 report dicts but not v3 ones.
-_REPORT_V4_FIELDS = ("attempts",)
-#: Fields present in v5 report dicts but not v4 ones.
-_REPORT_V5_FIELDS = ("diagnostics",)
-#: Fields present in v6 report dicts but not v5 ones.
-_REPORT_V6_FIELDS = ("invariant_domain",)
-#: The fields each schema added over its predecessor, v2 first.
-_REPORT_FIELDS_ADDED = (
-    _REPORT_V2_FIELDS,
-    _REPORT_V3_FIELDS,
-    _REPORT_V4_FIELDS,
-    _REPORT_V5_FIELDS,
-    _REPORT_V6_FIELDS,
-)
+#: Older schemas :meth:`AnalysisReport.from_dict` still reads (fields a
+#: schema lacks simply default); nothing writes them any more.
+REPORT_COMPAT_SCHEMAS = tuple(f"repro-report/v{version}" for version in range(1, 6))
 
 
 def _copy_json(value: Any) -> Any:
@@ -104,12 +66,15 @@ def _copy_json(value: Any) -> Any:
 _SUITES = ("table2", "table3", "table5", "table6", "all")
 
 
-@dataclass
-class AnalysisRequest:
-    """One batch task: a program + valuation + synthesis settings.
+@dataclass(frozen=True)
+class AnalysisRequest(AnalysisOptions):
+    """One batch task: an :class:`~repro.api.AnalysisOptions` record
+    plus the program it applies to.
 
     Exactly one of ``benchmark`` (registry name) and ``source`` (inline
-    program text) must be set.  All fields are JSON-plain.
+    program text) must be set; the settings fields, their coercion and
+    their validation are the options record's.  Frozen like it: derive
+    variations with ``dataclasses.replace``, which re-validates.
     """
 
     #: Registry benchmark name (``repro.programs.get_benchmark``).
@@ -118,221 +83,54 @@ class AnalysisRequest:
     source: Optional[str] = None
     #: Display name; defaults to the benchmark name or ``"<source>"``.
     name: Optional[str] = None
-    #: Initial valuation; ``None`` uses the benchmark's anchor.
-    init: Optional[Dict[str, float]] = None
-    #: Per-label invariants.  For ``source`` requests these are the only
-    #: annotations; for ``benchmark`` requests a non-``None`` value
-    #: *overrides* the registry annotations (``{}`` analyses the
-    #: benchmark with none — useful with ``invariant_domain="octagon"``).
-    #: Keys may be ints or numeric strings (JSON).
-    invariants: Optional[Dict[int, str]] = None
-    #: Template degree: ``None`` (benchmark default / 2), a fixed int,
-    #: or ``"auto"`` — escalate d = 1, 2, ... ``max_degree`` until the
-    #: requested bounds are feasible (minimal-degree selection, as in
-    #: the paper's experiments).
-    degree: Union[int, str, None] = None
-    #: Ceiling for ``degree="auto"``.
-    max_degree: int = DEFAULT_MAX_DEGREE
-    #: Soundness regime: ``None`` (benchmark default / "auto"),
-    #: "auto", "signed" or "nonnegative".
-    mode: Optional[str] = None
-    compute_lower: bool = True
-    max_multiplicands: Optional[int] = None
-    #: LP solver backend id (``repro.core.solvers``); ``None``/"auto"
-    #: resolves to the environment default.  The *resolved* id is part
-    #: of the cache fingerprint, so backends never alias entries.
-    solver: Optional[str] = None
-    #: Strengthen annotations with automatically generated interval
-    #: invariants (the paper uses StInG similarly); part of the cache
-    #: fingerprint because it changes the LP.
-    auto_invariants: bool = True
-    #: Abstract domain of the automatic invariant generator:
-    #: ``"interval"`` (per-variable bounds; the historical default) or
-    #: ``"octagon"`` (relational ``+/-x +/-y <= c`` constraints, strong
-    #: enough to recover most hand annotations).  Part of the cache
-    #: fingerprint because it changes the Gamma rows and hence the LP.
-    invariant_domain: str = "interval"
-    #: Replace every ``if *`` by ``if prob(p)`` before analysis (the
-    #: Table 5 transformation); ``None`` leaves the program as-is.
-    nondet_prob: Optional[float] = None
-    #: Monte-Carlo runs to simulate after synthesis (omitted when
-    #: ``None`` or when the program is nondeterministic).
-    simulate_runs: Optional[int] = None
-    simulate_seed: int = 0
-    simulate_max_steps: int = 1_000_000
-    #: Simulation engine: ``"auto"`` (vectorized NumPy batch stepper for
-    #: large batches, reference loop otherwise), ``"vectorized"`` or
-    #: ``"reference"``.  Part of the cache fingerprint because the two
-    #: engines draw different RNG streams for the same seed.
-    simulate_engine: str = "auto"
-    #: Simulate even a nondeterministic program (under the default
-    #: then-branch scheduler); off by default because a demonic bound
-    #: is not comparable to one fixed policy's statistics.
-    simulate_nondet: bool = False
-    #: Per-task wall-clock budget in seconds; exceeding it yields a
-    #: report with ``status="timeout"`` instead of killing the batch.
-    #: Enforced via SIGALRM on main threads and via the cooperative
-    #: deadline of :mod:`repro.deadline` everywhere else (service
-    #: handler threads included).
-    timeout_s: Optional[float] = None
-    #: Crash-retry budget as a JSON-plain
-    #: :meth:`repro.resilience.RetryPolicy.to_dict` mapping; ``None``
-    #: uses the engine default (one retry).  Applies to *worker deaths*
-    #: only — deterministic errors and timeouts are never retried —
-    #: and, like ``timeout_s``, is a scheduling knob, not part of the
-    #: cache fingerprint.
-    retry: Optional[Dict[str, Any]] = None
-    #: Free-form caller tag, echoed on the report.
-    tag: Optional[str] = None
-    #: Derive an Azuma–Hoeffding concentration bound from the upper
-    #: certificate (``repro.analysis.tails``); part of the cache
-    #: fingerprint together with the horizon and probes.
-    tails: bool = False
-    #: Step horizon ``n`` of the tail guarantee (default 1e6).
-    tail_horizon: Optional[int] = None
-    #: Offsets ``t`` to pre-evaluate the tail bound at (default:
-    #: multiples of ``c * sqrt(horizon)``).
-    tail_probes: Optional[List[float]] = None
-    #: Static lint pass (:mod:`repro.check`) before synthesis: ``"off"``
-    #: skips it, ``"warn"`` attaches diagnostics to the report and
-    #: proceeds, ``"strict"`` yields ``status="rejected"`` on any
-    #: error-severity finding without touching the LP.  Part of the
-    #: cache fingerprint (it changes the report content and, in strict
-    #: mode, the outcome).
-    check: str = "off"
+
+    _noun = "request"
+
+    def __post_init__(self) -> None:
+        if (self.benchmark is None) == (self.source is None):
+            raise ValueError("exactly one of 'benchmark' and 'source' must be set")
+        for field_name in ("benchmark", "source", "name"):
+            value = getattr(self, field_name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{field_name} must be a string, got {value!r}")
+        super().__post_init__()
 
     @property
     def display_name(self) -> str:
         return self.name or self.benchmark or "<source>"
 
-    def validate(self) -> None:
-        """Raise ``ValueError`` on an ill-formed request."""
-        if (self.benchmark is None) == (self.source is None):
-            raise ValueError("exactly one of 'benchmark' and 'source' must be set")
-        if self.degree is not None and self.degree != "auto":
-            if not isinstance(self.degree, int) or isinstance(self.degree, bool) or self.degree < 1:
-                raise ValueError(f"degree must be a positive int or 'auto', got {self.degree!r}")
-        if self.max_degree < 1:
-            raise ValueError(f"max_degree must be >= 1, got {self.max_degree}")
-        if self.mode is not None and self.mode not in ("auto", "signed", "nonnegative"):
-            raise ValueError(f"mode must be 'auto', 'signed' or 'nonnegative', got {self.mode!r}")
-        if self.solver is not None and not isinstance(self.solver, str):
-            raise ValueError(f"solver must be a backend name string, got {self.solver!r}")
-        if self.invariant_domain not in ("interval", "octagon"):
-            raise ValueError(
-                f"invariant_domain must be 'interval' or 'octagon', got {self.invariant_domain!r}"
-            )
-        if self.nondet_prob is not None and not (0.0 <= self.nondet_prob <= 1.0):
-            raise ValueError(f"nondet_prob must be in [0, 1], got {self.nondet_prob}")
-        if self.simulate_runs is not None and self.simulate_runs <= 0:
-            raise ValueError(f"simulate_runs must be positive, got {self.simulate_runs}")
-        if self.simulate_engine not in ("auto", "vectorized", "reference"):
-            raise ValueError(
-                "simulate_engine must be 'auto', 'vectorized' or 'reference', "
-                f"got {self.simulate_engine!r}"
-            )
-        if self.timeout_s is not None and self.timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
-        if not isinstance(self.tails, bool):
-            raise ValueError(f"tails must be a bool, got {self.tails!r}")
-        if self.tail_horizon is not None:
-            if (
-                not isinstance(self.tail_horizon, int)
-                or isinstance(self.tail_horizon, bool)
-                or self.tail_horizon < 1
-            ):
-                raise ValueError(f"tail_horizon must be an int >= 1, got {self.tail_horizon!r}")
-        if self.tail_probes is not None:
-            if not self.tail_probes or any(t <= 0 for t in self.tail_probes):
-                raise ValueError(
-                    f"tail_probes must be a non-empty list of positive offsets, got {self.tail_probes!r}"
-                )
-        if self.check not in ("off", "warn", "strict"):
-            raise ValueError(f"check must be 'off', 'warn' or 'strict', got {self.check!r}")
-        if self.retry is not None:
-            from ..resilience import RetryPolicy
-
-            if not isinstance(self.retry, Mapping):
-                raise ValueError(f"retry must be a policy mapping, got {self.retry!r}")
-            RetryPolicy.from_dict(self.retry)  # raises ValueError when ill-formed
-
-    def retry_policy(self):
-        """The request's :class:`repro.resilience.RetryPolicy`, or the
-        engine default when the field is unset."""
-        from ..resilience import DEFAULT_RETRY_POLICY, RetryPolicy
-
-        if self.retry is None:
-            return DEFAULT_RETRY_POLICY
-        return RetryPolicy.from_dict(self.retry)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return asdict(self)
-
     @classmethod
-    def for_benchmark(cls, bench, init: Optional[Mapping[str, float]] = None, **kwargs) -> "AnalysisRequest":
-        """Build a request for a :class:`repro.programs.Benchmark` object.
+    def for_benchmark(
+        cls, bench, options: Optional[AnalysisOptions] = None, **overrides: Any
+    ) -> "AnalysisRequest":
+        """The request for ``options`` (merged with keyword
+        ``overrides``) applied to a :class:`repro.programs.Benchmark`.
 
-        Registry benchmarks are referenced by name (workers re-resolve
-        them, keeping init-dependent invariants and all metadata).  An
-        ad-hoc benchmark object (e.g. a modified copy) is embedded as
-        source text, with its invariants resolved to plain strings for
-        the given valuation so the request stays JSON-serializable.
+        The benchmark brings its own annotations, so ``invariants`` in
+        the options is ignored.  Registry benchmarks are referenced by
+        name (workers re-resolve them, keeping init-dependent invariants
+        and all metadata).  An ad-hoc benchmark object (e.g. a modified
+        copy) is embedded as source text, with its invariants resolved
+        to plain strings for the given valuation and its own degree and
+        mode filling unset ones, so the request stays JSON-serializable.
         """
         from ..programs import get_benchmark
 
+        options = (options or AnalysisOptions()).merge(overrides, invariants=None)
         try:
             registered = get_benchmark(bench.name) is bench
         except KeyError:
             registered = False
-        resolved_init = dict(init) if init is not None else None
         if registered:
-            return cls(benchmark=bench.name, init=resolved_init, **kwargs)
-
-        anchor = resolved_init if resolved_init is not None else dict(bench.init)
-        invariants = dict(bench.invariants)
-        if bench.init_invariants is not None:
-            for label, cond in bench.init_invariants(dict(anchor)).items():
-                if label in invariants:
-                    invariants[label] = f"({invariants[label]}) and ({cond})"
-                else:
-                    invariants[label] = cond
-        kwargs.setdefault("degree", bench.degree)
-        kwargs.setdefault("mode", bench.mode)
-        return cls(
-            source=bench.source,
-            name=bench.name,
-            init=dict(anchor),
-            invariants=invariants,
-            **kwargs,
+            return options.to_request(benchmark=bench.name)
+        anchor = options.init if options.init is not None else dict(bench.init)
+        options = options.merge(
+            init=anchor,
+            invariants=bench.anchored_invariants(anchor),
+            degree=bench.degree if options.degree is None else options.degree,
+            mode=bench.mode if options.mode is None else options.mode,
         )
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "AnalysisRequest":
-        known = {f for f in cls.__dataclass_fields__}  # noqa: C416 - set of names
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown request field(s): {sorted(unknown)}")
-        payload = dict(data)
-        if payload.get("invariants") is not None:
-            # JSON object keys are strings; invariant labels are ints.
-            try:
-                payload["invariants"] = {
-                    int(label): cond for label, cond in payload["invariants"].items()
-                }
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"invariant labels must be integers, got {sorted(payload['invariants'])!r}"
-                ) from None
-        if payload.get("init") is not None:
-            payload["init"] = {var: float(value) for var, value in payload["init"].items()}
-        if payload.get("tail_probes") is not None:
-            try:
-                payload["tail_probes"] = [float(t) for t in payload["tail_probes"]]
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"tail_probes must be numbers, got {payload['tail_probes']!r}"
-                ) from None
-        return cls(**payload)
+        return options.to_request(source=bench.source, name=bench.name)
 
 
 @dataclass
@@ -453,45 +251,6 @@ class AnalysisReport:
             "invariant_domain": self.invariant_domain,
         }
 
-    def _down_level_dict(self, version: int) -> Dict[str, Any]:
-        """:meth:`to_dict` minus every field added after schema v*version*."""
-        payload = self.to_dict()
-        for added in _REPORT_FIELDS_ADDED[version - 1 :]:
-            for fieldname in added:
-                del payload[fieldname]
-        return payload
-
-    def to_v1_dict(self) -> Dict[str, Any]:
-        """The report as a pre-``repro.api`` (v1) dict.
-
-        Drops the v2-and-later fields; everything else — key order
-        included — is bitwise what a v1 writer produced, so v1
-        consumers (and the golden-table comparisons) keep working
-        unchanged.
-        """
-        return self._down_level_dict(1)
-
-    def to_v2_dict(self) -> Dict[str, Any]:
-        """The report as a pre-tail-bound (v2) dict — bitwise what a v2
-        writer produced for the same analysis."""
-        return self._down_level_dict(2)
-
-    def to_v3_dict(self) -> Dict[str, Any]:
-        """The report as a pre-resilience (v3) dict — bitwise what a v3
-        writer produced for the same analysis (no ``attempts``)."""
-        return self._down_level_dict(3)
-
-    def to_v4_dict(self) -> Dict[str, Any]:
-        """The report as a pre-lint (v4) dict — bitwise what a v4 writer
-        produced for the same analysis (no ``diagnostics``)."""
-        return self._down_level_dict(4)
-
-    def to_v5_dict(self) -> Dict[str, Any]:
-        """The report as a pre-relational-invariants (v5) dict — bitwise
-        what a v5 writer produced for the same analysis (no
-        ``invariant_domain``)."""
-        return self._down_level_dict(5)
-
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "AnalysisReport":
         """Read a v6, v5, v4, v3, v2 *or* v1 report dict (lenient reader:
@@ -500,18 +259,10 @@ class AnalysisReport:
         rejected rather than dropped."""
         payload = dict(data)
         schema = payload.pop("schema", None)
-        if schema is not None and schema not in (
-            REPORT_SCHEMA,
-            REPORT_SCHEMA_V1,
-            REPORT_SCHEMA_V2,
-            REPORT_SCHEMA_V3,
-            REPORT_SCHEMA_V4,
-            REPORT_SCHEMA_V5,
-        ):
+        if schema is not None and schema != REPORT_SCHEMA and schema not in REPORT_COMPAT_SCHEMAS:
             raise ValueError(
-                f"unsupported report schema {schema!r}; expected {REPORT_SCHEMA!r}, "
-                f"{REPORT_SCHEMA_V5!r}, {REPORT_SCHEMA_V4!r}, {REPORT_SCHEMA_V3!r}, "
-                f"{REPORT_SCHEMA_V2!r} or {REPORT_SCHEMA_V1!r}"
+                f"unsupported report schema {schema!r}; expected {REPORT_SCHEMA!r} "
+                f"or one of {list(REPORT_COMPAT_SCHEMAS)}"
             )
         unknown = set(payload) - set(cls.__dataclass_fields__)
         if unknown:
@@ -562,9 +313,7 @@ def requests_from_spec(spec: Union[List[Any], Mapping[str, Any]]) -> List[Analys
         suite = merged.pop("suite", None)
         all_inits = bool(merged.pop("all_inits", False))
         if suite is None:
-            request = AnalysisRequest.from_dict(merged)
-            request.validate()
-            requests.append(request)
+            requests.append(AnalysisRequest.from_dict(merged))
             continue
         if suite not in _SUITES:
             raise ValueError(f"task #{index}: unknown suite {suite!r}; known: {_SUITES}")
@@ -606,7 +355,5 @@ def _expand_suite(
                 payload.setdefault("init", dict(init))
             if suite == "table5" and bench.has_nondeterminism:
                 payload.setdefault("nondet_prob", 0.5)
-            request = AnalysisRequest.from_dict(payload)
-            request.validate()
-            requests.append(request)
+            requests.append(AnalysisRequest.from_dict(payload))
     return requests

@@ -55,7 +55,7 @@ import time
 from collections import OrderedDict
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Union
 
 from .semantics.distributions import (
     BernoulliDistribution,
@@ -85,6 +85,9 @@ from .syntax.ast import (
     Tick,
     While,
 )
+
+if TYPE_CHECKING:
+    from .batch.spec import AnalysisRequest
 
 __all__ = [
     "CacheStats",
@@ -266,7 +269,7 @@ def _canonical_program_text(bench) -> str:
 # ---------------------------------------------------------------------------
 
 
-def request_fingerprint(request) -> Dict[str, Any]:
+def request_fingerprint(request: "AnalysisRequest") -> Dict[str, Any]:
     """Everything that determines the analysis outcome, canonicalized.
 
     Mirrors the batch engine's request resolution: the registry
@@ -282,48 +285,36 @@ def request_fingerprint(request) -> Dict[str, Any]:
     from .batch.engine import _resolve_benchmark
     from .core.solvers import resolved_solver_id
 
-    request.validate()
     bench = _resolve_benchmark(request)
     init = dict(request.init) if request.init is not None else dict(bench.init)
 
-    invariants = {str(label): cond for label, cond in bench.invariants.items()}
-    if bench.init_invariants is not None:
-        for label, cond in bench.init_invariants(dict(init)).items():
-            key = str(label)
-            if key in invariants:
-                invariants[key] = f"({invariants[key]}) and ({cond})"
-            else:
-                invariants[key] = cond
+    invariants = {str(label): cond for label, cond in bench.anchored_invariants(init).items()}
 
+    # The request validated its settings at construction, so they are
+    # already JSON-plain and correctly typed.
     simulate: Optional[Dict[str, Any]] = None
     if request.simulate_runs is not None:
         simulate = {
-            "runs": int(request.simulate_runs),
-            "seed": int(request.simulate_seed),
-            "max_steps": int(request.simulate_max_steps),
-            "nondet": bool(request.simulate_nondet),
-            "engine": str(request.simulate_engine),
+            "runs": request.simulate_runs,
+            "seed": request.simulate_seed,
+            "max_steps": request.simulate_max_steps,
+            "nondet": request.simulate_nondet,
+            "engine": request.simulate_engine,
         }
-
-    tails: Optional[Dict[str, Any]] = None
+    tails = None
     if request.tails:
-        tails = {
-            "horizon": int(request.tail_horizon) if request.tail_horizon is not None else None,
-            "probes": [float(t) for t in request.tail_probes]
-            if request.tail_probes is not None
-            else None,
-        }
+        tails = {"horizon": request.tail_horizon, "probes": request.tail_probes}
 
     return {
         "salt": cache_salt(),
         "program": _canonical_program_text(bench),
         "invariants": invariants,
-        "auto_invariants": bool(request.auto_invariants),
+        "auto_invariants": request.auto_invariants,
         "invariant_domain": request.invariant_domain,
         "init": {var: float(value) for var, value in init.items()},
         "degrees": degree_plan(request, default=bench.degree),
         "mode": request.mode if request.mode is not None else bench.mode,
-        "compute_lower": bool(request.compute_lower),
+        "compute_lower": request.compute_lower,
         "max_multiplicands": request.max_multiplicands,
         # The *resolved* backend, not the requested name: "auto" and an
         # explicit "highs" must share entries when they run the same
@@ -337,7 +328,7 @@ def request_fingerprint(request) -> Dict[str, Any]:
     }
 
 
-def request_key(request) -> str:
+def request_key(request: "AnalysisRequest") -> str:
     """SHA-256 hex digest of the canonical request fingerprint."""
     payload = json.dumps(request_fingerprint(request), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()

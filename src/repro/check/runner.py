@@ -116,9 +116,6 @@ def check_request(request) -> CheckResult:
     """
     from ..batch.engine import _resolve_benchmark
 
-    request.validate()
     bench = _resolve_benchmark(request)
     init = dict(request.init) if request.init is not None else dict(bench.init)
-    return check_benchmark(
-        bench, init=init, invariant_domain=getattr(request, "invariant_domain", "interval")
-    )
+    return check_benchmark(bench, init=init, invariant_domain=request.invariant_domain)

@@ -52,6 +52,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from .api import AnalysisOptions, Analyzer
@@ -508,23 +509,28 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         raise CLIError(f"invalid spec {args.spec!r}: {exc}") from None
     if not requests:
         raise CLIError(f"spec {args.spec!r} contains no tasks")
-    if args.timeout is not None:
-        for request in requests:
-            if request.timeout_s is None:
-                request.timeout_s = args.timeout
+    overrides: Dict[str, object] = {}
     if args.tails:
-        for request in requests:
-            request.tails = True
+        overrides["tails"] = True
     if args.invariant_domain is not None:
-        for request in requests:
-            request.invariant_domain = args.invariant_domain
+        overrides["invariant_domain"] = args.invariant_domain
+    # --timeout and --retries fill in only fields a task leaves unset.
+    fallbacks: Dict[str, object] = {}
+    if args.timeout is not None:
+        fallbacks["timeout_s"] = args.timeout
     if args.retries is not None:
         if args.retries < 0:
             raise CLIError(f"invalid --retries value {args.retries}; must be >= 0")
-        # --retries N = N retries after the first run, spec tasks win.
-        for request in requests:
-            if request.retry is None:
-                request.retry = {"max_attempts": args.retries + 1}
+        # --retries N = N retries after the first run.
+        fallbacks["retry"] = {"max_attempts": args.retries + 1}
+    requests = [
+        replace(
+            request,
+            **{key: value for key, value in fallbacks.items() if getattr(request, key) is None},
+            **overrides,
+        )
+        for request in requests
+    ]
     _validate_solver(args.solver)
     if args.output:
         # Fail fast on an unwritable report location rather than after

@@ -11,13 +11,11 @@ without fixing a policy, cf. Table 4's missing rows).
 
 from __future__ import annotations
 
-import warnings as _warnings
-from collections.abc import Mapping as _MappingABC
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..analysis.bounds import CostAnalysisResult, analyze, analyze_for
+from ..analysis.bounds import CostAnalysisResult, analyze_for
 from ..invariants import InvariantMap
 from ..semantics.cfg import CFG, build_cfg
 from ..syntax.ast import Program
@@ -70,6 +68,20 @@ class Benchmark:
         """The init-independent annotations, parsed once per benchmark."""
         return InvariantMap.from_strings(self.cfg, self.invariants)
 
+    def anchored_invariants(self, init: Mapping[str, float]) -> Dict[int, str]:
+        """The annotation strings at valuation ``init``: each label's
+        init-independent condition conjoined (``"(a) and (b)"``) with its
+        init-dependent one, for requests and cache keys that must carry
+        the annotations as plain text."""
+        invariants = dict(self.invariants)
+        if self.init_invariants is not None:
+            for label, cond in self.init_invariants(dict(init)).items():
+                if label in invariants:
+                    invariants[label] = f"({invariants[label]}) and ({cond})"
+                else:
+                    invariants[label] = cond
+        return invariants
+
     def invariant_map(self, init: Optional[Mapping[str, float]] = None) -> InvariantMap:
         inv = self._parsed_invariants
         if self.init_invariants is not None:
@@ -96,10 +108,9 @@ class Benchmark:
 
     # -- analysis ---------------------------------------------------------------
 
-    def analyze_with(
-        self, options, *, check_concentration: bool = False
-    ) -> CostAnalysisResult:
-        """Run the pipeline under a :class:`repro.api.AnalysisOptions`.
+    def analyze(self, options=None, *, check_concentration: bool = False) -> CostAnalysisResult:
+        """Run the pipeline on this benchmark under a
+        :class:`repro.api.AnalysisOptions` (``None``: the defaults).
 
         Honors the synthesis-relevant subset of the options: the degree
         plan (``"auto"`` escalates d = 1..``max_degree`` until every
@@ -107,13 +118,15 @@ class Benchmark:
         :func:`~repro.analysis.bounds.analyze_for` ladder as the batch
         engine), mode, multiplicand cap, invariant policy, lint, tails,
         init valuation, solver backend and the ``nondet_prob`` coin-flip
-        transformation.  Unset degree and mode fall back to the
-        benchmark's own.  Simulation and timeout settings are
-        engine-level concerns — use :meth:`repro.api.Analyzer.analyze`
-        for those.
+        transformation.  Unset degree, mode and init fall back to the
+        benchmark's own, so a bare ``analyze()`` runs the benchmark as
+        registered.  Simulation and timeout settings are engine-level
+        concerns — use :meth:`repro.api.Analyzer.analyze` for those.
         """
+        from ..api.options import AnalysisOptions
         from ..core.solvers import use_solver
 
+        options = options if options is not None else AnalysisOptions()
         bench = self
         if options.nondet_prob is not None and self.has_nondeterminism:
             bench = probabilistic_variant(self, prob=options.nondet_prob)
@@ -128,74 +141,6 @@ class Benchmark:
                 mode=bench.mode,
                 check_concentration=check_concentration,
             )
-
-    def analyze(
-        self,
-        options=None,
-        *,
-        init: Optional[Mapping[str, float]] = None,
-        degree: Optional[Union[int, str]] = None,
-        compute_lower: Optional[bool] = None,
-        check_concentration: Optional[bool] = None,
-        mode: Optional[str] = None,
-        max_multiplicands: Optional[int] = None,
-    ) -> CostAnalysisResult:
-        """Run the full pipeline on this benchmark.
-
-        The canonical form is ``analyze(options)`` with a
-        :class:`repro.api.AnalysisOptions` (``check_concentration``
-        rides along as a staged-only keyword).  The pre-``repro.api``
-        keyword sprawl (``init=``, ``degree=``, ...) still works for
-        one release but emits a :class:`DeprecationWarning`; a bare
-        ``analyze()`` uses the benchmark's own settings and stays
-        silent.
-        """
-        legacy = {
-            key: value
-            for key, value in {
-                "init": init,
-                "degree": degree,
-                "compute_lower": compute_lower,
-                "mode": mode,
-                "max_multiplicands": max_multiplicands,
-            }.items()
-            if value is not None
-        }
-        if options is not None and isinstance(options, _MappingABC):
-            # Pre-redesign positional call: analyze({"x": 100}).
-            legacy.setdefault("init", dict(options))
-            options = None
-        if options is not None:
-            if legacy:
-                raise TypeError(
-                    "pass either an AnalysisOptions or the legacy keyword "
-                    f"arguments, not both: {sorted(legacy)}"
-                )
-            return self.analyze_with(options, check_concentration=bool(check_concentration))
-        if legacy:
-            _warnings.warn(
-                "Benchmark.analyze(init=..., degree=..., ...) keyword arguments "
-                "are deprecated; pass repro.api.AnalysisOptions via "
-                "analyze(options) or go through repro.api.Analyzer",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        if degree == "auto":
-            raise ValueError(
-                "degree='auto' escalation needs a degree ceiling; use "
-                "analyze(AnalysisOptions(degree='auto', max_degree=...))"
-            )
-        anchor = dict(init if init is not None else self.init)
-        return analyze(
-            self.program,
-            init=anchor,
-            invariants=self.invariant_map(anchor),
-            degree=degree if degree is not None else self.degree,  # type: ignore[arg-type]
-            mode=mode if mode is not None else self.mode,
-            compute_lower=True if compute_lower is None else compute_lower,
-            check_concentration=bool(check_concentration),
-            max_multiplicands=max_multiplicands,
-        )
 
     def __repr__(self) -> str:
         return f"Benchmark({self.name!r}, category={self.category!r}, degree={self.degree})"

@@ -36,7 +36,8 @@ Analysis failures (bad benchmark name, parse errors, infeasible LPs)
 are *not* HTTP errors: they come back as structured reports with
 ``status: "error"`` inside a 200 response, exactly as in batch output.
 HTTP 400 is reserved for malformed envelopes (bad JSON, unknown
-request fields).  Route errors are JSON too: ``404`` for an unknown
+request fields, a setting :class:`~repro.api.AnalysisOptions` rejects —
+the message names the field).  Route errors are JSON too: ``404`` for an unknown
 path, ``405`` + ``Allow`` for a known path under the wrong method
 (``GET /analyze``, ``POST /healthz``); an unsupported verb (``PUT``,
 ``DELETE``, ...) keeps the stdlib's ``501``.
@@ -225,9 +226,7 @@ def _parse_analyze_body(body: Any) -> Tuple[List[AnalysisRequest], bool]:
     one-request-object form whose response is the bare report.
     """
     if isinstance(body, Mapping) and "tasks" not in body and "suite" not in body:
-        request = AnalysisRequest.from_dict(body)
-        request.validate()
-        return [request], True
+        return [AnalysisRequest.from_dict(body)], True
     if isinstance(body, Mapping) and "suite" in body and "tasks" not in body:
         return requests_from_spec([dict(body)]), False
     return requests_from_spec(body), False

@@ -1,29 +1,12 @@
-"""Deprecation shims: legacy signatures must warn *and* keep working."""
+"""`Benchmark.analyze` has one signature: options in, no warnings out."""
 
 import warnings
-
-import pytest
 
 from repro.api import AnalysisOptions
 from repro.programs import get_benchmark
 
 
 class TestBenchmarkAnalyzeShim:
-    def test_legacy_kwargs_warn_but_work(self):
-        bench = get_benchmark("rdwalk")
-        with pytest.deprecated_call():
-            result = bench.analyze(init={"n": 10}, degree=1)
-        assert result.upper is not None
-        assert result.upper.value == pytest.approx(
-            bench.analyze(AnalysisOptions(init={"n": 10}, degree=1)).upper.value
-        )
-
-    def test_legacy_positional_valuation_warns(self):
-        bench = get_benchmark("rdwalk")
-        with pytest.deprecated_call():
-            result = bench.analyze({"n": 10})
-        assert result.upper is not None
-
     def test_bare_call_stays_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -35,11 +18,3 @@ class TestBenchmarkAnalyzeShim:
             warnings.simplefilter("error", DeprecationWarning)
             result = get_benchmark("rdwalk").analyze(AnalysisOptions(degree=1))
         assert result.upper is not None
-
-    def test_mixing_options_and_kwargs_rejected(self):
-        with pytest.raises(TypeError, match="not both"):
-            get_benchmark("rdwalk").analyze(AnalysisOptions(), degree=2)
-
-    def test_legacy_auto_degree_rejected(self):
-        with pytest.raises(ValueError, match="auto"):
-            get_benchmark("rdwalk").analyze(degree="auto")

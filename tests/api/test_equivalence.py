@@ -18,7 +18,7 @@ import sys
 import pytest
 
 from repro.analysis import bounds
-from repro.api import AnalysisOptions, Analyzer, report_to_v1
+from repro.api import AnalysisOptions, Analyzer
 from repro.batch import AnalysisRequest, requests_from_spec, run_batch
 from repro.cache import ResultCache, request_key
 from repro.check.octagon import analyze_cfg_octagon
@@ -128,7 +128,7 @@ class TestStagedVsEngine:
         report = Analyzer(options).analyze(name)
         assert report.status == "ok", report.error
         staged = Analyzer(options).synthesize(name)
-        direct = get_benchmark(name).analyze_with(options)
+        direct = get_benchmark(name).analyze(options)
         for result in (staged, direct):
             assert result.degrees_tried == report.degrees_tried
             assert result.degrees_tried[-1] == report.degree
@@ -137,7 +137,7 @@ class TestStagedVsEngine:
             assert result.lower_skipped == report.lower_skipped
             assert result.warnings == report.warnings
 
-    @pytest.mark.parametrize("front_end", ["engine", "synthesize", "analyze_with"])
+    @pytest.mark.parametrize("front_end", ["engine", "synthesize", "benchmark"])
     def test_ladder_runs_the_prefix_once(self, monkeypatch, front_end):
         # simple_loop escalates to degree 2 under the octagon domain;
         # the CFG and the octagon fixpoint must not be rebuilt per rung.
@@ -154,75 +154,29 @@ class TestStagedVsEngine:
         elif front_end == "synthesize":
             degrees = Analyzer(options).synthesize("simple_loop").degrees_tried
         else:
-            degrees = get_benchmark("simple_loop").analyze_with(options).degrees_tried
+            degrees = get_benchmark("simple_loop").analyze(options).degrees_tried
         assert degrees == [1, 2]
         assert len(octagon_runs) == 1
         assert len(cfg_builds) == 1
 
-    def test_legacy_benchmark_kwargs_match_options_path(self):
+    def test_bare_benchmark_call_matches_options_path(self):
         bench = get_benchmark("ber")
-        with pytest.deprecated_call():
-            legacy = bench.analyze(degree=2, compute_lower=True)
-        modern = bench.analyze(AnalysisOptions(degree=2, compute_lower=True))
-        assert legacy.upper.value == modern.upper.value
-        assert legacy.lower.value == modern.lower.value
+        bare = bench.analyze()
+        explicit = bench.analyze(
+            AnalysisOptions(degree=bench.degree, mode=bench.mode, init=dict(bench.init))
+        )
+        assert bare.upper.value == explicit.upper.value
+        assert bare.lower.value == explicit.lower.value
 
 
 class TestV1Shim:
-    def test_v1_dict_drops_only_newer_fields(self):
-        report = Analyzer().analyze("ber")
-        v6 = report.to_dict()
-        v1 = report_to_v1(report)
-        assert set(v6) - set(v1) == {
-            "lower_skipped",
-            "solver",
-            "tail",
-            "attempts",
-            "diagnostics",
-            "invariant_domain",
-        }
-        assert {k: v for k, v in v6.items() if k in v1} == v1
-        # v1 key order is the v6 prefix (bitwise compatibility)
-        assert list(v1) == [k for k in v6 if k in v1]
-
-    def test_v2_dict_drops_only_newer_fields(self):
-        from repro.api import report_to_v2
-
-        report = Analyzer().analyze("ber")
-        v6 = report.to_dict()
-        v2 = report_to_v2(report)
-        assert set(v6) - set(v2) == {"tail", "attempts", "diagnostics", "invariant_domain"}
-        assert {k: v for k, v in v6.items() if k in v2} == v2
-        # v2 key order is the v6 prefix (bitwise compatibility)
-        assert list(v2) == [k for k in v6 if k in v2]
-
-    def test_v3_dict_drops_only_newer_fields(self):
-        from repro.api import report_to_v3
-
-        report = Analyzer().analyze("ber")
-        v6 = report.to_dict()
-        v3 = report_to_v3(report)
-        assert set(v6) - set(v3) == {"attempts", "diagnostics", "invariant_domain"}
-        assert {k: v for k, v in v6.items() if k in v3} == v3
-        # v3 key order is the v6 prefix (bitwise compatibility)
-        assert list(v3) == [k for k in v6 if k in v3]
-
-    def test_v5_dict_drops_only_newer_fields(self):
-        from repro.api import report_to_v5
-
-        report = Analyzer().analyze("ber")
-        v6 = report.to_dict()
-        v5 = report_to_v5(report)
-        assert set(v6) - set(v5) == {"invariant_domain"}
-        assert {k: v for k, v in v6.items() if k in v5} == v5
-        # v5 key order is the v6 prefix (bitwise compatibility)
-        assert list(v5) == [k for k in v6 if k in v5]
-
     def test_v1_reader_round_trip(self):
         from repro.api import AnalysisReport, report_from_dict
 
         report = Analyzer().analyze("ber")
-        revived = report_from_dict(report_to_v1(report))
+        newer = ("lower_skipped", "solver", "tail", "attempts", "diagnostics", "invariant_domain")
+        v1 = {key: value for key, value in report.to_dict().items() if key not in newer}
+        revived = report_from_dict({"schema": "repro-report/v1", **v1})
         assert isinstance(revived, AnalysisReport)
         assert revived.solver is None  # v1 dicts carry no backend id
         assert revived.upper_value == report.upper_value

@@ -19,11 +19,6 @@ API_ALL = [
     "CheckResult",
     "Diagnostic",
     "REPORT_SCHEMA",
-    "REPORT_SCHEMA_V1",
-    "REPORT_SCHEMA_V2",
-    "REPORT_SCHEMA_V3",
-    "REPORT_SCHEMA_V4",
-    "REPORT_SCHEMA_V5",
     "ResultCache",
     "RetryPolicy",
     "SolveOutcome",
@@ -35,11 +30,6 @@ API_ALL = [
     "load_spec",
     "register_backend",
     "report_from_dict",
-    "report_to_v1",
-    "report_to_v2",
-    "report_to_v3",
-    "report_to_v4",
-    "report_to_v5",
     "request_fingerprint",
     "request_key",
     "requests_from_spec",
@@ -76,8 +66,8 @@ OPTIONS_FIELDS = [
     "retry",
 ]
 
-#: Golden `AnalysisReport` field list; the v1 prefix (everything before
-#: `lower_skipped`) must never be reordered — `to_v1_dict` relies on it.
+#: Golden `AnalysisReport` field list, in declaration order (order is
+#: part of the JSON/`to_dict` contract).
 REPORT_FIELDS = [
     "name",
     "status",
@@ -130,11 +120,13 @@ def test_report_field_snapshot():
 
 def test_report_schema_versions():
     assert api.REPORT_SCHEMA == "repro-report/v6"
-    assert api.REPORT_SCHEMA_V1 == "repro-report/v1"
-    assert api.REPORT_SCHEMA_V2 == "repro-report/v2"
-    assert api.REPORT_SCHEMA_V3 == "repro-report/v3"
-    assert api.REPORT_SCHEMA_V4 == "repro-report/v4"
-    assert api.REPORT_SCHEMA_V5 == "repro-report/v5"
+    assert api.version_info()["schemas"]["report_compat"] == [
+        "repro-report/v1",
+        "repro-report/v2",
+        "repro-report/v3",
+        "repro-report/v4",
+        "repro-report/v5",
+    ]
 
 
 def test_top_level_reexports():

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from repro.api import AnalysisOptions
 from repro.batch import AnalysisRequest, execute_request, requests_from_spec, run_batch
 from repro.programs import get_benchmark
 
@@ -190,7 +191,7 @@ class TestDegreeEscalation:
         assert report.ok
         assert report.degrees_tried == [1, 2]
         assert report.degree == 2
-        direct = get_benchmark("pol04").analyze(degree=2)
+        direct = get_benchmark("pol04").analyze(AnalysisOptions(degree=2))
         assert report.upper_value == direct.upper.value
 
     def test_auto_stops_immediately_when_degree_one_suffices(self):
@@ -291,7 +292,7 @@ class TestSimulationEngines:
 
     def test_invalid_engine_rejected(self):
         with pytest.raises(ValueError):
-            self._request("turbo").validate()
+            self._request("turbo")
 
     @pytest.mark.parametrize("engine", ["auto", "vectorized", "reference"])
     def test_pool_matches_sequential_bitwise(self, engine):

@@ -16,16 +16,6 @@ from repro.programs import all_benchmarks, get_benchmark
 #: runs for minutes.
 SLOW_TARGET = ("queuing_network", "octagon", {"i": 1.0, "l1": 0.0, "l2": 0.0, "n": 280.0})
 
-#: Fields each down-level writer drops, newest schema first.
-NEWER_FIELDS = {
-    5: ("invariant_domain",),
-    4: ("diagnostics", "invariant_domain"),
-    3: ("attempts", "diagnostics", "invariant_domain"),
-    2: ("tail", "attempts", "diagnostics", "invariant_domain"),
-    1: ("lower_skipped", "solver", "tail", "attempts", "diagnostics", "invariant_domain"),
-}
-
-
 def _registry_requests():
     requests = []
     for bench in all_benchmarks():
@@ -79,18 +69,6 @@ def test_to_dict_equals_asdict_with_key_order(reports):
         payload, expected = report.to_dict(), dataclasses.asdict(report)
         assert payload == expected, report.name
         assert list(payload) == list(expected), report.name
-
-
-def test_down_level_writers_drop_exactly_the_newer_fields(reports):
-    for report in reports:
-        for version, dropped in NEWER_FIELDS.items():
-            expected = {
-                key: value
-                for key, value in dataclasses.asdict(report).items()
-                if key not in dropped
-            }
-            payload = getattr(report, f"to_v{version}_dict")()
-            assert payload == expected and list(payload) == list(expected), (report.name, version)
 
 
 def test_to_dict_copies_containers(reports):

@@ -49,7 +49,7 @@ class TestRequestModel:
     )
     def test_validate_rejects(self, kwargs):
         with pytest.raises(ValueError):
-            AnalysisRequest(**kwargs).validate()
+            AnalysisRequest(**kwargs)
 
     def test_report_round_trip(self):
         report = AnalysisReport(

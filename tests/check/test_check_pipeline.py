@@ -8,10 +8,10 @@ the batch engine's ``status="rejected"`` path, ``Analyzer.lint``, the
 import pytest
 
 from repro.analysis.bounds import analyze
-from repro.api import AnalysisOptions, Analyzer, report_from_dict, report_to_v4
+from repro.api import AnalysisOptions, Analyzer, report_from_dict
 from repro.batch import AnalysisRequest
 from repro.batch.engine import execute_request
-from repro.batch.spec import REPORT_SCHEMA, REPORT_SCHEMA_V4
+from repro.batch.spec import REPORT_SCHEMA
 from repro.core.lp import solve_count
 from repro.errors import CheckError
 from repro.programs import get_benchmark
@@ -124,9 +124,8 @@ class TestEngineGating:
         assert [d["code"] for d in report.diagnostics] == ["REP009"]
 
     def test_bad_check_value_fails_validation(self):
-        request = AnalysisRequest(benchmark="rdwalk", check="blocking")
         with pytest.raises(ValueError):
-            request.validate()
+            AnalysisRequest(benchmark="rdwalk", check="blocking")
 
 
 class TestAnalyzerFacade:
@@ -164,26 +163,18 @@ class TestAnalyzerFacade:
 class TestSchemaV5:
     def test_report_schema_is_v6(self):
         assert REPORT_SCHEMA == "repro-report/v6"
-        assert REPORT_SCHEMA_V4 == "repro-report/v4"
         report = execute_request(
             AnalysisRequest(benchmark="rdwalk", check="warn", compute_lower=False)
         )
         assert report.to_dict()["diagnostics"] == []
-
-    def test_to_v4_drops_diagnostics(self):
-        report = execute_request(
-            AnalysisRequest(benchmark="rdwalk", check="warn", compute_lower=False)
-        )
-        v4 = report_to_v4(report)
-        assert "diagnostics" not in v4
-        assert set(report.to_dict()) - set(v4) == {"diagnostics", "invariant_domain"}
 
     def test_from_dict_reads_v4_and_v5(self):
         report = execute_request(
             AnalysisRequest(benchmark="rdwalk", check="warn", compute_lower=False)
         )
         assert report_from_dict(report.to_dict()).diagnostics == []
-        assert report_from_dict(report_to_v4(report)).diagnostics is None
+        v4 = {k: v for k, v in report.to_dict().items() if k not in ("diagnostics", "invariant_domain")}
+        assert report_from_dict(v4).diagnostics is None
 
     def test_fingerprint_depends_on_check(self):
         from repro.cache import request_fingerprint

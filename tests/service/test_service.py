@@ -7,7 +7,7 @@ import urllib.request
 
 import pytest
 
-from repro.batch import AnalysisRequest, run_batch
+from repro.batch import AnalysisRequest, requests_from_spec, run_batch
 from repro.cache import ResultCache
 from repro.service import create_server
 
@@ -195,7 +195,39 @@ class TestAnalyze:
         assert "did you mean" in payload["error"]
 
 
+#: Settings both entry points once accepted and then ignored, misread
+#: (``"55"`` iterated as probes 5 and 5, ``true`` read as 1) or crashed
+#: on with a Python comparison error; each must be rejected up front by
+#: the one settings validator, naming the field.
+ILL_FORMED_SETTINGS = {
+    "max_multiplicands-zero": ({"max_multiplicands": 0}, "max_multiplicands"),
+    "simulate_max_steps-zero": (
+        {"simulate_runs": 3, "simulate_max_steps": 0},
+        "simulate_max_steps",
+    ),
+    "max_degree-string": ({"max_degree": "3"}, "max_degree"),
+    "tail_probes-string": ({"tail_probes": "55"}, "tail_probes"),
+    "max_degree-bool": ({"max_degree": True}, "max_degree"),
+}
+
+
 class TestBadEnvelopes:
+    @pytest.mark.parametrize("entry", ["post-analyze", "requests_from_spec"])
+    @pytest.mark.parametrize("case", list(ILL_FORMED_SETTINGS))
+    def test_ill_formed_settings_rejected_naming_the_field(self, service, entry, case):
+        settings, field = ILL_FORMED_SETTINGS[case]
+        task = {"benchmark": "rdwalk", **settings}
+        if entry == "post-analyze":
+            _, _, base = service
+            status, payload = _post(base, "/analyze", task)
+            assert status == 400
+            message = payload["error"]
+        else:
+            with pytest.raises(ValueError) as info:
+                requests_from_spec([task])
+            message = str(info.value)
+        assert f"{field} must be" in message
+
     def test_invalid_json_400(self, service):
         _, _, base = service
         request = urllib.request.Request(
