@@ -9,11 +9,11 @@ thin adapter over the three names this package exports first:
     saying *how* to analyze — degree plan (including ``"auto"``
     escalation), soundness mode, Handelman multiplicand cap, invariant
     policy, initial valuation, coin-flip transformation, simulation
-    settings, timeout and LP solver backend.
+    settings and timeout.
 :class:`Analyzer`
-    A session facade owning the result cache, the solver backend and
-    the worker pool; ``analyze()`` returns the canonical
-    :class:`AnalysisReport`, ``analyze_batch()`` fans out, and
+    A session facade owning the result cache and the worker pool;
+    ``analyze()`` returns the canonical :class:`AnalysisReport`,
+    ``analyze_batch()`` fans out, and
     ``parse``/``build_cfg``/``derive_invariants``/``synthesize``
     expose the pipeline stage by stage.
 :class:`AnalysisRequest` / :class:`AnalysisReport`
@@ -40,11 +40,8 @@ Quick start::
     report = analyzer.analyze("rdwalk")
     print(report.upper_bound, report.upper_value)
 
-Solver backends are pluggable: implement
-:class:`repro.core.solvers.SolverBackend`, call
-:func:`register_backend`, and name it in
-``AnalysisOptions(solver=...)`` — the resolved backend id is part of
-every cache fingerprint, so distinct backends never alias entries.
+Every LP is solved by HiGHS (:mod:`repro.core.lp`); there is no
+solver option.  ``AnalysisReport.solver`` records ``"highs"``.
 """
 
 from __future__ import annotations
@@ -62,17 +59,6 @@ from ..batch.spec import (
 from ..check import CheckResult, Diagnostic
 from ..cache import ResultCache, request_fingerprint, request_key
 from ..resilience import RetryPolicy
-from ..core.solvers import (
-    SolveOutcome,
-    SolverBackend,
-    available_backends,
-    backend_specs,
-    default_backend_id,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    use_solver,
-)
 from .analyzer import Analyzer
 from .options import AnalysisOptions
 
@@ -86,20 +72,11 @@ __all__ = [
     "REPORT_SCHEMA",
     "ResultCache",
     "RetryPolicy",
-    "SolveOutcome",
-    "SolverBackend",
-    "available_backends",
-    "backend_specs",
-    "default_backend_id",
-    "get_backend",
     "load_spec",
-    "register_backend",
     "report_from_dict",
     "request_fingerprint",
     "request_key",
     "requests_from_spec",
-    "resolve_backend",
-    "use_solver",
     "version_info",
 ]
 
@@ -122,5 +99,4 @@ def version_info() -> Dict[str, Any]:
             "report_compat": list(REPORT_COMPAT_SCHEMAS),
             "cache_entry": ENTRY_SCHEMA,
         },
-        "solver_backends": backend_specs(),
     }

@@ -1,9 +1,9 @@
 """The session facade of the public API.
 
 An :class:`Analyzer` owns the resources an analysis session shares —
-the content-addressed :class:`~repro.cache.ResultCache`, the resolved
-LP solver backend, and the worker process pool — and exposes the whole
-pipeline behind two calls plus staged inspection points:
+the content-addressed :class:`~repro.cache.ResultCache` and the worker
+process pool — and exposes the whole pipeline behind two calls plus
+staged inspection points:
 
 * :meth:`Analyzer.analyze` — one program (benchmark name, source text,
   a :class:`~repro.programs.Benchmark`, a parsed
@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Union
 
@@ -67,7 +66,7 @@ def _resolve_cache(cache):
 
 
 class Analyzer:
-    """One analysis session: options + cache + solver + process pool.
+    """One analysis session: options + cache + process pool.
 
     ::
 
@@ -88,14 +87,10 @@ class Analyzer:
         *,
         cache=None,
         jobs: int = 1,
-        solver: Optional[str] = None,
     ):
-        base = options if options is not None else AnalysisOptions()
-        if solver is not None:
-            base = base.merge(solver=solver)
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self._options = base
+        self._options = options if options is not None else AnalysisOptions()
         self._cache = _resolve_cache(cache)
         self._jobs = jobs
         self._pool = None
@@ -201,16 +196,14 @@ class Analyzer:
         return request_key(self.request(program, options, **overrides))
 
     def request_cache_key(self, request: AnalysisRequest) -> Optional[str]:
-        """The session-level cache key for an engine request — session
-        solver filled in, exactly as :meth:`analyze_batch` would run it
-        — or ``None`` when the session has no cache or the request is
-        unresolvable (unknown benchmark, parse error).  The HTTP
-        service keys its single-flight request coalescing on this.
+        """The session-level cache key for an engine request, exactly as
+        :meth:`analyze_batch` would run it — or ``None`` when the session
+        has no cache or the request is unresolvable (unknown benchmark,
+        parse error).  The HTTP service keys its single-flight request
+        coalescing on this.
         """
         if self._cache is None:
             return None
-        if request.solver is None and self._options.solver is not None:
-            request = replace(request, solver=self._options.solver)
         return self._cache.request_key(request)
 
     def cached_report(self, key: str, request: AnalysisRequest) -> Optional[AnalysisReport]:
@@ -230,10 +223,10 @@ class Analyzer:
     ) -> AnalysisReport:
         """Run the full pipeline on one program; the canonical report.
 
-        Consults/populates the session cache, runs on the session's
-        solver backend, honors timeouts and simulation settings —
-        byte-identical to what the batch engine, CLI and HTTP service
-        produce for the same request against the same store.
+        Consults/populates the session cache, honors timeouts and
+        simulation settings — byte-identical to what the batch engine,
+        CLI and HTTP service produce for the same request against the
+        same store.
         """
         report, _, _ = _cached_execute(self.request(program, options, **overrides), self._cache)
         return report
@@ -247,10 +240,10 @@ class Analyzer:
         """Execute many requests; reports come back in request order.
 
         ``requests`` may mix :class:`AnalysisRequest` objects and plain
-        spec-task dicts (``{"suite": ...}`` expansion included).  Tasks
-        that don't pin a solver inherit the session's.  ``jobs``
-        defaults to the session's degree of parallelism (its persistent
-        pool); pass an explicit value to override for one batch.
+        spec-task dicts (``{"suite": ...}`` expansion included).
+        ``jobs`` defaults to the session's degree of parallelism (its
+        persistent pool); pass an explicit value to override for one
+        batch.
         """
         from ..batch.spec import requests_from_spec
 
@@ -268,12 +261,6 @@ class Analyzer:
                     f"requests must be AnalysisRequest objects or task dicts, "
                     f"got {type(item).__name__}"
                 )
-        session_solver = self._options.solver
-        if session_solver is not None:
-            resolved = [
-                replace(request, solver=session_solver) if request.solver is None else request
-                for request in resolved
-            ]
         effective_jobs = self._jobs if jobs is None else jobs
         pool = self._session_pool() if jobs is None else None
         return run_batch(
@@ -386,12 +373,11 @@ class Analyzer:
 
         Unlike :meth:`analyze` this bypasses the cache and the process
         pool — it exists to hand back the intermediate artifacts the
-        flat report cannot carry.  Degree escalation, the coin-flip
-        transformation and the session solver all still apply.  A
-        parsed :class:`Program` is analyzed *as parsed* (no
-        pretty-print round trip, so exact float literals survive).
+        flat report cannot carry.  Degree escalation and the coin-flip
+        transformation still apply.  A parsed :class:`Program` is
+        analyzed *as parsed* (no pretty-print round trip, so exact
+        float literals survive).
         """
-        from ..core.solvers import use_solver
         from ..syntax.transform import replace_nondet
 
         opts = self._merged(options, overrides)
@@ -407,18 +393,14 @@ class Analyzer:
             )
         if opts.nondet_prob is not None and parsed.has_nondeterminism():
             parsed = replace_nondet(parsed, prob=opts.nondet_prob)
-        with use_solver(opts.solver):
-            return analyze_for(
-                parsed,
-                dict(opts.init) if opts.init is not None else {},
-                dict(opts.invariants) if opts.invariants else None,
-                opts,
-                check_concentration=check_concentration,
-            )
+        return analyze_for(
+            parsed,
+            dict(opts.init) if opts.init is not None else {},
+            dict(opts.invariants) if opts.invariants else None,
+            opts,
+            check_concentration=check_concentration,
+        )
 
     def __repr__(self) -> str:
         cache = getattr(self._cache, "root", None)
-        return (
-            f"Analyzer(jobs={self._jobs}, cache={str(cache) if cache else None!r}, "
-            f"solver={self._options.solver!r})"
-        )
+        return f"Analyzer(jobs={self._jobs}, cache={str(cache) if cache else None!r})"

@@ -75,10 +75,6 @@ class AnalysisOptions:
     compute_lower: bool = True
     #: Handelman multiplicand cap K (``None`` = the degree default).
     max_multiplicands: Optional[int] = None
-    #: LP solver backend id (see ``repro.core.solvers``); ``None`` or
-    #: ``"auto"`` resolves to the environment default.  The *resolved*
-    #: id is part of the cache fingerprint, so backends never alias.
-    solver: Optional[str] = None
     #: Per-label invariant annotations.  For inline source these are the
     #: only annotations; on a registry benchmark name a non-``None``
     #: value *overrides* the registry's (``{}`` drops them).  Keys may
@@ -189,8 +185,6 @@ class AnalysisOptions:
         cap = self.max_multiplicands
         if not (cap is None or _is_int(cap) and cap >= 1):
             raise _invalid("max_multiplicands", "an int >= 1", cap)
-        if not (self.solver is None or isinstance(self.solver, str)):
-            raise _invalid("solver", "a backend name string", self.solver)
         if self.invariant_domain not in ("interval", "octagon"):
             raise _invalid("invariant_domain", "'interval' or 'octagon'", self.invariant_domain)
         prob = self.nondet_prob

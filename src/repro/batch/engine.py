@@ -38,7 +38,7 @@ from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.bounds import CostAnalysisResult, analyze_for
-from ..core.solvers import resolved_solver_id, use_solver
+from ..core.lp import SOLVER_ID
 from ..deadline import DeadlineExceeded, deadline_scope
 from ..errors import CheckError, ReproError
 from ..programs import Benchmark, get_benchmark, probabilistic_variant
@@ -181,11 +181,7 @@ def execute_request(request: AnalysisRequest, attempt: int = 1) -> AnalysisRepor
             # set): may SIGKILL this worker, sleep, or raise an
             # InjectedFaultError that surfaces as a normal error report.
             faults.on_task_attempt(request.display_name, attempt)
-            # Resolve the LP backend up front: an unknown/unavailable
-            # solver is a structured error before any synthesis work,
-            # and the *resolved* id is what the report (and the cache
-            # fingerprint) record.
-            report.solver = resolved_solver_id(request.solver)
+            report.solver = SOLVER_ID
             bench = _resolve_benchmark(request)
             if request.name is None:
                 report.name = bench.name
@@ -195,15 +191,14 @@ def execute_request(request: AnalysisRequest, attempt: int = 1) -> AnalysisRepor
             # The degree ladder lints first when asked: in strict mode an
             # error-severity finding rejects the task before any
             # template/LP work.
-            with use_solver(report.solver):
-                result = analyze_for(
-                    bench.program,
-                    init,
-                    bench.invariant_map(init),
-                    request,
-                    degree=bench.degree,
-                    mode=bench.mode,
-                )
+            result = analyze_for(
+                bench.program,
+                init,
+                bench.invariant_map(init),
+                request,
+                degree=bench.degree,
+                mode=bench.mode,
+            )
             report.analysis_runtime = time.perf_counter() - start
             report.degrees_tried = list(result.degrees_tried)
             report.degree = result.degrees_tried[-1]

@@ -45,7 +45,7 @@ __all__ = [
 #: ``status="crashed"`` terminal state; v3 added ``tail`` (the
 #: Azuma–Hoeffding concentration bound of ``repro.analysis.tails``);
 #: v2 added ``lower_skipped`` (why no PLCS lower bound was produced)
-#: and ``solver`` (the resolved LP backend).
+#: and ``solver`` (the LP solver id).
 REPORT_SCHEMA = "repro-report/v6"
 #: Older schemas :meth:`AnalysisReport.from_dict` still reads (fields a
 #: schema lacks simply default); nothing writes them any more.
@@ -183,7 +183,9 @@ class AnalysisReport:
     #: (regime admits none, or synthesis was infeasible at every degree
     #: tried); ``None`` when a lower bound exists or none was asked for.
     lower_skipped: Optional[str] = None
-    #: Resolved LP solver backend id the bounds were synthesized with.
+    #: LP solver the bounds were synthesized with
+    #: (:data:`repro.core.lp.SOLVER_ID`, always ``"highs"``); ``None``
+    #: on reports that never reached synthesis set-up.
     solver: Optional[str] = None
     # -- v3 fields (``repro-report/v3``) --------------------------------
     #: Azuma–Hoeffding concentration bound derived from the upper

@@ -25,10 +25,9 @@ re-echoes the presentation ones from the incoming request.
 Every fingerprint embeds :func:`cache_salt` — the entry-schema version,
 the ``repro`` version and the SciPy version — so a code or solver
 upgrade silently invalidates stale entries instead of serving bounds a
-different implementation computed.  The *resolved LP solver backend
-id* (``repro.core.solvers``) is part of the fingerprint itself: a
-``linprog``-produced bound is never served to a session configured for
-``highs`` and vice versa, even though both live in the same store.
+different implementation computed.  The fingerprint also carries the
+LP solver id (:data:`repro.core.lp.SOLVER_ID`, always ``"highs"``), so
+keys stay the ones written when the solver was selectable.
 
 Storage
 -------
@@ -283,7 +282,7 @@ def request_fingerprint(request: "AnalysisRequest") -> Dict[str, Any]:
     """
     from .analysis.bounds import degree_plan
     from .batch.engine import _resolve_benchmark
-    from .core.solvers import resolved_solver_id
+    from .core.lp import SOLVER_ID
 
     bench = _resolve_benchmark(request)
     init = dict(request.init) if request.init is not None else dict(bench.init)
@@ -316,10 +315,8 @@ def request_fingerprint(request: "AnalysisRequest") -> Dict[str, Any]:
         "mode": request.mode if request.mode is not None else bench.mode,
         "compute_lower": request.compute_lower,
         "max_multiplicands": request.max_multiplicands,
-        # The *resolved* backend, not the requested name: "auto" and an
-        # explicit "highs" must share entries when they run the same
-        # solver, while "highs" and "linprog" must never alias.
-        "solver": resolved_solver_id(request.solver),
+        # Kept so keys written before the solver became fixed still hit.
+        "solver": SOLVER_ID,
         "simulate": simulate,
         "tails": tails,
         # Lint mode changes report content (warn embeds diagnostics)

@@ -5,7 +5,7 @@ Usage::
     python -m repro analyze FILE [--init x=100,y=0] [--degree 2|auto]
                                  [--max-degree 4] [--invariant LABEL:COND ...]
                                  [--mode auto|signed|nonnegative]
-                                 [--max-multiplicands K] [--solver NAME]
+                                 [--max-multiplicands K]
                                  [--concentration] [--no-lower]
                                  [--tails] [--tail-horizon N] [--tail-probes T1,T2]
     python -m repro simulate FILE --init x=100 [--runs 1000] [--seed 0]
@@ -148,20 +148,6 @@ def _print_cache_summary(cache) -> None:
     )
 
 
-def _validate_solver(name: Optional[str]) -> Optional[str]:
-    """Surface an unknown --solver as a one-line exit-2 error (with the
-    registry's did-you-mean suggestion) before any work starts."""
-    if name is None or name == "auto":
-        return name
-    from .core.solvers import get_backend
-
-    try:
-        get_backend(name)
-    except KeyError as exc:
-        raise CLIError(str(exc.args[0] if exc.args else exc)) from None
-    return name
-
-
 def _parse_degree(text: str) -> Union[int, str]:
     if text == "auto":
         return "auto"
@@ -208,7 +194,6 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         mode=args.mode,
         compute_lower=not args.no_lower,
         max_multiplicands=args.max_multiplicands,
-        solver=_validate_solver(args.solver),
         invariants=invariants or None,
         invariant_domain=args.invariant_domain,
         init=init,
@@ -449,7 +434,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         degree=degree,
         max_degree=args.max_degree,
         max_multiplicands=args.max_multiplicands,
-        solver=_validate_solver(args.solver),
         invariant_domain=args.invariant_domain,
         init=init,
         timeout_s=args.timeout,
@@ -531,7 +515,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         )
         for request in requests
     ]
-    _validate_solver(args.solver)
     if args.output:
         # Fail fast on an unwritable report location rather than after
         # the (potentially long) batch has run.
@@ -544,7 +527,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             print(f"[{report.status:>7s}] {report.name} ({report.runtime:.3f}s)", file=sys.stderr)
 
     cache = _make_cache(args, default_on=True)
-    with Analyzer(cache=cache, jobs=args.jobs, solver=args.solver) as analyzer:
+    with Analyzer(cache=cache, jobs=args.jobs) as analyzer:
         reports = analyzer.analyze_batch(requests, progress=_progress)
     print(_report_table(reports))
     _print_report_diagnostics(reports)
@@ -581,7 +564,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.drain_timeout <= 0:
         raise CLIError(f"invalid --drain-timeout value {args.drain_timeout}; must be > 0")
     cache = _make_cache(args, default_on=True)
-    analyzer = Analyzer(cache=cache, jobs=args.jobs, solver=_validate_solver(args.solver))
+    analyzer = Analyzer(cache=cache, jobs=args.jobs)
     try:
         try:
             server = create_server(
@@ -766,9 +749,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="abstract domain of the automatic invariant generator (default: interval)",
     )
     p_analyze.add_argument("--no-lower", action="store_true", help="skip the PLCS lower bound")
-    p_analyze.add_argument(
-        "--solver", default=None, help="LP solver backend (e.g. highs, linprog; default: auto)"
-    )
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo simulation of a program file")
@@ -859,9 +839,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, help="consult/populate a result cache at this directory"
     )
     p_bench.add_argument(
-        "--solver", default=None, help="LP solver backend (e.g. highs, linprog; default: auto)"
-    )
-    p_bench.add_argument(
         "--invariant-domain",
         choices=("interval", "octagon"),
         default="interval",
@@ -895,11 +872,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, help="result cache directory (default: $REPRO_CACHE_DIR)"
     )
     p_batch.add_argument(
-        "--solver",
-        default=None,
-        help="LP solver backend for tasks that don't pin one (e.g. highs, linprog)",
-    )
-    p_batch.add_argument(
         "--invariant-domain",
         choices=("interval", "octagon"),
         default=None,
@@ -916,11 +888,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--cache-dir", default=None, help="result cache directory (default: $REPRO_CACHE_DIR)"
-    )
-    p_serve.add_argument(
-        "--solver",
-        default=None,
-        help="LP solver backend for requests that don't pin one (e.g. highs, linprog)",
     )
     p_serve.add_argument(
         "--max-inflight",

@@ -10,16 +10,6 @@ from .conditions import (
 )
 from .handelman import certificate_equalities, monoid_products
 from .lp import LinearProgram, LPSolution
-from .solvers import (
-    SolveOutcome,
-    SolverBackend,
-    available_backends,
-    default_backend_id,
-    get_backend,
-    register_backend,
-    resolve_backend,
-    use_solver,
-)
 from .preexpectation import (
     PreCase,
     StepCase,
@@ -45,18 +35,10 @@ __all__ = [
     "LPSolution",
     "LinearProgram",
     "PreCase",
-    "SolveOutcome",
-    "SolverBackend",
     "StepCase",
     "SynthesisOptions",
     "Template",
-    "available_backends",
     "certificate_equalities",
-    "default_backend_id",
-    "get_backend",
-    "register_backend",
-    "resolve_backend",
-    "use_solver",
     "check_bounded_costs",
     "check_bounded_updates",
     "check_nonnegative_costs",

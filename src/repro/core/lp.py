@@ -1,4 +1,4 @@
-"""Linear-programming backend (Section 7, step (4)).
+"""Linear-programming step (Section 7, step (4)).
 
 A thin, explicit wrapper over HiGHS.  The synthesis pipeline only needs:
 
@@ -7,8 +7,23 @@ A thin, explicit wrapper over HiGHS.  The synthesis pipeline only needs:
 * equality rows from coefficient matching;
 * a linear objective (the bound value at the anchor valuation).
 
-Infeasibility and unboundedness are turned into the library's typed
-exceptions so callers can retry with different parameters.
+:meth:`LinearProgram.solve` is the one LP path.  It calls SciPy's
+bundled HiGHS bindings (``scipy.optimize._highspy._core``) directly,
+handing HiGHS the rowwise CSR arrays as-is: SciPy's public LP
+wrapper re-validates and re-copies every input on each call, which
+costs more than the simplex run on this pipeline's many small LPs.
+The bindings are imported on the first solve, so ``import repro``
+does not pay for ``scipy.optimize``.
+
+Every HiGHS exit maps to exactly one outcome:
+
+* ``kOptimal`` -> :class:`LPSolution`;
+* ``kInfeasible`` -> :class:`~repro.errors.InfeasibleError`;
+* ``kUnbounded`` -> :class:`~repro.errors.UnboundedError`;
+* any other model status is re-run once with presolve off, which
+  settles e.g. presolve's ``kUnboundedOrInfeasible`` and ``kUnknown``;
+  a status that is still none of the three, or a model HiGHS refuses
+  to load, is a :class:`~repro.errors.SynthesisError` naming it.
 
 Performance notes
 -----------------
@@ -16,54 +31,43 @@ Equality rows are held sparsely (name -> coefficient dicts), duplicate
 rows are dropped at insertion, and the constraint matrix is assembled
 directly in CSR form — the dense ``np.zeros((rows, n))`` staging array
 of the naive implementation dominated LP setup for larger templates.
-
-Solving goes through the pluggable backend registry of
-:mod:`repro.core.solvers`.  Two built-in backends register here:
-
-``highs``
-    A *direct* call into SciPy's bundled HiGHS bindings
-    (``scipy.optimize._highspy``), handing HiGHS the rowwise CSR
-    arrays as-is.  The public :func:`scipy.optimize.linprog` wrapper
-    re-validates and re-copies every input on each call, which costs
-    more than the actual simplex run on this pipeline's many small
-    LPs.  On private-API drift it degrades to the ``linprog`` path —
-    results are identical, just slower to set up.
-``linprog``
-    The portable path through the public
-    ``linprog(method="highs")`` interface with a sparse matrix.
-
-Which backend runs is decided per solve: an explicit
-``solve(backend=...)`` argument, else the thread-local
-:func:`repro.core.solvers.use_solver` context the engine/Analyzer
-arm, else the environment default (``highs`` when available).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from ..errors import CONSISTENCY_TOL, ZERO_TOL, InfeasibleError, SynthesisError, UnboundedError
 from ..polynomials import LinForm
-from .solvers import SolveOutcome, active_solver, register_backend, resolve_backend
-
-try:  # pragma: no cover - exercised indirectly via solve()
-    import scipy.optimize._highspy._core as _highs_core
-except ImportError:  # pragma: no cover
-    _highs_core = None
 
 __all__ = [
-    "HighsDirectBackend",
     "LinearProgram",
-    "LinprogBackend",
     "LPSolution",
+    "SOLVER_ID",
     "solve_count",
 ]
+
+#: The one LP solver.  ``AnalysisReport.solver`` and the cache
+#: fingerprint's ``"solver"`` entry record it.
+SOLVER_ID = "highs"
+
+
+def _highs():
+    """SciPy's bundled HiGHS bindings, imported on the first solve."""
+    try:
+        import scipy.optimize._highspy._core as core
+    except ImportError as exc:
+        raise ImportError(
+            "repro solves LPs through SciPy's bundled HiGHS bindings "
+            "(scipy.optimize._highspy._core), which this SciPy lacks; "
+            "install the pinned series, scipy==1.17.*"
+        ) from exc
+    return core
+
 
 #: Process-wide count of :meth:`LinearProgram.solve` calls.  Purely
 #: observational (tests assert e.g. that strict-mode rejection runs
@@ -82,14 +86,14 @@ def solve_count() -> int:
 _SOLVER_CACHE = threading.local()
 
 
-def _cached_solver(presolve: Optional[str]):
+def _cached_solver(h, presolve: Optional[str]):
     solvers = getattr(_SOLVER_CACHE, "solvers", None)
     if solvers is None:
         solvers = _SOLVER_CACHE.solvers = {}
     solver = solvers.get(presolve)
     if solver is None:
-        solver = _highs_core._Highs()
-        options = _highs_core.HighsOptions()
+        solver = h._Highs()
+        options = h.HighsOptions()
         options.output_flag = False
         if presolve is not None:
             options.presolve = presolve
@@ -194,13 +198,12 @@ class LinearProgram:
 
     # -- solving ----------------------------------------------------------------
 
-    def _assemble(self):
-        """Objective vector, CSR triplets and bounds for the solver."""
+    def _highs_lp(self, h):
+        """The program as a ``HighsLp``: rowwise CSR, ``row_lower ==
+        row_upper`` for the equalities, minimization sense."""
         n = len(self._index)
         c = np.zeros(n)
-        offset = 0.0
         if self._objective is not None:
-            offset = self._objective.const
             for name, coeff in self._objective.terms.items():
                 c[self._index[name]] = coeff
         if self._maximize:
@@ -216,15 +219,7 @@ class LinearProgram:
                 data.append(coeff)
             indptr.append(len(indices))
         b_eq = np.asarray(self._rhs, dtype=np.float64)
-        return c, offset, data, indices, indptr, b_eq
 
-    def _solve_highs_direct(self, c, data, indices, indptr, b_eq):
-        """Solve through SciPy's bundled HiGHS bindings, skipping the
-        ``linprog`` validation layers.  Returns ``(status, x, fun)`` with
-        linprog-compatible status codes, or ``None`` if HiGHS reports
-        something we don't recognise (the caller then falls back)."""
-        h = _highs_core
-        n = len(self._nonneg)
         lp = h.HighsLp()
         lp.num_col_ = n
         lp.num_row_ = len(self._rows)
@@ -242,84 +237,52 @@ class LinearProgram:
         lp.col_upper_ = np.full(n, inf)
         lp.row_lower_ = b_eq
         lp.row_upper_ = b_eq
+        return lp
 
-        for presolve in (None, "off"):
-            solver = _cached_solver(presolve)
-            if solver.passModel(lp) == h.HighsStatus.kError:
-                return None
-            if solver.run() == h.HighsStatus.kError:
-                return None
-            status = solver.getModelStatus()
-            if status == h.HighsModelStatus.kOptimal:
-                x = np.asarray(solver.getSolution().col_value)
-                return 0, x, solver.getInfo().objective_function_value
-            if status == h.HighsModelStatus.kInfeasible:
-                return 2, None, None
-            if status == h.HighsModelStatus.kUnbounded:
-                return 3, None, None
-            if status == h.HighsModelStatus.kUnboundedOrInfeasible:
-                # Ambiguous with presolve on; re-run without it (same
-                # disambiguation scipy's wrapper performs).
-                continue
-            return None
-        return None
-
-    def _solve_linprog(self, c, data, indices, indptr, b_eq):
-        """Portable path through the public scipy interface."""
-        n = len(self._nonneg)
-        if self._rows:
-            a_eq = csr_matrix(
-                (data, indices, indptr), shape=(len(self._rows), n), dtype=np.float64
-            )
-        else:
-            a_eq, b_eq = None, None
-        bounds: List[Tuple[Optional[float], Optional[float]]] = [
-            (0.0, None) if nonneg else (None, None) for nonneg in self._nonneg
-        ]
-        result = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
-        if result.status not in (0, 2, 3):
-            # Solver hiccup (e.g. HiGHS status 4 on badly scaled inputs):
-            # retry without presolve before giving up.
-            result = linprog(
-                c,
-                A_eq=a_eq,
-                b_eq=b_eq,
-                bounds=bounds,
-                method="highs",
-                options={"presolve": False},
-            )
-        return result.status, result.x, result.fun, result.message
-
-    def solve(self, backend: Optional[str] = None) -> LPSolution:
-        """Solve on a registered backend; raises on infeasible/unbounded.
-
-        ``backend`` names a :mod:`repro.core.solvers` backend; ``None``
-        defers to the thread-local :func:`~repro.core.solvers.use_solver`
-        context (armed by the engine/Analyzer), then the environment
-        default.  All built-in backends return bitwise-identical optima
-        for this pipeline's LPs.
-        """
+    def solve(self) -> LPSolution:
+        """Solve with HiGHS (see the module docstring for how each
+        HiGHS exit maps to a result or a typed error)."""
         n = len(self._index)
         if n == 0:
             raise SynthesisError("linear program has no unknowns")
 
         _SOLVE_COUNT[0] += 1
-        chosen = resolve_backend(backend if backend is not None else active_solver())
-        outcome = chosen.solve(self)
-        status, x, fun, message = outcome.status, outcome.x, outcome.fun, outcome.message
-        offset = self._objective.const if self._objective is not None else 0.0
-
-        if status == 2:
-            raise InfeasibleError(
-                "no Handelman certificate of the requested degree exists; "
-                "try a higher template degree, a larger multiplicand cap, "
-                "or stronger invariants"
+        h = _highs()
+        lp = self._highs_lp(h)
+        size = f"{len(self._rows)} rows x {n} columns"
+        unresolved = []
+        for presolve in (None, "off"):
+            solver = _cached_solver(h, presolve)
+            if solver.passModel(lp) == h.HighsStatus.kError:
+                largest = max((abs(v) for row in self._rows for v in row.values()), default=0.0)
+                raise SynthesisError(
+                    f"HiGHS rejected the LP ({size}) in passModel; "
+                    f"largest |coefficient| {largest:.3g}"
+                )
+            solver.run()
+            status = solver.getModelStatus()
+            if status == h.HighsModelStatus.kOptimal:
+                break
+            if status == h.HighsModelStatus.kInfeasible:
+                raise InfeasibleError(
+                    "no Handelman certificate of the requested degree exists; "
+                    "try a higher template degree, a larger multiplicand cap, "
+                    "or stronger invariants"
+                )
+            if status == h.HighsModelStatus.kUnbounded:
+                raise UnboundedError(
+                    "LP objective is unbounded; the invariant is too weak to pin a bound"
+                )
+            unresolved.append(status.name)
+        else:
+            raise SynthesisError(
+                f"HiGHS could not solve the LP ({size}): model status "
+                f"{unresolved[0]} with presolve on, {unresolved[1]} with presolve off"
             )
-        if status == 3:
-            raise UnboundedError("LP objective is unbounded; the invariant is too weak to pin a bound")
-        if status != 0:
-            raise SynthesisError(f"LP solver failed: {message}")
 
+        x = np.asarray(solver.getSolution().col_value)
+        fun = solver.getInfo().objective_function_value
+        offset = self._objective.const if self._objective is not None else 0.0
         values = {name: float(x[idx]) for name, idx in self._index.items()}
         objective = float(fun) * (-1.0 if self._maximize else 1.0) + offset
         return LPSolution(
@@ -328,54 +291,3 @@ class LinearProgram:
             num_variables=n,
             num_equalities=len(self._rows),
         )
-
-
-# ---------------------------------------------------------------------------
-# Built-in backends
-# ---------------------------------------------------------------------------
-
-
-class HighsDirectBackend:
-    """``highs``: direct calls into SciPy's bundled HiGHS bindings.
-
-    Degrades to the ``linprog`` path for row-free programs and on
-    private-API drift, so the outcome is always defined; the optima are
-    bitwise-identical either way.
-    """
-
-    id = "highs"
-
-    def available(self) -> bool:
-        return _highs_core is not None
-
-    def solve(self, lp: LinearProgram) -> SolveOutcome:
-        c, _offset, data, indices, indptr, b_eq = lp._assemble()
-        if _highs_core is not None and lp._rows:
-            try:
-                direct = lp._solve_highs_direct(c, data, indices, indptr, b_eq)
-            except Exception:  # private-API drift: fall back to linprog
-                direct = None
-            if direct is not None:
-                status, x, fun = direct
-                return SolveOutcome(status=status, x=x, fun=fun, message=f"HiGHS status {status}")
-        status, x, fun, message = lp._solve_linprog(c, data, indices, indptr, b_eq)
-        return SolveOutcome(status=status, x=x, fun=fun, message=message)
-
-
-class LinprogBackend:
-    """``linprog``: the portable public-SciPy path."""
-
-    id = "linprog"
-
-    def available(self) -> bool:
-        return True
-
-    def solve(self, lp: LinearProgram) -> SolveOutcome:
-        c, _offset, data, indices, indptr, b_eq = lp._assemble()
-        status, x, fun, message = lp._solve_linprog(c, data, indices, indptr, b_eq)
-        return SolveOutcome(status=status, x=x, fun=fun, message=message)
-
-
-#: replace=True keeps importlib.reload() of this module idempotent.
-register_backend(HighsDirectBackend(), replace=True)
-register_backend(LinprogBackend(), replace=True)

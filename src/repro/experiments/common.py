@@ -25,17 +25,13 @@ __all__ = [
 
 
 def add_driver_args(parser) -> None:
-    """Engine flags every table driver shares (``--jobs``, caching and
-    the LP solver backend)."""
+    """Engine flags every table driver shares (``--jobs`` and caching)."""
     parser.add_argument("--jobs", type=int, default=1, help="worker processes")
     parser.add_argument(
         "--no-cache", action="store_true", help="disable the content-addressed result cache"
     )
     parser.add_argument(
         "--cache-dir", default=None, help="result cache directory (default: $REPRO_CACHE_DIR)"
-    )
-    parser.add_argument(
-        "--solver", default=None, help="LP solver backend (e.g. highs, linprog; default: auto)"
     )
 
 
@@ -54,14 +50,10 @@ def driver_cache(args):
 
 def driver_analyzer(args):
     """The :class:`repro.api.Analyzer` session a driver ``__main__``
-    should run its tables on (cache + pool + solver from the CLI)."""
+    should run its tables on (cache + pool from the CLI)."""
     from ..api import Analyzer
 
-    return Analyzer(
-        cache=driver_cache(args),
-        jobs=getattr(args, "jobs", 1),
-        solver=getattr(args, "solver", None),
-    )
+    return Analyzer(cache=driver_cache(args), jobs=getattr(args, "jobs", 1))
 
 
 @contextmanager

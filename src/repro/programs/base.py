@@ -117,30 +117,27 @@ class Benchmark:
         requested bound is feasible, through the same
         :func:`~repro.analysis.bounds.analyze_for` ladder as the batch
         engine), mode, multiplicand cap, invariant policy, lint, tails,
-        init valuation, solver backend and the ``nondet_prob`` coin-flip
-        transformation.  Unset degree, mode and init fall back to the
-        benchmark's own, so a bare ``analyze()`` runs the benchmark as
-        registered.  Simulation and timeout settings are engine-level
+        init valuation and the ``nondet_prob`` coin-flip transformation.
+        Unset degree, mode and init fall back to the benchmark's own, so
+        a bare ``analyze()`` runs the benchmark as registered.  Simulation and timeout settings are engine-level
         concerns — use :meth:`repro.api.Analyzer.analyze` for those.
         """
         from ..api.options import AnalysisOptions
-        from ..core.solvers import use_solver
 
         options = options if options is not None else AnalysisOptions()
         bench = self
         if options.nondet_prob is not None and self.has_nondeterminism:
             bench = probabilistic_variant(self, prob=options.nondet_prob)
         anchor = dict(options.init) if options.init is not None else dict(bench.init)
-        with use_solver(options.solver):
-            return analyze_for(
-                bench.program,
-                anchor,
-                bench.invariant_map(anchor),
-                options,
-                degree=bench.degree,
-                mode=bench.mode,
-                check_concentration=check_concentration,
-            )
+        return analyze_for(
+            bench.program,
+            anchor,
+            bench.invariant_map(anchor),
+            options,
+            degree=bench.degree,
+            mode=bench.mode,
+            check_concentration=check_concentration,
+        )
 
     def __repr__(self) -> str:
         return f"Benchmark({self.name!r}, category={self.category!r}, degree={self.degree})"

@@ -2,7 +2,7 @@
 
 A stdlib-only HTTP adapter over one shared
 :class:`repro.api.Analyzer` session (which owns the content-addressed
-result cache, the solver backend and the worker pool), so repeated
+result cache and the worker pool), so repeated
 analysis traffic short-circuits to cache lookups instead of re-running
 LP synthesis:
 
@@ -26,7 +26,7 @@ LP synthesis:
     The :class:`repro.api.AnalysisOptions` defaults as JSON — what an
     omitted field in a POSTed task means.
 ``GET /version``
-    repro + schema versions and the registered LP solver backends.
+    repro + schema versions.
 ``GET /cache/stats``
     Live counters + disk census of the backing store.
 ``GET /healthz``
@@ -573,7 +573,7 @@ def create_server(
     free port (read it back from ``server.port``).
 
     Pass an :class:`repro.api.Analyzer` to serve an existing session
-    (its cache, solver and pool); ``jobs``/``cache`` are the shorthand
+    (its cache and pool); ``jobs``/``cache`` are the shorthand
     that builds one.  ``max_inflight`` bounds concurrently executing
     POSTs (the rest are shed with 429); ``drain_timeout_s`` is how long
     a SIGTERM/Ctrl-C shutdown waits for in-flight requests.

@@ -411,40 +411,31 @@ class TestReviewRegressions:
         assert "cannot write" in capsys.readouterr().err
 
 
-class TestSolverFlag:
-    def test_unknown_solver_exits_2_with_suggestion(self, capsys):
-        code = main(["bench", "rdwalk", "--solver", "lingprog"])
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "unknown solver backend" in err and "linprog" in err
+class TestNoSolverFlag:
+    """HiGHS is the one LP solver: no parser offers ``--solver``."""
 
-    def test_analyze_unknown_solver_exits_2(self, tmp_path, capsys):
-        program = tmp_path / "p.prob"
-        program.write_text("var x;\nwhile x >= 1 do\n x := x - 1;\n tick(1)\nod\n")
-        code = main(["analyze", str(program), "--init", "x=5", "--solver", "nope"])
-        assert code == 2
-        assert "unknown solver backend" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "p.prob", "--solver", "highs"],
+            ["bench", "rdwalk", "--solver", "highs"],
+            ["batch", "spec.json", "--solver", "highs"],
+            ["serve", "--solver", "highs"],
+        ],
+        ids=["analyze", "bench", "batch", "serve"],
+    )
+    def test_cli_rejects_solver(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "unrecognized arguments: --solver" in capsys.readouterr().err
 
-    def test_bench_solver_linprog_matches_default(self, capsys):
-        assert main(["bench", "rdwalk"]) == 0
-        default_out = capsys.readouterr().out
-        assert main(["bench", "rdwalk", "--solver", "linprog"]) == 0
-        linprog_out = capsys.readouterr().out
-        assert default_out == linprog_out  # identical optima, any backend
+    def test_table_drivers_reject_solver(self):
+        import argparse
 
-    def test_batch_solver_recorded_in_report(self, tmp_path, capsys):
-        import json
+        from repro.experiments.common import add_driver_args
 
-        spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps([{"benchmark": "rdwalk"}]))
-        out_path = tmp_path / "out.json"
-        code = main(
-            [
-                "batch", str(spec), "--solver", "linprog",
-                "--output", str(out_path), "--quiet", "--no-cache",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(out_path.read_text())
-        assert payload["schema"] == "repro-batch/v2"
-        assert payload["reports"][0]["solver"] == "linprog"
+        parser = argparse.ArgumentParser()
+        add_driver_args(parser)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["--solver", "highs"])

@@ -1,5 +1,5 @@
 """`repro.api.Analyzer` behavior: target resolution, cache ownership,
-staged methods, batch fan-out and the session solver."""
+staged methods and batch fan-out."""
 
 import pytest
 
@@ -65,15 +65,17 @@ class TestSessionOptions:
         assert report.degree == 2
         assert report.tag is None  # the session tag is not inherited
 
-    def test_session_solver_reaches_reports(self):
-        assert Analyzer(solver="linprog").analyze("rdwalk").solver == "linprog"
+    def test_reports_name_the_one_solver(self):
+        analyzer = Analyzer()
+        assert analyzer.analyze("rdwalk").solver == "highs"
+        reports = analyzer.analyze_batch([AnalysisRequest(benchmark="rdwalk"), {"benchmark": "ber"}])
+        assert [r.solver for r in reports] == ["highs", "highs"]
 
-    def test_analyze_batch_inherits_session_solver(self):
-        analyzer = Analyzer(solver="linprog")
-        reports = analyzer.analyze_batch(
-            [AnalysisRequest(benchmark="rdwalk"), {"benchmark": "ber", "solver": "highs"}]
-        )
-        assert [r.solver for r in reports] == ["linprog", "highs"]
+    def test_solver_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            Analyzer(solver="highs")
+        with pytest.raises(ValueError, match="solver"):
+            Analyzer().analyze("rdwalk", solver="highs")
 
 
 class TestCacheOwnership:
@@ -90,14 +92,6 @@ class TestCacheOwnership:
         warm = second.analyze("rdwalk")
         assert second.cache.hits == 1
         assert warm.to_dict() == cold.to_dict()
-
-    def test_solver_sessions_never_alias(self, tmp_path):
-        root = tmp_path / "cache"
-        Analyzer(cache=root, solver="highs").analyze("rdwalk")
-        linprog_session = Analyzer(cache=root, solver="linprog")
-        report = linprog_session.analyze("rdwalk")
-        assert linprog_session.cache.hits == 0  # distinct fingerprint, no alias
-        assert report.solver == "linprog"
 
 
 class TestStagedMethods:
@@ -207,14 +201,6 @@ class TestLowerSkippedSurfacing:
 
 
 class TestReviewRegressions:
-    def test_analyze_batch_does_not_mutate_caller_requests(self):
-        request = AnalysisRequest(benchmark="rdwalk")
-        reports = Analyzer(solver="linprog").analyze_batch([request])
-        assert reports[0].solver == "linprog"
-        assert request.solver is None  # caller's object untouched
-        # a later default session sees the default backend again
-        assert Analyzer().analyze_batch([request])[0].solver == "highs"
-
     def test_lazy_pool_init_is_race_free(self):
         import threading
 

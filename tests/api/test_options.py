@@ -26,7 +26,7 @@ class TestValidation:
             {"max_degree": 0},
             {"mode": "strict"},
             {"max_multiplicands": 0},
-            {"solver": 3},
+            {"invariant_domain": "polyhedra"},
             {"nondet_prob": 1.5},
             {"nondet_prob": -0.1},
             {"simulate_runs": 0},
@@ -58,7 +58,6 @@ class TestJSONRoundTrip:
             mode="signed",
             compute_lower=False,
             max_multiplicands=2,
-            solver="linprog",
             invariants={1: "x >= 0"},
             auto_invariants=False,
             init={"x": 7},
@@ -77,6 +76,8 @@ class TestJSONRoundTrip:
     def test_from_dict_rejects_unknown_fields(self):
         with pytest.raises(ValueError, match="unknown option"):
             AnalysisOptions.from_dict({"degre": 2})
+        with pytest.raises(ValueError, match="unknown option field.*'solver'"):
+            AnalysisOptions.from_dict({"solver": "highs"})
 
     def test_json_string_keys_coerce_back(self):
         text = json.dumps(AnalysisOptions(invariants={2: "x >= 1"}).to_dict())
@@ -123,7 +124,7 @@ class TestDegreePlan:
 class TestRequestBridge:
     def test_to_request_round_trips_via_from_request(self):
         options = AnalysisOptions(
-            degree="auto", solver="linprog", init={"x": 5}, simulate_runs=10, tag="z"
+            degree="auto", init={"x": 5}, simulate_runs=10, tag="z"
         )
         request = options.to_request(benchmark="rdwalk")
         assert request.benchmark == "rdwalk"

@@ -21,20 +21,11 @@ API_ALL = [
     "REPORT_SCHEMA",
     "ResultCache",
     "RetryPolicy",
-    "SolveOutcome",
-    "SolverBackend",
-    "available_backends",
-    "backend_specs",
-    "default_backend_id",
-    "get_backend",
     "load_spec",
-    "register_backend",
     "report_from_dict",
     "request_fingerprint",
     "request_key",
     "requests_from_spec",
-    "resolve_backend",
-    "use_solver",
     "version_info",
 ]
 
@@ -46,7 +37,6 @@ OPTIONS_FIELDS = [
     "mode",
     "compute_lower",
     "max_multiplicands",
-    "solver",
     "invariants",
     "auto_invariants",
     "invariant_domain",
@@ -140,5 +130,4 @@ def test_version_info_shape():
     info = api.version_info()
     assert info["repro"] == repro.__version__
     assert info["schemas"]["report"] == api.REPORT_SCHEMA
-    backend_ids = {spec["id"] for spec in info["solver_backends"]}
-    assert {"highs", "linprog"} <= backend_ids
+    assert "solver_backends" not in info

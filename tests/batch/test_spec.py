@@ -33,6 +33,8 @@ class TestRequestModel:
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown request field"):
             AnalysisRequest.from_dict({"benchmark": "rdwalk", "wat": 1})
+        with pytest.raises(ValueError, match="unknown request field.*'solver'"):
+            requests_from_spec([{"benchmark": "rdwalk", "solver": "highs"}])
 
     @pytest.mark.parametrize(
         "kwargs",

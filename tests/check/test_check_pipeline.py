@@ -52,6 +52,24 @@ class TestAnalyzeCheck:
         )
         assert any(d.code == "REP010" for d in result.diagnostics)
 
+    def test_warn_names_the_highs_rejection(self):
+        # The unsound entry invariant puts 1e18 coefficients into the
+        # degree-2 LP; HiGHS refuses to load it, which is not a proof
+        # that no certificate exists.
+        bench, invariants = _unsound_rdwalk()
+        result = analyze(
+            bench.program,
+            init=dict(bench.init),
+            invariants=invariants,
+            degree=2,
+            compute_lower=False,
+            check="warn",
+        )
+        assert result.upper is None
+        [warning] = [w for w in result.warnings if w.startswith("no degree-2 upper bound")]
+        assert "HiGHS rejected the LP" in warning and "in passModel" in warning
+        assert "no Handelman certificate" not in warning
+
     def test_strict_rejects_before_any_lp_solve(self):
         bench, invariants = _unsound_rdwalk()
         before = solve_count()

@@ -1,8 +1,14 @@
-"""LP backend tests."""
+"""LP solve tests: every HiGHS exit maps to exactly one outcome."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core import LinearProgram
+from repro.core import lp as lp_module
 from repro.errors import InfeasibleError, SynthesisError, UnboundedError
 from repro.polynomials import LinForm
 
@@ -60,6 +66,15 @@ def test_unbounded():
     lp.set_objective(LinForm(0.0, {"a": 1.0}), maximize=True)
     with pytest.raises(UnboundedError):
         lp.solve()
+
+
+def test_row_free_optimal():
+    lp = LinearProgram()
+    lp.add_unknown("a", nonnegative=True)
+    lp.set_objective(LinForm(2.0, {"a": 1.0}))
+    sol = lp.solve()
+    assert sol.num_equalities == 0
+    assert sol.objective == pytest.approx(2.0)
 
 
 def test_contradictory_constant_row():
@@ -151,3 +166,151 @@ class TestToleranceHandling:
         lp.add_equality({"a": 2.0}, 1.0)
         lp.add_equality({"a": 2.0}, 3.0)  # same coeffs, different rhs: kept
         assert lp.num_equalities == 2
+
+
+def _feasible_lp() -> LinearProgram:
+    # min x  s.t.  x + y = 10, x, y >= 0  ->  x = 0.
+    lp = LinearProgram()
+    lp.add_unknown("x", nonnegative=True)
+    lp.add_unknown("y", nonnegative=True)
+    lp.add_equality({"x": 1.0, "y": 1.0}, 10.0)
+    lp.set_objective(LinForm(0.0, {"x": 1.0}))
+    return lp
+
+
+def _script_highs(monkeypatch, on=None, off=None):
+    """Make HiGHS report model status ``on`` (presolve on) / ``off``
+    (presolve off) — ``None`` keeps the real one — and record every
+    ``(presolve, status name)`` a solve saw."""
+    real = lp_module._cached_solver
+    seen = []
+
+    class Scripted:
+        def __init__(self, solver, presolve, name):
+            self._solver, self._presolve, self._name = solver, presolve, name
+
+        def __getattr__(self, attr):
+            return getattr(self._solver, attr)
+
+        def getModelStatus(self):
+            status = self._solver.getModelStatus()
+            if self._name is not None:
+                status = getattr(type(status), self._name)
+            seen.append((self._presolve, status.name))
+            return status
+
+    def cached(h, presolve):
+        setting = "on" if presolve is None else "off"
+        return Scripted(real(h, presolve), setting, on if setting == "on" else off)
+
+    monkeypatch.setattr(lp_module, "_cached_solver", cached)
+    return seen
+
+
+class TestHighsOutcomes:
+    """Each HiGHS model status lands on exactly one result or error."""
+
+    def test_optimal_solves_once(self, monkeypatch):
+        seen = _script_highs(monkeypatch)
+        assert _feasible_lp().solve().objective == pytest.approx(0.0)
+        assert seen == [("on", "kOptimal")]
+
+    @pytest.mark.parametrize(
+        "on, error", [("kInfeasible", InfeasibleError), ("kUnbounded", UnboundedError)]
+    )
+    def test_decided_status_is_final(self, monkeypatch, on, error):
+        seen = _script_highs(monkeypatch, on=on)
+        with pytest.raises(error):
+            _feasible_lp().solve()
+        assert seen == [("on", on)]
+
+    def test_unknown_retries_without_presolve(self, monkeypatch):
+        seen = _script_highs(monkeypatch, on="kUnknown")
+        assert _feasible_lp().solve().objective == pytest.approx(0.0)
+        assert seen == [("on", "kUnknown"), ("off", "kOptimal")]
+
+    @pytest.mark.parametrize(
+        "on, off, error",
+        [
+            ("kUnboundedOrInfeasible", "kInfeasible", InfeasibleError),
+            ("kUnboundedOrInfeasible", "kUnbounded", UnboundedError),
+            ("kSolveError", "kInfeasible", InfeasibleError),
+        ],
+    )
+    def test_retry_verdict_is_mapped(self, monkeypatch, on, off, error):
+        seen = _script_highs(monkeypatch, on=on, off=off)
+        with pytest.raises(error):
+            _feasible_lp().solve()
+        assert seen == [("on", on), ("off", off)]
+
+    @pytest.mark.parametrize(
+        "on, off",
+        [("kSolveError", "kUnknown"), ("kTimeLimit", "kIterationLimit"), ("kUnknown", "kUnknown")],
+    )
+    def test_unresolved_status_is_a_synthesis_error_naming_it(self, monkeypatch, on, off):
+        _script_highs(monkeypatch, on=on, off=off)
+        with pytest.raises(SynthesisError) as info:
+            _feasible_lp().solve()
+        assert not isinstance(info.value, (InfeasibleError, UnboundedError))
+        assert f"model status {on} with presolve on, {off} with presolve off" in str(info.value)
+
+    def test_rejected_model_is_not_reported_infeasible(self):
+        lp = LinearProgram()
+        lp.add_unknown("x", nonnegative=True)
+        lp.add_equality({"x": 1e18}, 1.0)  # beyond HiGHS's matrix-value limit
+        lp.set_objective(LinForm(0.0, {"x": 1.0}))
+        with pytest.raises(SynthesisError, match="HiGHS rejected the LP .* in passModel") as info:
+            lp.solve()
+        assert not isinstance(info.value, InfeasibleError)
+        assert "1e+18" in str(info.value)
+
+    def test_queue_lp_without_hand_invariants_is_unresolved(self):
+        # The 700 x 1,776 degree-3 LP of queuing_network over interval
+        # invariants alone: HiGHS ends in kSolveError, then kUnknown.
+        from repro.analysis.bounds import analyze
+        from repro.programs import get_benchmark
+
+        queue = get_benchmark("queuing_network")
+        result = analyze(queue.program, init=queue.init, degree=queue.degree, compute_lower=False)
+        assert result.upper is None
+        assert result.warnings == [
+            "no degree-3 upper bound: HiGHS could not solve the LP (700 rows x 1776 columns): "
+            "model status kSolveError with presolve on, kUnknown with presolve off"
+        ]
+
+    def test_fuzz_seed_106_unknown_settles_infeasible(self, monkeypatch):
+        # Presolve leaves one of this program's LPs at kUnknown; the
+        # presolve-off retry proves it infeasible.
+        from repro.fuzz.harness import Harness
+
+        seen = _script_highs(monkeypatch)
+        assert Harness().run_one(106).classification == "infeasible"
+        retried = [i for i, entry in enumerate(seen) if entry == ("on", "kUnknown")]
+        assert retried
+        assert all(seen[i + 1] == ("off", "kInfeasible") for i in retried)
+
+
+class TestHighsBindings:
+    def test_missing_bindings_name_the_scipy_pin(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+        with pytest.raises(ImportError, match=r"scipy==1\.17\.\*"):
+            _feasible_lp().solve()
+
+    @pytest.mark.parametrize(
+        "code",
+        [
+            "import repro",
+            "from repro.cli import main; assert main(['lint', '--benchmark', 'rdwalk']) == 0",
+        ],
+        ids=["import", "lint"],
+    )
+    def test_bindings_load_on_first_solve_only(self, code):
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        check = code + "; import sys; assert 'scipy.optimize' not in sys.modules"
+        completed = subprocess.run(
+            [sys.executable, "-c", check], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert completed.returncode == 0, completed.stderr

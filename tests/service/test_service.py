@@ -109,9 +109,7 @@ class TestIntrospectionEndpoints:
         assert payload["schemas"]["report"] == "repro-report/v6"
         assert "repro-report/v5" in payload["schemas"]["report_compat"]
         assert payload["schemas"]["service"] == "repro-service/v2"
-        backends = {b["id"]: b for b in payload["solver_backends"]}
-        assert "highs" in backends and "linprog" in backends
-        assert sum(b["default"] for b in backends.values()) == 1
+        assert "solver_backends" not in payload
 
 
 class TestAnalyze:
@@ -242,9 +240,12 @@ class TestBadEnvelopes:
 
     def test_unknown_field_400(self, service):
         _, _, base = service
-        status, payload = _post(base, "/analyze", {"bogus": 1})
-        assert status == 400
-        assert "unknown request field" in payload["error"]
+        bodies = [({"bogus": 1}, "bogus"), ({"benchmark": "rdwalk", "solver": "highs"}, "solver")]
+        for body, field in bodies:
+            status, payload = _post(base, "/analyze", body)
+            assert status == 400
+            assert "unknown request field" in payload["error"]
+            assert repr(field) in payload["error"]
 
     def test_empty_body_400(self, service):
         _, _, base = service
