@@ -24,8 +24,7 @@ from ..errors import InfeasibleError, UnboundedError
 from ..invariants import InvariantMap
 from ..polynomials import LinForm, Polynomial
 from ..semantics.cfg import CFG, AssignLabel
-from .handelman import certificate_equalities
-from .lp import LinearProgram
+from .handelman import CertificateProblem
 
 __all__ = [
     "ConditionReport",
@@ -155,17 +154,12 @@ def check_bounded_costs(cfg: CFG) -> ConditionReport:
     return ConditionReport(True, "all tick costs are constants")
 
 
-def _is_nonnegative_on(poly: Polynomial, gammas: List[Polynomial], max_multiplicands: int) -> bool:
+def _is_nonnegative_on(poly: Polynomial, gammas: List[Polynomial], cap: Optional[int]) -> bool:
     """Certify ``poly >= 0`` on ``<Gamma>`` via a Handelman feasibility LP."""
-    lp = LinearProgram()
-    equalities, multipliers = certificate_equalities(poly, gammas, max_multiplicands, "nncheck")
-    for name in multipliers:
-        lp.add_unknown(name, nonnegative=True)
+    problem = CertificateProblem()
+    problem.add_site("nncheck", poly, gammas, cap=cap)
     try:
-        for coeffs, rhs in equalities:
-            lp.add_equality(coeffs, rhs)
-        lp.set_objective(LinForm(0.0))
-        lp.solve()
+        problem.solve(LinForm(0.0))
         return True
     except (InfeasibleError, UnboundedError):
         return False
@@ -188,9 +182,8 @@ def check_nonnegative_costs(
             if float(label.cost.constant_term()) < 0.0:
                 offending.append(label.id)
             continue
-        cap = max_multiplicands if max_multiplicands is not None else max(label.cost.degree(), 1)
         if not all(
-            _is_nonnegative_on(label.cost, polyhedron.constraints, cap)
+            _is_nonnegative_on(label.cost, polyhedron.constraints, max_multiplicands)
             for polyhedron in invariants.get(label.id)
         ):
             offending.append(label.id)

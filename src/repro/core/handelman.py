@@ -16,6 +16,10 @@ finite; matching monomial coefficients of
 yields linear equalities over the template unknowns ``a_ij`` and the
 fresh multipliers ``c_k``, which is exactly what the LP solves.
 
+Every LP of the pipeline (synthesis, tail bound, ranking supermartingale,
+regime check) is built by :class:`CertificateProblem`, which owns the cap
+rule, the deadline checkpoint, the column/row order and the NaN guard.
+
 Performance notes
 -----------------
 ``monoid_products`` is built *incrementally*: the degree-``k`` frontier
@@ -33,12 +37,17 @@ tables (one dict per row), instead of repeatedly rebuilding the
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import math
+from itertools import chain
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from ..errors import NonLinearError
+from ..deadline import check_deadline
+from ..errors import NonLinearError, SynthesisError
 from ..polynomials import LinForm, Monomial, Polynomial
+from .lp import LinearProgram, LPSolution
 
-__all__ = ["monoid_products", "certificate_equalities", "clear_monoid_cache", "LinearEquality"]
+__all__ = ["CertificateProblem", "LinearEquality", "certificate_equalities", "clear_monoid_cache",
+           "monoid_products"]
 
 #: One linear equality ``sum(coeffs[u] * u) = rhs`` over LP unknowns.
 LinearEquality = Tuple[Dict[str, float], float]
@@ -148,3 +157,85 @@ def certificate_equalities(
 
     equalities: List[LinearEquality] = [(row, rhs[mono]) for mono, row in rows.items()]
     return equalities, multipliers
+
+
+class _Site(NamedTuple):
+    """One site's certificate rows and multiplier names ``c_<name>_k``."""
+
+    tag: Optional[Tuple[int, int]]
+    equalities: List[LinearEquality]
+    multipliers: List[str]
+
+
+class CertificateProblem:
+    """One Handelman LP: the LP's own unknowns plus certified sites.
+
+    ``unknowns`` become the first columns, in order: the free template
+    coefficients of a synthesis, or a bound such as ``tail_c``
+    (``nonnegative=True``).  A site tagged ``(label_id, choice)`` enters
+    the LP only when ``choices`` picks that successor at that label (the
+    PLCS condition (C3')), so one problem serves every policy.
+    """
+
+    def __init__(self, unknowns: Sequence[str] = (), nonnegative: bool = False):
+        self.unknowns = list(unknowns)
+        self.nonnegative = nonnegative
+        self.sites: List[_Site] = []
+
+    def add_site(
+        self,
+        name: str,
+        target: Polynomial,
+        gammas: Sequence[Polynomial],
+        cap: Optional[int] = None,
+        tag: Optional[Tuple[int, int]] = None,
+    ) -> None:
+        """Certify ``target >= 0`` on ``<gammas>``.  ``cap`` bounds the
+        multiplicands per product; ``None`` picks the target's degree
+        (at least 1), the smallest cap that can match it."""
+        # Cooperative per-site checkpoint: certificate extraction
+        # dominates preparation time, and SIGALRM budgets do not fire
+        # on service handler threads.
+        check_deadline()
+        if cap is None:
+            cap = max(target.degree(), 1)
+        equalities, multipliers = certificate_equalities(target, gammas, cap, name)
+        self.sites.append(_Site(tag, equalities, multipliers))
+
+    def solve(
+        self,
+        objective: LinForm,
+        maximize: bool = False,
+        choices: Optional[Mapping[int, int]] = None,
+    ) -> LPSolution:
+        """Build and solve the LP of the policy ``choices`` (choice 0
+        where unset); a NaN optimum is a :class:`SynthesisError`."""
+        check_deadline()
+        choices = choices or {}
+        # Untagged sites first, in insertion order; then the chosen
+        # tagged sites, grouped by label in first-seen order.
+        groups: Dict[Optional[int], List[_Site]] = {None: []}
+        for site in self.sites:
+            label_id = site.tag[0] if site.tag else None
+            chosen = groups.setdefault(label_id, [])
+            if site.tag is None or site.tag[1] == choices.get(label_id, 0):
+                chosen.append(site)
+        lp = LinearProgram()
+        for name in self.unknowns:
+            lp.add_unknown(name, nonnegative=self.nonnegative)
+        for site in chain.from_iterable(groups.values()):
+            for c_name in site.multipliers:
+                lp.add_unknown(c_name, nonnegative=True)
+            for coeffs, rhs in site.equalities:
+                lp.add_equality(coeffs, rhs)
+        lp.set_objective(objective, maximize=maximize)
+        solution = lp.solve()
+        if math.isnan(solution.objective):
+            # Letting a NaN into bound comparisons would silently
+            # corrupt best-policy selection downstream.
+            raise SynthesisError(
+                f"LP solver returned a NaN objective ({solution.num_equalities} rows x "
+                f"{solution.num_variables} columns); the program/invariant combination "
+                "produced a degenerate LP"
+            )
+        return solution

@@ -19,7 +19,8 @@ Every HiGHS exit maps to exactly one outcome:
 
 * ``kOptimal`` -> :class:`LPSolution`;
 * ``kInfeasible`` -> :class:`~repro.errors.InfeasibleError`;
-* ``kUnbounded`` -> :class:`~repro.errors.UnboundedError`;
+* ``kUnbounded`` -> :class:`~repro.errors.UnboundedError` once the
+  presolve-off retry agrees (presolve can misjudge a badly scaled LP);
 * any other model status is re-run once with presolve off, which
   settles e.g. presolve's ``kUnboundedOrInfeasible`` and ``kUnknown``;
   a status that is still none of the three, or a model HiGHS refuses
@@ -269,7 +270,7 @@ class LinearProgram:
                     "try a higher template degree, a larger multiplicand cap, "
                     "or stronger invariants"
                 )
-            if status == h.HighsModelStatus.kUnbounded:
+            if status == h.HighsModelStatus.kUnbounded and presolve == "off":
                 raise UnboundedError(
                     "LP objective is unbounded; the invariant is too weak to pin a bound"
                 )

@@ -26,39 +26,40 @@ Performance notes
 The expensive work — template construction, pre-expectation cases and
 Handelman certificate extraction — is *policy independent* except at
 the nondeterministic labels themselves.  :class:`_PreparedSynthesis`
-computes everything once, keeps the per-``(label, choice)`` certificate
-rows separately, and each of the up-to-``2^k`` policy LPs only stitches
-precomputed rows together before solving.  The template and its
-pre-expectation cases are additionally memoised per CFG and degree, so
-the PUCS and PLCS runs of one analysis share them.
+computes everything once into one
+:class:`~repro.core.handelman.CertificateProblem`, tagging the
+per-``(label, choice)`` sites, and each of the up-to-``2^k`` policy LPs
+only stitches precomputed rows together before solving.  The template
+and its pre-expectation cases are additionally memoised per CFG and
+degree, so the PUCS and PLCS runs of one analysis — and the ranking
+supermartingale of :mod:`repro.termination` — share them.
 """
 
 from __future__ import annotations
 
-import math
 import time
 import weakref
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..deadline import check_deadline
 from ..errors import InfeasibleError, SynthesisError
 from ..invariants import InvariantMap
 from ..polynomials import LinForm, Polynomial
 from ..semantics.cfg import CFG, NondetLabel, TerminalLabel
-from .handelman import LinearEquality, certificate_equalities
-from .lp import LinearProgram
+from .handelman import CertificateProblem
 from .preexpectation import PreCase, pre_expectation_cases, step_difference_cases
 from .templates import Template, make_template
 
 __all__ = [
     "BoundResult",
     "SynthesisOptions",
+    "anchor_objective",
     "difference_bound",
     "synthesize",
     "synthesize_pucs",
     "synthesize_plcs",
+    "template_and_cases",
 ]
 
 #: Enumerating nondeterministic policies for PLCS is exponential in the
@@ -141,7 +142,9 @@ def clear_template_cache() -> None:
     _TEMPLATE_CACHE.clear()
 
 
-def _template_and_cases(cfg: CFG, degree: int) -> Tuple[Template, Dict[int, List[PreCase]]]:
+def template_and_cases(cfg: CFG, degree: int) -> Tuple[Template, Dict[int, List[PreCase]]]:
+    """The degree-``degree`` template of ``cfg`` and its pre-expectation
+    cases per non-terminal label, memoised per CFG and degree."""
     try:
         per_cfg = _TEMPLATE_CACHE.setdefault(cfg, {})
     except TypeError:  # unhashable/unweakrefable CFG: skip caching
@@ -159,64 +162,26 @@ def _template_and_cases(cfg: CFG, degree: int) -> Tuple[Template, Dict[int, List
     return cached
 
 
-# ---------------------------------------------------------------------------
-# Constraint-site generation
-# ---------------------------------------------------------------------------
-
-#: One Handelman site: (policy tag, name, target polynomial g, Gamma).
-#: ``tag`` is ``None`` for policy-independent sites and
-#: ``(label_id, choice)`` for the per-successor PLCS sites.
-_Site = Tuple[Optional[Tuple[int, int]], str, Polynomial, List[Polynomial]]
-
-
-def _constraint_sites(
-    cfg: CFG,
-    template: Template,
-    cases_by_label: Mapping[int, List[PreCase]],
-    invariants: InvariantMap,
-    kind: str,
-    nonnegative: bool,
-) -> Iterator[_Site]:
-    h = template.polys
-    for label in cfg:
-        if isinstance(label, TerminalLabel):
-            continue
-        region = invariants.get(label.id)
-        for case_index, case in enumerate(cases_by_label[label.id]):
-            tag = None
-            if isinstance(label, NondetLabel) and kind == "lower":
-                # (C3') at a nondet label: max over successors >= h is
-                # witnessed by the policy's chosen successor only.
-                tag = (label.id, case.choice)
-            if kind == "upper":
-                target = h[label.id] - case.poly
-            else:
-                target = case.poly - h[label.id]
-            # The inequality must hold on the whole invariant region:
-            # one Handelman site per polyhedron of the union.
-            for d_index, polyhedron in enumerate(region):
-                gammas = polyhedron.constraints + [atom.poly for atom in case.guard]
-                yield (tag, f"l{label.id}_{case_index}_{d_index}", target, gammas)
-        if nonnegative:
-            for d_index, polyhedron in enumerate(region):
-                yield (None, f"l{label.id}_nn_{d_index}", h[label.id], polyhedron.constraints)
+def anchor_objective(cfg: CFG, template: Template, init: Mapping[str, float]) -> LinForm:
+    """The LP objective ``h(l_in, v*)``, a linear form over the template
+    unknowns, at the anchor ``v*`` (``init``, missing variables 0)."""
+    anchor = {var: float(init.get(var, 0.0)) for var in cfg.pvars}
+    objective = template.at(cfg.entry).evaluate(anchor)
+    return objective if isinstance(objective, LinForm) else LinForm(float(objective))
 
 
 # ---------------------------------------------------------------------------
 # Prepared synthesis: certificates once, one LP per policy
 # ---------------------------------------------------------------------------
 
-#: Precomputed certificate of one site: (equalities, multiplier names).
-_Certificate = Tuple[List[LinearEquality], List[str]]
-
 
 class _PreparedSynthesis:
     """All policy-independent synthesis work for one (cfg, kind) pair.
 
     Template construction, pre-expectation cases and Handelman
-    certificate extraction happen once here; :meth:`solve` then builds
-    and solves the (small) LP of a concrete nondeterministic policy from
-    the precomputed rows.
+    certificate extraction happen once here, into one
+    :class:`~repro.core.handelman.CertificateProblem`; :meth:`solve`
+    then solves the (small) LP of a concrete nondeterministic policy.
     """
 
     def __init__(
@@ -234,68 +199,51 @@ class _PreparedSynthesis:
         self.cfg = cfg
         self.kind = kind
         self.options = options
-        self.template, cases_by_label = _template_and_cases(cfg, options.degree)
-        self.shared: List[_Certificate] = []
-        self.by_choice: Dict[int, Dict[int, List[_Certificate]]] = {}
-        for tag, site_name, target, gammas in _constraint_sites(
-            cfg, self.template, cases_by_label, invariants, kind, options.nonnegative
-        ):
-            # Cooperative per-site timeout checkpoint: certificate
-            # extraction dominates preparation time, and SIGALRM budgets
-            # don't fire on service handler threads.
-            check_deadline()
-            if tag is not None and restrict_to is not None:
-                label_id, choice = tag
-                if choice != restrict_to.get(label_id, 0):
-                    continue
-            cap = options.max_multiplicands
-            if cap is None:
-                cap = max(target.degree(), 1)
-            certificate = certificate_equalities(target, gammas, cap, site_name)
-            if tag is None:
-                self.shared.append(certificate)
-            else:
-                label_id, choice = tag
-                self.by_choice.setdefault(label_id, {}).setdefault(choice, []).append(certificate)
+        self.template, cases_by_label = template_and_cases(cfg, options.degree)
+        self.problem = CertificateProblem(self.template.unknowns)
+        h = self.template.polys
+        cap = options.max_multiplicands
+        for label in cfg:
+            if isinstance(label, TerminalLabel):
+                continue
+            region = invariants.get(label.id)
+            for case_index, case in enumerate(cases_by_label[label.id]):
+                tag = None
+                if isinstance(label, NondetLabel) and kind == "lower":
+                    # (C3') at a nondet label: max over successors >= h is
+                    # witnessed by the policy's chosen successor only.
+                    tag = (label.id, case.choice)
+                    if restrict_to is not None and case.choice != restrict_to.get(label.id, 0):
+                        continue
+                if kind == "upper":
+                    target = h[label.id] - case.poly
+                else:
+                    target = case.poly - h[label.id]
+                # The inequality must hold on the whole invariant region:
+                # one Handelman site per polyhedron of the union.
+                for d_index, polyhedron in enumerate(region):
+                    gammas = polyhedron.constraints + [atom.poly for atom in case.guard]
+                    self.problem.add_site(
+                        f"l{label.id}_{case_index}_{d_index}", target, gammas, cap=cap, tag=tag
+                    )
+            if options.nonnegative:
+                for d_index, polyhedron in enumerate(region):
+                    self.problem.add_site(
+                        f"l{label.id}_nn_{d_index}", h[label.id], polyhedron.constraints, cap=cap
+                    )
         #: Certificate-extraction time, charged to every solved policy so
         #: ``BoundResult.runtime`` keeps meaning "time to produce this
         #: bound from scratch" (what the Table 3/4 columns report).
         self.prepare_seconds = time.perf_counter() - start
 
     def solve(self, init: Mapping[str, float], nondet_choices: Mapping[int, int]) -> BoundResult:
-        check_deadline()  # per-policy checkpoint for threaded budgets
         start = time.perf_counter()
         cfg, options = self.cfg, self.options
-
-        selected = list(self.shared)
-        for label_id, per_choice in self.by_choice.items():
-            selected.extend(per_choice.get(nondet_choices.get(label_id, 0), []))
-
-        lp = LinearProgram()
-        for name in self.template.unknowns:
-            lp.add_unknown(name, nonnegative=False)
-        for equalities, multipliers in selected:
-            for c_name in multipliers:
-                lp.add_unknown(c_name, nonnegative=True)
-            for coeffs, rhs in equalities:
-                lp.add_equality(coeffs, rhs)
-
-        anchor = {var: float(init.get(var, 0.0)) for var in cfg.pvars}
-        objective = self.template.at(cfg.entry).evaluate(anchor)
-        if not isinstance(objective, LinForm):
-            objective = LinForm(float(objective))
-        lp.set_objective(objective, maximize=(self.kind == "lower"))
-
-        solution = lp.solve()
-        if math.isnan(solution.objective):
-            # A NaN objective means the solver returned garbage (e.g. a
-            # degenerate LP): letting it flow into bound comparisons
-            # would silently corrupt best-policy selection downstream.
-            raise SynthesisError(
-                f"LP solver returned a NaN objective for the {self.kind} bound "
-                f"(degree {options.degree}); the program/invariant combination "
-                "produced a degenerate LP"
-            )
+        solution = self.problem.solve(
+            anchor_objective(cfg, self.template, init),
+            maximize=(self.kind == "lower"),
+            choices=nondet_choices,
+        )
         h_numeric = self.template.instantiate(solution.values)
         bound = h_numeric[cfg.entry]
         return BoundResult(
@@ -304,7 +252,7 @@ class _PreparedSynthesis:
             h=h_numeric,
             bound=bound,
             value=solution.objective,
-            anchor=anchor,
+            anchor={var: float(init.get(var, 0.0)) for var in cfg.pvars},
             lp_variables=solution.num_variables,
             lp_equalities=solution.num_equalities,
             runtime=self.prepare_seconds + (time.perf_counter() - start),
@@ -380,16 +328,8 @@ def synthesize(
         policy = {label.id: choice for label, choice in zip(nondet_labels, combo)}
         try:
             candidate = prepared.solve(init, policy)
-        except SynthesisError as exc:
+        except SynthesisError as exc:  # includes a NaN optimum
             failures.append(f"policy {policy}: {exc}")
-            continue
-        # NaN-safe comparison: ``candidate.value > best.value`` is False
-        # for any NaN operand, which would silently keep (or drop) the
-        # wrong candidate.  ``solve`` already raises on NaN objectives;
-        # the explicit guard keeps the selection correct even if a
-        # NaN-valued result reaches this loop through another path.
-        if math.isnan(candidate.value):
-            failures.append(f"policy {policy}: NaN objective")
             continue
         if best is None or candidate.value > best.value:
             best = candidate
@@ -423,43 +363,24 @@ def difference_bound(
     support.  Tail-bound callers treat both as "no Azuma bound at this
     degree" and may retry with a lower-degree certificate.
     """
-    lp = LinearProgram()
-    c_name = "tail_c"
-    lp.add_unknown(c_name, nonnegative=True)
-    c_poly = Polynomial.constant(LinForm.unknown(c_name))
-
-    sites = 0
+    problem = CertificateProblem(["tail_c"], nonnegative=True)
+    c_poly = Polynomial.constant(LinForm.unknown("tail_c"))
     for label in cfg:
         if isinstance(label, TerminalLabel):
             continue
         region = invariants.get(label.id)
         for case_index, case in enumerate(step_difference_cases(cfg, h, label)):
-            check_deadline()
             if case.diff.is_zero():
                 continue  # a self-loop-free no-op step never moves X
             for d_index, polyhedron in enumerate(region):
                 gammas = polyhedron.constraints + [atom.poly for atom in case.guard] + case.support
                 for sign, target in (("up", c_poly - case.diff), ("dn", c_poly + case.diff)):
-                    cap = max_multiplicands
-                    if cap is None:
-                        cap = max(target.degree(), 1)
-                    equalities, multipliers = certificate_equalities(
-                        target, gammas, cap, f"diff_{label.id}_{case_index}_{d_index}_{sign}"
-                    )
-                    for name in multipliers:
-                        lp.add_unknown(name, nonnegative=True)
-                    for coeffs, rhs in equalities:
-                        lp.add_equality(coeffs, rhs)
-                    sites += 1
-
-    if sites == 0:
+                    name = f"diff_{label.id}_{case_index}_{d_index}_{sign}"
+                    problem.add_site(name, target, gammas, cap=max_multiplicands)
+    if not problem.sites:
         return 0.0
-    lp.set_objective(LinForm.unknown(c_name), maximize=False)
-    solution = lp.solve()
-    value = solution.values.get(c_name, solution.objective)
-    if math.isnan(value):
-        raise SynthesisError("difference-bound LP returned a NaN objective")
-    return max(0.0, float(value))
+    solution = problem.solve(LinForm.unknown("tail_c"))
+    return max(0.0, float(solution.values["tail_c"]))
 
 
 def synthesize_pucs(

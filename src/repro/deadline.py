@@ -10,7 +10,7 @@ silently unenforced.
 This module is the thread-safe fallback: :func:`deadline_scope` records
 a monotonic-clock deadline in thread-local state and the synthesis /
 simulation hot loops call :func:`check_deadline` at natural
-checkpoints (per Handelman constraint site, per LP policy solve, per
+checkpoints (per Handelman constraint site, per LP solve, per
 simulated run).  Exceeding the budget raises :class:`DeadlineExceeded`,
 which the engine reports as ``status="timeout"`` exactly like a signal
 delivery would.

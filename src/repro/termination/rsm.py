@@ -12,10 +12,11 @@ supermartingale** (RSM): a function ``eta`` over configurations with
   hold under every scheduler),
 * bounded stepwise differences.
 
-We synthesize a linear RSM with the same Handelman + LP machinery as
-the cost analysis; for a linear ``eta``, bounded differences follow
-from the bounded-update property, which is checked separately.  As a
-by-product, ``eta(l_in, v) / eps`` bounds the expected termination
+The RSM (linear by default) is one more
+:class:`~repro.core.handelman.CertificateProblem` over the cost
+analysis's memoised template; for a linear ``eta``, bounded differences
+follow from the bounded-update property, checked as ``classify`` does.
+As a by-product, ``eta(l_in, v) / eps`` bounds the expected termination
 time, so the certificate also witnesses finite termination.
 """
 
@@ -26,13 +27,11 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional
 
 from ..core.conditions import ConditionReport, check_bounded_updates
-from ..core.handelman import certificate_equalities
-from ..core.lp import LinearProgram
-from ..core.preexpectation import pre_expectation_cases
-from ..core.templates import make_template
-from ..errors import InfeasibleError, UnboundedError
+from ..core.handelman import CertificateProblem
+from ..core.synthesis import anchor_objective, template_and_cases
+from ..errors import SynthesisError
 from ..invariants import InvariantMap
-from ..polynomials import LinForm, Polynomial
+from ..polynomials import Polynomial
 from ..semantics.cfg import CFG, TerminalLabel
 
 __all__ = ["RankingCertificate", "synthesize_rsm", "certify_concentration"]
@@ -76,54 +75,35 @@ def synthesize_rsm(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     start = time.perf_counter()
-    template = make_template(cfg, degree)
-    lp = LinearProgram()
-    for name in template.unknowns:
-        lp.add_unknown(name, nonnegative=False)
-
+    template, cases_by_label = template_and_cases(cfg, degree)
     eta = template.polys
+    problem = CertificateProblem(template.unknowns)
     for label in cfg:
         if isinstance(label, TerminalLabel):
             continue
-        region = invariants.get(label.id)
-        cap_default = max(degree, 1)
-        for d_index, polyhedron in enumerate(region):
-            gamma_base = polyhedron.constraints
-            # Nonnegativity of eta on the invariant.
-            equalities, multipliers = certificate_equalities(
-                eta[label.id], gamma_base, cap_default, f"rsm_nn_{label.id}_{d_index}"
+        for d_index, polyhedron in enumerate(invariants.get(label.id)):
+            # Nonnegativity of eta on the invariant; its cap is the
+            # template degree whatever ``max_multiplicands`` says.
+            problem.add_site(
+                f"rsm_nn_{label.id}_{d_index}", eta[label.id], polyhedron.constraints,
+                cap=max(degree, 1),
             )
-            for name in multipliers:
-                lp.add_unknown(name, nonnegative=True)
-            for coeffs, rhs in equalities:
-                lp.add_equality(coeffs, rhs)
             # Ranking condition: eta - pre_eta - eps >= 0, for every case
             # and every nondeterministic successor (demonic termination).
-            for case_index, case in enumerate(pre_expectation_cases(cfg, eta, label)):
-                target = eta[label.id] - case.poly - epsilon
-                gammas = gamma_base + [atom.poly for atom in case.guard]
-                cap = max_multiplicands if max_multiplicands is not None else max(target.degree(), 1)
-                equalities, multipliers = certificate_equalities(
-                    target, gammas, cap, f"rsm_{label.id}_{case_index}_{d_index}"
+            for case_index, case in enumerate(cases_by_label[label.id]):
+                problem.add_site(
+                    f"rsm_{label.id}_{case_index}_{d_index}",
+                    eta[label.id] - case.poly - epsilon,
+                    polyhedron.constraints + [atom.poly for atom in case.guard],
+                    cap=max_multiplicands,
                 )
-                for name in multipliers:
-                    lp.add_unknown(name, nonnegative=True)
-                for coeffs, rhs in equalities:
-                    lp.add_equality(coeffs, rhs)
 
-    anchor = {var: float(init.get(var, 0.0)) for var in cfg.pvars}
-    objective = template.at(cfg.entry).evaluate(anchor)
-    if not isinstance(objective, LinForm):
-        objective = LinForm(float(objective))
-    lp.set_objective(objective, maximize=False)
-
-    solution = lp.solve()
-    eta_numeric = template.instantiate(solution.values)
+    solution = problem.solve(anchor_objective(cfg, template, init))
     return RankingCertificate(
-        eta=eta_numeric,
+        eta=template.instantiate(solution.values),
         epsilon=epsilon,
         expected_time_bound=solution.objective / epsilon,
-        bounded_updates=check_bounded_updates(cfg),
+        bounded_updates=check_bounded_updates(cfg, invariants),
         lp_variables=solution.num_variables,
         lp_equalities=solution.num_equalities,
         runtime=time.perf_counter() - start,
@@ -141,9 +121,10 @@ def certify_concentration(
 
     Returns a certificate whose :attr:`certifies_concentration` flag is
     set when both the RSM synthesis and the bounded-difference check
-    succeed, or ``None`` when no RSM of the requested degree exists.
+    succeed, or ``None`` when the RSM LP finds none of the requested
+    degree: infeasible, unbounded, or not settled by HiGHS.
     """
     try:
         return synthesize_rsm(cfg, invariants, init, epsilon=epsilon, degree=degree)
-    except (InfeasibleError, UnboundedError):
+    except SynthesisError:
         return None

@@ -216,13 +216,43 @@ class TestHighsOutcomes:
         assert seen == [("on", "kOptimal")]
 
     @pytest.mark.parametrize(
-        "on, error", [("kInfeasible", InfeasibleError), ("kUnbounded", UnboundedError)]
+        "on, error, retried",
+        [
+            pytest.param("kInfeasible", InfeasibleError, False, id="kInfeasible-InfeasibleError"),
+            # Presolve's kUnbounded is final only once the presolve-off
+            # retry agrees (see test_presolve_unbounded_is_overruled).
+            pytest.param("kUnbounded", UnboundedError, True, id="kUnbounded-UnboundedError"),
+        ],
     )
-    def test_decided_status_is_final(self, monkeypatch, on, error):
-        seen = _script_highs(monkeypatch, on=on)
+    def test_decided_status_is_final(self, monkeypatch, on, error, retried):
+        seen = _script_highs(monkeypatch, on=on, off=on)
         with pytest.raises(error):
             _feasible_lp().solve()
-        assert seen == [("on", on)]
+        assert seen == [("on", on), ("off", on)] if retried else [("on", on)]
+
+    def test_presolve_unbounded_is_overruled(self, monkeypatch):
+        seen = _script_highs(monkeypatch, on="kUnbounded")
+        assert _feasible_lp().solve().objective == pytest.approx(0.0)
+        assert seen == [("on", "kUnbounded"), ("off", "kOptimal")]
+
+    def test_queue_octagon_n280_settles_at_degree_2(self):
+        # The degree-2 PUCS LP (300 x 1,101, |coefficients| 0.02 to
+        # 78,961) is kUnbounded with presolve on and optimal without;
+        # taking presolve's verdict as final climbed to a degree-4 LP
+        # that ran for minutes.
+        from repro.api import Analyzer
+
+        with Analyzer(cache=None, jobs=1) as analyzer:
+            report = analyzer.analyze(
+                "queuing_network",
+                init={"l1": 0.0, "l2": 0.0, "i": 1.0, "n": 280.0},
+                degree="auto",
+                invariant_domain="octagon",
+            )
+        assert report.status == "ok" and report.warnings == []
+        assert report.degree == 2
+        assert report.upper_value == pytest.approx(26.2113, abs=1e-4)
+        assert report.lower_value == pytest.approx(7.812, abs=1e-6)
 
     def test_unknown_retries_without_presolve(self, monkeypatch):
         seen = _script_highs(monkeypatch, on="kUnknown")
@@ -245,7 +275,12 @@ class TestHighsOutcomes:
 
     @pytest.mark.parametrize(
         "on, off",
-        [("kSolveError", "kUnknown"), ("kTimeLimit", "kIterationLimit"), ("kUnknown", "kUnknown")],
+        [
+            ("kSolveError", "kUnknown"),
+            ("kTimeLimit", "kIterationLimit"),
+            ("kUnknown", "kUnknown"),
+            ("kUnbounded", "kUnknown"),
+        ],
     )
     def test_unresolved_status_is_a_synthesis_error_naming_it(self, monkeypatch, on, off):
         _script_highs(monkeypatch, on=on, off=off)

@@ -204,71 +204,44 @@ class TestPolicyFallback:
         assert result.lower is not None
         assert any("enumeration" in w for w in result.warnings)
 
+    @staticmethod
+    def _nan_objectives(monkeypatch, which):
+        """Make the LP layer return a NaN objective on the solves whose
+        (0-based) index ``which`` accepts; returns the solve counter."""
+        from repro.core import lp as lp_module
+
+        real_solve = lp_module.LinearProgram.solve
+        calls = []
+
+        def nan_solve(self):
+            solution = real_solve(self)
+            if which(len(calls)):
+                solution.objective = float("nan")
+            calls.append(solution)
+            return solution
+
+        monkeypatch.setattr(lp_module.LinearProgram, "solve", nan_solve)
+        return calls
+
     def test_nan_candidate_skipped_in_policy_loop(self, monkeypatch):
         """A NaN objective from one policy must lose to any real value."""
-        import repro.core.synthesis as synthesis_mod
-
         cfg = self._many_nondet_cfg(1)
-        real_solve = synthesis_mod._PreparedSynthesis.solve
-        seen = []
-
-        def fake_solve(self, init, nondet_choices):
-            result = real_solve(self, init, nondet_choices)
-            seen.append(dict(nondet_choices))
-            if len(seen) == 1:
-                result.value = float("nan")
-            return result
-
-        monkeypatch.setattr(synthesis_mod._PreparedSynthesis, "solve", fake_solve)
+        calls = self._nan_objectives(monkeypatch, lambda index: index == 0)
         result = synthesize(cfg, InvariantMap.trivial(), {"x": 0}, kind="lower", degree=1)
-        assert len(seen) == 2
+        assert len(calls) == 2
         assert result.value == result.value  # not NaN
         assert result.value == pytest.approx(1.0, rel=1e-9)
 
     def test_all_nan_policies_raise(self, monkeypatch):
-        import repro.core.synthesis as synthesis_mod
-        from repro.errors import SynthesisError
-
         cfg = self._many_nondet_cfg(1)
-        real_solve = synthesis_mod._PreparedSynthesis.solve
-
-        def fake_solve(self, init, nondet_choices):
-            result = real_solve(self, init, nondet_choices)
-            result.value = float("nan")
-            return result
-
-        monkeypatch.setattr(synthesis_mod._PreparedSynthesis, "solve", fake_solve)
+        self._nan_objectives(monkeypatch, lambda index: True)
         with pytest.raises(InfeasibleError, match="NaN"):
             synthesize(cfg, InvariantMap.trivial(), {"x": 0}, kind="lower", degree=1)
 
     def test_nan_lp_objective_raises(self, monkeypatch, rdwalk_cfg, rdwalk_invariants):
         """A NaN straight from the LP layer surfaces as SynthesisError."""
-        import repro.core.synthesis as synthesis_mod
         from repro.errors import SynthesisError
 
-        class _NaNLP:
-            def __init__(self):
-                self.unknowns = []
-
-            def add_unknown(self, name, nonnegative=False):
-                self.unknowns.append(name)
-
-            def add_equality(self, coeffs, rhs):
-                pass
-
-            def set_objective(self, form, maximize=False):
-                pass
-
-            def solve(self):
-                from types import SimpleNamespace
-
-                return SimpleNamespace(
-                    values={name: 0.0 for name in self.unknowns},
-                    objective=float("nan"),
-                    num_variables=len(self.unknowns),
-                    num_equalities=0,
-                )
-
-        monkeypatch.setattr(synthesis_mod, "LinearProgram", _NaNLP)
+        self._nan_objectives(monkeypatch, lambda index: True)
         with pytest.raises(SynthesisError, match="NaN"):
             synthesize_pucs(rdwalk_cfg, rdwalk_invariants, {"x": 10}, degree=1)

@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.errors import InfeasibleError
+from repro.core import classify
+from repro.core import lp as lp_module
+from repro.errors import InfeasibleError, SynthesisError
 from repro.invariants import InvariantMap
+from repro.programs import get_benchmark
 from repro.semantics import build_cfg
 from repro.syntax import parse_program
 from repro.termination import certify_concentration, synthesize_rsm
@@ -58,6 +61,32 @@ class TestRSM:
         inv = InvariantMap.from_strings(cfg, {1: "x >= 0", 2: "x >= 0"})
         assert certify_concentration(cfg, inv, {"x": 0}) is None
 
+    def test_certify_concentration_returns_none_when_highs_cannot_settle(
+        self, monkeypatch, rdwalk_cfg, rdwalk_invariants
+    ):
+        # Presolve says kUnbounded and the presolve-off retry kUnknown:
+        # the RSM LP is undecided, so concentration is unverified rather
+        # than the whole analysis failing.
+        real = lp_module._cached_solver
+
+        class Undecided:
+            def __init__(self, solver, status):
+                self._solver, self._status = solver, status
+
+            def __getattr__(self, attr):
+                return getattr(self._solver, attr)
+
+            def getModelStatus(self):
+                return getattr(type(self._solver.getModelStatus()), self._status)
+
+        def cached(h, presolve):
+            return Undecided(real(h, presolve), "kUnbounded" if presolve is None else "kUnknown")
+
+        monkeypatch.setattr(lp_module, "_cached_solver", cached)
+        with pytest.raises(SynthesisError, match="kUnbounded with presolve on, kUnknown"):
+            synthesize_rsm(rdwalk_cfg, rdwalk_invariants, {"x": 10})
+        assert certify_concentration(rdwalk_cfg, rdwalk_invariants, {"x": 10}) is None
+
     def test_epsilon_must_be_positive(self, rdwalk_cfg, rdwalk_invariants):
         with pytest.raises(ValueError):
             synthesize_rsm(rdwalk_cfg, rdwalk_invariants, {"x": 1}, epsilon=0.0)
@@ -74,6 +103,19 @@ class TestRSM:
         cert = certify_concentration(cfg, inv, {"a": 100})
         if cert is not None:
             assert not cert.certifies_concentration
+
+    @pytest.mark.parametrize("name", ["random_walk", "pollutant_disposal"])
+    def test_bounded_updates_use_the_invariants_classify_uses(self, name):
+        # Their copies like ``y := r`` are bounded only given the
+        # invariant's range of ``y``: the RSM's verdict must match the
+        # regime classification's, and no false warning may surface.
+        bench = get_benchmark(name)
+        inv = bench.invariant_map()
+        assert classify(bench.cfg, inv).name == "signed-bounded-update"
+        cert = certify_concentration(bench.cfg, inv, bench.init)
+        assert cert is not None and cert.certifies_concentration
+        result = bench.analyze(check_concentration=True)
+        assert not any("concentration unverified" in w for w in result.warnings)
 
     def test_expected_time_scales_with_epsilon(self, rdwalk_cfg, rdwalk_invariants):
         c1 = synthesize_rsm(rdwalk_cfg, rdwalk_invariants, {"x": 50}, epsilon=1.0)
