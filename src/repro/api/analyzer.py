@@ -236,6 +236,7 @@ class Analyzer:
         requests: Sequence[Union[AnalysisRequest, Mapping[str, Any]]],
         progress: Optional[Callable[[AnalysisReport], None]] = None,
         jobs: Optional[int] = None,
+        keys: Optional[Sequence[Optional[str]]] = None,
     ) -> List[AnalysisReport]:
         """Execute many requests; reports come back in request order.
 
@@ -243,7 +244,8 @@ class Analyzer:
         spec-task dicts (``{"suite": ...}`` expansion included).
         ``jobs`` defaults to the session's degree of parallelism (its
         persistent pool); pass an explicit value to override for one
-        batch.
+        batch.  ``keys`` are cache keys the caller already holds (from
+        :meth:`request_cache_key`), one per expanded request.
         """
         from ..batch.spec import requests_from_spec
 
@@ -272,6 +274,7 @@ class Analyzer:
             # Session-level crash-retry default; per-request ``retry``
             # fields still win inside the engine.
             retry=self._options.retry,
+            keys=keys,
         )
 
     # -- staged pipeline -------------------------------------------------

@@ -259,7 +259,7 @@ def execute_request(request: AnalysisRequest, attempt: int = 1) -> AnalysisRepor
 
 
 def _cached_execute(
-    request: AnalysisRequest, cache, attempt: int = 1
+    request: AnalysisRequest, cache, attempt: int = 1, key: Optional[str] = None
 ) -> Tuple[AnalysisReport, Optional[bool], bool]:
     """Run one task through the content-addressed store.
 
@@ -269,15 +269,18 @@ def _cached_execute(
     — unknown benchmark, unparseable source — in which case the failure
     surfaces as a structured report exactly as in the uncached path);
     ``stored`` reports whether this call persisted a new entry.
-    Only ``status == "ok"`` reports are persisted — errors and
-    timeouts are environment-dependent and must re-execute.  A cached
+    ``key`` is the request's cache key when the caller already holds
+    it; ``None`` derives it here.  Only ``status == "ok"`` reports are
+    persisted — errors and timeouts are environment-dependent and must
+    re-execute.  A cached
     report is returned verbatim (original runtimes included) so warm
     re-runs are byte-identical; only the presentation echoes (``name``,
     ``tag``) are re-derived for the incoming request.
     """
     if cache is None:
         return execute_request(request, attempt), None, False
-    key = cache.request_key(request)
+    if key is None:
+        key = cache.request_key(request)
     if key is None:
         return execute_request(request, attempt), None, False
     report = cache.lookup_for(key, request)
@@ -310,19 +313,19 @@ def _worker_cache(config: Optional[Dict]):
 
 
 def _pool_worker(
-    payload: Tuple[int, Dict, Optional[Dict]], attempt: int = 1
+    payload: Tuple[int, Dict, Optional[Dict], Optional[str]], attempt: int = 1
 ) -> Tuple[int, Dict, Optional[bool], bool]:
     """Module-level so it pickles under both fork and spawn contexts.
 
     ``attempt`` arrives from the resilient pool on crash retries; the
     legacy ``multiprocessing.Pool`` path calls with the default.
     """
-    index, request_dict, cache_config = payload
+    index, request_dict, cache_config, key = payload
     hit: Optional[bool] = None
     stored = False
     try:
         report, hit, stored = _cached_execute(
-            AnalysisRequest.from_dict(request_dict), _worker_cache(cache_config), attempt
+            AnalysisRequest.from_dict(request_dict), _worker_cache(cache_config), attempt, key
         )
     except Exception as exc:  # defensive: never poison the pool
         report = AnalysisReport(
@@ -352,6 +355,7 @@ def run_batch(
     cache=None,
     pool=None,
     retry: Optional[RetryPolicy] = None,
+    keys: Optional[Sequence[Optional[str]]] = None,
 ) -> List[AnalysisReport]:
     """Execute ``requests`` and return reports in request order.
 
@@ -375,16 +379,24 @@ def run_batch(
     on it, ``jobs`` is ignored, and the pool is left running for the
     caller to reuse or close.  A legacy ``multiprocessing.Pool`` is
     still accepted and used as before (no crash safety).
+
+    ``keys`` are cache keys the caller already derived, one per request
+    (``None`` entries are derived as usual), so a request is not
+    fingerprinted twice.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if keys is None:
+        keys = [None] * len(requests)
+    elif len(keys) != len(requests):
+        raise ValueError(f"got {len(keys)} keys for {len(requests)} requests")
     if not requests:
         return []
 
     if jobs == 1 and pool is None:
         reports = []
-        for request in requests:
-            report, _, _ = _cached_execute(request, cache)
+        for request, key in zip(requests, keys):
+            report, _, _ = _cached_execute(request, cache, key=key)
             if progress is not None:
                 progress(report)
             reports.append(report)
@@ -396,7 +408,8 @@ def run_batch(
     if pool is not None and not isinstance(pool, ResilientPool):
         # Lent multiprocessing.Pool: the pre-resilience fan-out path.
         payloads = [
-            (index, request.to_dict(), cache_config) for index, request in enumerate(requests)
+            (index, request.to_dict(), cache_config, keys[index])
+            for index, request in enumerate(requests)
         ]
         for index, report_dict, hit, stored in pool.imap_unordered(_pool_worker, payloads):
             report = AnalysisReport.from_dict(report_dict)
@@ -415,7 +428,7 @@ def run_batch(
     tasks = [
         PoolTask(
             task_id=index,
-            payload=(index, request.to_dict(), cache_config),
+            payload=(index, request.to_dict(), cache_config, keys[index]),
             retry=request.retry if request.retry is not None else fallback,
             name=request.display_name,
         )

@@ -12,8 +12,14 @@ bundled HiGHS bindings (``scipy.optimize._highspy._core``) directly,
 handing HiGHS the rowwise CSR arrays as-is: SciPy's public LP
 wrapper re-validates and re-copies every input on each call, which
 costs more than the simplex run on this pipeline's many small LPs.
-The bindings are imported on the first solve, so ``import repro``
-does not pay for ``scipy.optimize``.
+The first solve in a process imports NumPy and loads that one
+extension from its file (see :func:`_highs`); ``scipy.optimize``
+itself, 500-odd modules and some 40 MB of resident memory, is never
+imported.
+
+A solve under an armed :mod:`repro.deadline` scope is bounded: HiGHS
+gets the scope's remaining seconds as its time limit, and a run that
+hits it raises :class:`~repro.deadline.DeadlineExceeded`.
 
 Every HiGHS exit maps to exactly one outcome:
 
@@ -21,6 +27,8 @@ Every HiGHS exit maps to exactly one outcome:
 * ``kInfeasible`` -> :class:`~repro.errors.InfeasibleError`;
 * ``kUnbounded`` -> :class:`~repro.errors.UnboundedError` once the
   presolve-off retry agrees (presolve can misjudge a badly scaled LP);
+* ``kTimeLimit`` under an armed deadline ->
+  :class:`~repro.deadline.DeadlineExceeded`, with no retry;
 * any other model status is re-run once with presolve off, which
   settles e.g. presolve's ``kUnboundedOrInfeasible`` and ``kUnknown``;
   a status that is still none of the three, or a model HiGHS refuses
@@ -36,12 +44,14 @@ of the naive implementation dominated LP setup for larger templates.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 import threading
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
-import numpy as np
-
+from .. import deadline
 from ..errors import CONSISTENCY_TOL, ZERO_TOL, InfeasibleError, SynthesisError, UnboundedError
 from ..polynomials import LinForm
 
@@ -57,17 +67,49 @@ __all__ = [
 SOLVER_ID = "highs"
 
 
+#: The HiGHS extension's real module name: loading it under this name
+#: lets a later ``import scipy.optimize`` (by user code) reuse the
+#: module object instead of initialising the extension a second time.
+_HIGHS_NAME = "scipy.optimize._highspy._core"
+_HIGHS_LOCK = threading.Lock()
+_HIGHS_MODULE = None
+
+
 def _highs():
-    """SciPy's bundled HiGHS bindings, imported on the first solve."""
-    try:
-        import scipy.optimize._highspy._core as core
-    except ImportError as exc:
-        raise ImportError(
-            "repro solves LPs through SciPy's bundled HiGHS bindings "
-            "(scipy.optimize._highspy._core), which this SciPy lacks; "
-            "install the pinned series, scipy==1.17.*"
-        ) from exc
-    return core
+    """SciPy's bundled HiGHS bindings, loaded on the first solve.
+
+    The extension file is located through ``scipy``'s import spec and
+    loaded with :class:`importlib.machinery.ExtensionFileLoader`, so
+    neither ``scipy/__init__`` nor ``scipy/optimize/__init__`` runs.
+    The load happens once per process, under a lock, and the module
+    is cached.  A SciPy without the file is an :class:`ImportError`
+    naming the pinned series.
+    """
+    global _HIGHS_MODULE
+    if _HIGHS_MODULE is None:
+        with _HIGHS_LOCK:
+            if _HIGHS_MODULE is None:
+                _HIGHS_MODULE = _load_highs()
+    return _HIGHS_MODULE
+
+
+def _load_highs():
+    scipy = importlib.util.find_spec("scipy")
+    roots = scipy.submodule_search_locations if scipy is not None else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_highspy", "_core" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(_HIGHS_NAME, path)
+                spec = importlib.util.spec_from_file_location(_HIGHS_NAME, path, loader=loader)
+                module = importlib.util.module_from_spec(spec)
+                loader.exec_module(module)
+                return module
+    raise ImportError(
+        "repro solves LPs through SciPy's bundled HiGHS bindings "
+        f"({_HIGHS_NAME}), which this SciPy lacks; "
+        "install the pinned series, scipy==1.17.*"
+    )
 
 
 #: Process-wide count of :meth:`LinearProgram.solve` calls.  Purely
@@ -103,6 +145,24 @@ def _cached_solver(h, presolve: Optional[str]):
     else:
         solver.clearModel()
     return solver
+
+
+def _arm_time_limit(solver) -> bool:
+    """Cap the coming ``run()`` at the thread's remaining deadline
+    budget; ``True`` when a deadline is armed.
+
+    HiGHS measures ``time_limit`` on a run clock that accumulates over
+    every ``run()`` of the (cached) solver, so the cap is that clock's
+    reading plus the budget.  Without a deadline the limit goes back to
+    infinity: the cached solver keeps its options between solves.
+    """
+    left = deadline.remaining()
+    if left is None:
+        solver.setOptionValue("time_limit", float("inf"))
+        return False
+    deadline.check_deadline()
+    solver.setOptionValue("time_limit", solver.getRunTime() + max(left, 0.0))
+    return True
 
 
 @dataclass
@@ -202,6 +262,8 @@ class LinearProgram:
     def _highs_lp(self, h):
         """The program as a ``HighsLp``: rowwise CSR, ``row_lower ==
         row_upper`` for the equalities, minimization sense."""
+        import numpy as np
+
         n = len(self._index)
         c = np.zeros(n)
         if self._objective is not None:
@@ -260,6 +322,7 @@ class LinearProgram:
                     f"HiGHS rejected the LP ({size}) in passModel; "
                     f"largest |coefficient| {largest:.3g}"
                 )
+            bounded = _arm_time_limit(solver)
             solver.run()
             status = solver.getModelStatus()
             if status == h.HighsModelStatus.kOptimal:
@@ -274,6 +337,10 @@ class LinearProgram:
                 raise UnboundedError(
                     "LP objective is unbounded; the invariant is too weak to pin a bound"
                 )
+            if status == h.HighsModelStatus.kTimeLimit and bounded:
+                raise deadline.DeadlineExceeded(
+                    f"cooperative deadline reached inside HiGHS ({size})"
+                )
             unresolved.append(status.name)
         else:
             raise SynthesisError(
@@ -281,7 +348,7 @@ class LinearProgram:
                 f"{unresolved[0]} with presolve on, {unresolved[1]} with presolve off"
             )
 
-        x = np.asarray(solver.getSolution().col_value)
+        x = solver.getSolution().col_value
         fun = solver.getInfo().objective_function_value
         offset = self._objective.const if self._objective is not None else 0.0
         values = {name: float(x[idx]) for name, idx in self._index.items()}

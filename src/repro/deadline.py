@@ -15,11 +15,12 @@ simulated run).  Exceeding the budget raises :class:`DeadlineExceeded`,
 which the engine reports as ``status="timeout"`` exactly like a signal
 delivery would.
 
-Granularity is *cooperative*: a single LP solve or certificate
-extraction runs to completion before the deadline is noticed, so the
-observed overshoot is bounded by the longest uninterruptible step, not
-by the task.  Scopes nest — an inner scope can only tighten the
-deadline, never extend an outer one.
+Granularity is *cooperative*: a certificate extraction runs to
+completion before the deadline is noticed, so the observed overshoot
+is bounded by the longest uninterruptible step, not by the task.  An
+LP solve is bounded as well: :mod:`repro.core.lp` hands HiGHS the
+:func:`remaining` budget as its time limit.  Scopes nest — an inner
+scope can only tighten the deadline, never extend an outer one.
 """
 
 from __future__ import annotations

@@ -1,4 +1,10 @@
-"""Program semantics: distributions, control-flow graphs, interpreter."""
+"""Program semantics: distributions, control-flow graphs, interpreter.
+
+The vectorized engine's names (``BatchProgram``, ``compile_cfg``,
+``simulate_vectorized``) are served lazily through a module
+``__getattr__`` (PEP 562): :mod:`.vectorized` needs NumPy, which
+``import repro`` should not pay for until a simulation runs.
+"""
 
 from .cfg import (
     CFG,
@@ -30,7 +36,16 @@ from .schedulers import (
     ThenScheduler,
 )
 
-from .vectorized import BatchProgram, compile_cfg, simulate_vectorized
+_VECTORIZED = frozenset({"BatchProgram", "compile_cfg", "simulate_vectorized"})
+
+
+def __getattr__(name):
+    if name in _VECTORIZED:
+        from . import vectorized
+
+        return getattr(vectorized, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AUTO_MIN_RUNS",

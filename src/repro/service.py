@@ -532,7 +532,7 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             outcome = "error"
             try:
-                reports = self.server.analyzer.analyze_batch([request], jobs=1)
+                reports = self.server.analyzer.analyze_batch([request], jobs=1, keys=[key])
                 outcome = "done"
             finally:
                 self.server.admission.release()
@@ -553,7 +553,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_throttled()
             return
         try:
-            reports = self.server.analyzer.analyze_batch([request], jobs=1)
+            reports = self.server.analyzer.analyze_batch([request], jobs=1, keys=[key])
         finally:
             self.server.admission.release()
         self._send_json(200, reports[0].to_dict())

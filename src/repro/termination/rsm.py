@@ -9,7 +9,9 @@ supermartingale** (RSM): a function ``eta`` over configurations with
 * ``eta(l, v) >= 0``                      on every label's invariant,
 * ``pre_eta(l, v) <= eta(l, v) - eps``    at every non-terminal label
   (for *all* successors of nondeterministic labels — termination must
-  hold under every scheduler),
+  hold under every scheduler), where ``pre_eta`` is the cost-free
+  pre-expectation: at a tick label it is ``eta(succ)``, not
+  ``cost + eta(succ)``,
 * bounded stepwise differences.
 
 The RSM (linear by default) is one more
@@ -28,11 +30,12 @@ from typing import Dict, Mapping, Optional
 
 from ..core.conditions import ConditionReport, check_bounded_updates
 from ..core.handelman import CertificateProblem
+from ..core.preexpectation import PreCase
 from ..core.synthesis import anchor_objective, template_and_cases
 from ..errors import SynthesisError
 from ..invariants import InvariantMap
 from ..polynomials import Polynomial
-from ..semantics.cfg import CFG, TerminalLabel
+from ..semantics.cfg import CFG, TerminalLabel, TickLabel
 
 __all__ = ["RankingCertificate", "synthesize_rsm", "certify_concentration"]
 
@@ -90,7 +93,11 @@ def synthesize_rsm(
             )
             # Ranking condition: eta - pre_eta - eps >= 0, for every case
             # and every nondeterministic successor (demonic termination).
-            for case_index, case in enumerate(cases_by_label[label.id]):
+            # An RSM ranks steps, not cost: a tick's step is eta(succ).
+            cases = cases_by_label[label.id]
+            if isinstance(label, TickLabel):
+                cases = [PreCase(poly=eta[label.succ])]
+            for case_index, case in enumerate(cases):
                 problem.add_site(
                     f"rsm_{label.id}_{case_index}_{d_index}",
                     eta[label.id] - case.poly - epsilon,

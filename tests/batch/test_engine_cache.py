@@ -77,6 +77,25 @@ class TestEngineCacheSemantics:
         assert cache.stats().hits == 3
         assert [_dumps(r) for r in warm] == [_dumps(r) for r in cold]
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_precomputed_keys_are_used_as_given(self, tmp_path, jobs):
+        # The caller's key is the one looked up and stored under.
+        cache = ResultCache(tmp_path)
+        requests = [AnalysisRequest(benchmark="rdwalk"), AnalysisRequest(benchmark="ber")]
+        keys = ["0" * 64, None]
+        run_batch(requests, jobs=jobs, cache=cache, keys=keys)
+        assert (tmp_path / f"{keys[0]}.json").exists()
+        assert (tmp_path / f"{cache.request_key(requests[1])}.json").exists()
+        assert not (tmp_path / f"{cache.request_key(requests[0])}.json").exists()
+
+    def test_keys_must_match_requests(self, tmp_path):
+        with pytest.raises(ValueError, match="1 keys for 2 requests"):
+            run_batch(
+                [AnalysisRequest(benchmark="rdwalk"), AnalysisRequest(benchmark="ber")],
+                cache=ResultCache(tmp_path),
+                keys=[None],
+            )
+
     def test_error_reports_are_not_cached(self, tmp_path):
         cache = ResultCache(tmp_path)
         bad = AnalysisRequest(source="var x; while x >= 1 do", init={})

@@ -1,14 +1,18 @@
 """LP solve tests: every HiGHS exit maps to exactly one outcome."""
 
+import importlib.machinery
+import importlib.util
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.core import LinearProgram
 from repro.core import lp as lp_module
+from repro.deadline import DeadlineExceeded, deadline_scope
 from repro.errors import InfeasibleError, SynthesisError, UnboundedError
 from repro.polynomials import LinForm
 
@@ -325,9 +329,114 @@ class TestHighsOutcomes:
         assert all(seen[i + 1] == ("off", "kInfeasible") for i in retried)
 
 
+class _Captured(Exception):
+    pass
+
+
+def _prepared_queue_octagon_degree_4_lp() -> LinearProgram:
+    """The 1,400 x 10,106 degree-4 PUCS LP of queuing_network at n=280
+    over octagon invariants, assembled but not solved.  Without a time
+    limit HiGHS runs for many minutes on it."""
+    from repro.analysis.bounds import strengthen_invariants
+    from repro.core import synthesize
+    from repro.programs import get_benchmark
+
+    def capture(self):
+        raise _Captured(self)
+
+    queue = get_benchmark("queuing_network")
+    init = {"l1": 0.0, "l2": 0.0, "i": 1.0, "n": 280.0}
+    inv = queue.invariant_map()
+    strengthen_invariants(inv, queue.cfg, init, "octagon")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(LinearProgram, "solve", capture)
+        with pytest.raises(_Captured) as captured:
+            synthesize(queue.cfg, inv, init, kind="upper", degree=4)
+    return captured.value.args[0]
+
+
+class TestDeadline:
+    """A solve under an armed deadline stops when the budget runs out."""
+
+    def test_hard_lp_stops_at_the_deadline(self):
+        lp = _prepared_queue_octagon_degree_4_lp()
+        assert (lp.num_equalities, lp.num_variables) == (1400, 10106)
+        for _ in range(2):  # the cached solver's run clock accumulates
+            start = time.perf_counter()
+            with pytest.raises(DeadlineExceeded, match="inside HiGHS"):
+                with deadline_scope(1.0):
+                    lp.solve()
+            assert time.perf_counter() - start < 1.5
+
+    def test_time_limit_is_a_timeout_without_retry(self, monkeypatch):
+        seen = _script_highs(monkeypatch, on="kTimeLimit")
+        with pytest.raises(DeadlineExceeded):
+            with deadline_scope(60.0):
+                _feasible_lp().solve()
+        assert seen == [("on", "kTimeLimit")]
+
+    def test_expired_deadline_runs_no_solve(self, monkeypatch):
+        seen = _script_highs(monkeypatch)
+        with pytest.raises(DeadlineExceeded):
+            with deadline_scope(1e-9):
+                time.sleep(0.001)
+                _feasible_lp().solve()
+        assert seen == []
+
+    def test_limit_is_lifted_after_the_scope(self):
+        # The per-thread cached solver keeps its options between solves.
+        def time_limit():
+            solver = lp_module._cached_solver(lp_module._highs(), None)
+            return solver.getOptionValue("time_limit")[1]
+
+        with deadline_scope(60.0):
+            _feasible_lp().solve()
+        assert time_limit() < float("inf")
+        _feasible_lp().solve()
+        assert time_limit() == float("inf")
+
+
+def _run_fresh(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this ``repro``."""
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
+_SOLVE = """
+from repro.core import LinearProgram
+from repro.polynomials import LinForm
+
+def solve():
+    lp = LinearProgram()
+    lp.add_unknown("x", nonnegative=True)
+    lp.add_unknown("y", nonnegative=True)
+    lp.add_equality({"x": 1.0, "y": 1.0}, 10.0)
+    lp.set_objective(LinForm(0.0, {"y": 1.0}), maximize=True)
+    return lp.solve().objective
+"""
+
+
 class TestHighsBindings:
-    def test_missing_bindings_name_the_scipy_pin(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "scipy.optimize._highspy._core", None)
+    def test_missing_bindings_name_the_scipy_pin(self, monkeypatch, tmp_path):
+        # A SciPy tree whose optimize/_highspy/ holds no _core extension.
+        (tmp_path / "optimize" / "_highspy").mkdir(parents=True)
+        real_find_spec = importlib.util.find_spec
+
+        def find_spec(name, package=None):
+            if name != "scipy":
+                return real_find_spec(name, package)
+            spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+            spec.submodule_search_locations = [str(tmp_path)]
+            return spec
+
+        monkeypatch.setattr(importlib.util, "find_spec", find_spec)
+        monkeypatch.setattr(lp_module, "_HIGHS_MODULE", None)
         with pytest.raises(ImportError, match=r"scipy==1\.17\.\*"):
             _feasible_lp().solve()
 
@@ -340,12 +449,46 @@ class TestHighsBindings:
         ids=["import", "lint"],
     )
     def test_bindings_load_on_first_solve_only(self, code):
-        import repro
-
-        src = str(Path(repro.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        check = code + "; import sys; assert 'scipy.optimize' not in sys.modules"
-        completed = subprocess.run(
-            [sys.executable, "-c", check], capture_output=True, text=True, timeout=120, env=env
+        _run_fresh(
+            code + "; import sys; assert 'numpy' not in sys.modules; "
+            "assert 'scipy.optimize' not in sys.modules"
         )
-        assert completed.returncode == 0, completed.stderr
+
+    def test_solves_never_import_scipy_optimize(self):
+        _run_fresh(
+            "from repro.cli import main; assert main(['bench', 'rdwalk']) == 0; "
+            "import sys; assert 'scipy.optimize' not in sys.modules, 'scipy.optimize'"
+        )
+
+    def test_scipy_optimize_works_alongside_the_direct_load(self):
+        _run_fresh(
+            _SOLVE
+            + """
+assert solve() == 10.0
+from scipy.optimize import linprog
+assert linprog([1, 1], A_eq=[[1, 1]], b_eq=[3]).fun == 3.0
+assert solve() == 10.0
+"""
+        )
+
+    def test_concurrent_first_solves(self):
+        _run_fresh(
+            _SOLVE
+            + """
+import threading
+start = threading.Barrier(2)
+results = []
+
+def first_solve():
+    start.wait()
+    results.append(solve())
+
+threads = [threading.Thread(target=first_solve) for _ in range(2)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+assert not any(thread.is_alive() for thread in threads)
+assert results == [10.0, 10.0], results
+"""
+        )

@@ -131,6 +131,34 @@ class TestAnalyze:
         assert status == 200 and payload["status"] == "ok"
         assert cache.stats().hits == hits_before + 1
 
+    def test_single_post_fingerprints_once(self, service, monkeypatch):
+        # The coalescing key the handler derives is the one the engine
+        # looks up and stores under: one SHA-256 per POST, miss or hit.
+        import repro.cache
+
+        _, cache, base = service
+        real = repro.cache.request_key
+        calls = []
+
+        def counting(request):
+            calls.append(request)
+            return real(request)
+
+        monkeypatch.setattr(repro.cache, "request_key", counting)
+        body = {
+            "source": "var x;\nwhile x >= 1 do\n x := x - 1;\n tick(1)\nod",
+            "invariants": {"1": "x >= 0", "2": "x >= 1"},
+            "init": {"x": 13},
+            "degree": 1,
+        }
+        for expected_hits in (0, 1):
+            hits = cache.stats().hits
+            calls.clear()
+            status, payload = _post(base, "/analyze", body)
+            assert status == 200 and payload["status"] == "ok"
+            assert cache.stats().hits == hits + expected_hits
+            assert len(calls) == 1
+
     def test_inline_source_request(self, service):
         _, _, base = service
         status, payload = _post(

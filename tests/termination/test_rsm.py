@@ -8,6 +8,7 @@ from repro.errors import InfeasibleError, SynthesisError
 from repro.invariants import InvariantMap
 from repro.programs import get_benchmark
 from repro.semantics import build_cfg
+from repro.semantics.cfg import TickLabel
 from repro.syntax import parse_program
 from repro.termination import certify_concentration, synthesize_rsm
 
@@ -22,15 +23,30 @@ class TestRSM:
     def test_rsm_decreases_along_configurations(self, rdwalk_cfg, rdwalk_invariants):
         from repro.core import pre_expectation_value
 
+        def step_value(label_id, v):
+            # An RSM bounds steps, not cost: a tick's step is eta(succ).
+            label = rdwalk_cfg.labels[label_id]
+            if isinstance(label, TickLabel):
+                return cert.eta[label.succ].evaluate_numeric(v)
+            return pre_expectation_value(rdwalk_cfg, cert.eta, label_id, v)
+
         cert = synthesize_rsm(rdwalk_cfg, rdwalk_invariants, {"x": 10})
+        assert any(isinstance(label, TickLabel) for label in rdwalk_cfg)
         for x in range(1, 20):
             v = {"x": float(x)}
             for label_id in (1, 2, 3):
                 if label_id == 2 and x < 1:
                     continue
-                pre = pre_expectation_value(rdwalk_cfg, cert.eta, label_id, v)
                 eta = cert.eta[label_id].evaluate_numeric(v)
-                assert pre <= eta - cert.epsilon + 1e-7
+                assert step_value(label_id, v) <= eta - cert.epsilon + 1e-7
+
+    def test_negative_tick_cost_does_not_rank(self):
+        # A tick's cost is not a step: with the cost counted, tick(-5)
+        # let an RSM "prove" this never-terminating loop terminates.
+        for cost in (-5, 5):
+            cfg = build_cfg(parse_program(f"var x; while x >= 0 do tick({cost}) od"))
+            inv = InvariantMap.from_strings(cfg, {label.id: "x >= 0" for label in cfg})
+            assert certify_concentration(cfg, inv, {"x": 0}) is None
 
     def test_rsm_nonnegative_on_invariant(self, rdwalk_cfg, rdwalk_invariants):
         cert = synthesize_rsm(rdwalk_cfg, rdwalk_invariants, {"x": 10})
