@@ -224,9 +224,9 @@ class Analyzer:
         """Run the full pipeline on one program; the canonical report.
 
         Consults/populates the session cache, honors timeouts and
-        simulation settings — byte-identical to what the batch engine,
-        CLI and HTTP service produce for the same request against the
-        same store.
+        simulation settings — the same report (same keys, order and
+        values) the batch engine, CLI and HTTP service produce for the
+        same request against the same store.
         """
         report, _, _ = _cached_execute(self.request(program, options, **overrides), self._cache)
         return report

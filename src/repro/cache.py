@@ -45,6 +45,7 @@ to ``$XDG_CACHE_HOME/repro`` (``~/.cache/repro``).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -118,20 +119,24 @@ __all__ = [
 ENTRY_SCHEMA = "repro-cache/v7"
 
 
+@functools.cache
 def cache_salt() -> str:
     """Code + solver version salt baked into every key and entry.
 
     Any component change means previously cached bounds may no longer
     be reproducible, so entries written under a different salt are
-    treated as misses (and garbage-collected on read).
+    treated as misses (and garbage-collected on read).  Computed once
+    per process; the SciPy version comes from the installed
+    distribution's metadata (the same string as ``scipy.__version__``),
+    so fingerprinting never imports SciPy or NumPy.
     """
+    from importlib.metadata import PackageNotFoundError, version
+
     from . import __version__
 
     try:
-        import scipy
-
-        solver = f"scipy-{scipy.__version__}"
-    except ImportError:  # pragma: no cover - scipy is a hard dep in practice
+        solver = f"scipy-{version('scipy')}"
+    except PackageNotFoundError:  # pragma: no cover - scipy is a hard dep in practice
         solver = "no-solver"
     return f"{ENTRY_SCHEMA}|repro={__version__}|{solver}"
 

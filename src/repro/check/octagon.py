@@ -118,37 +118,39 @@ class Octagon:
     def close(self) -> Optional["Octagon"]:
         """The strong closure, or ``None`` when the octagon is empty.
 
-        Floyd–Warshall shortest paths over the ``2n`` signed indices
-        followed by the strengthening step ``m[i][j] <- min(m[i][j],
-        (m[i][bar(i)] + m[bar(j)][j]) / 2)``, run twice — at our sizes
-        (``2n <= 10``) the second round is cheap insurance that the
-        strengthened entries are themselves path-propagated.
+        Floyd–Warshall shortest paths over the ``2n`` signed indices,
+        then one strengthening step ``m[i][j] <- min(m[i][j],
+        (m[i][bar(i)] + m[bar(j)][j]) / 2)``.  On a coherent matrix one
+        pass of each already gives the strong closure (Bagnara, Hill,
+        Zaffanella, "Weakly-relational shapes for numeric abstractions",
+        FMSD 2009): strengthening never changes the ``m[i][bar(i)]``
+        entries it reads, and its results need no further path
+        propagation.
         """
         if self.closed:
             return self
         n2 = 2 * len(self.vars)
         m = [row[:] for row in self.m]
-        for _ in range(2):
-            for k in range(n2):
-                mk = m[k]
-                for i in range(n2):
-                    mik = m[i][k]
-                    if mik == _INF:
-                        continue
-                    row = m[i]
-                    for j in range(n2):
-                        alt = mik + mk[j]
-                        if alt < row[j]:
-                            row[j] = alt
+        for k in range(n2):
+            mk = m[k]
             for i in range(n2):
-                half_i = m[i][i ^ 1]
-                if half_i == _INF:
+                mik = m[i][k]
+                if mik == _INF:
                     continue
                 row = m[i]
                 for j in range(n2):
-                    alt = (half_i + m[j ^ 1][j]) / 2.0
+                    alt = mik + mk[j]
                     if alt < row[j]:
                         row[j] = alt
+        for i in range(n2):
+            half_i = m[i][i ^ 1]
+            if half_i == _INF:
+                continue
+            row = m[i]
+            for j in range(n2):
+                alt = (half_i + m[j ^ 1][j]) / 2.0
+                if alt < row[j]:
+                    row[j] = alt
         for i in range(n2):
             if m[i][i] < 0.0:
                 return None

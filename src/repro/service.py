@@ -11,8 +11,9 @@ LP synthesis:
     (same JSON shape as a spec-file task), a list of tasks, or a full
     ``{"defaults": ..., "tasks": ...}`` spec (suite expansion
     included).  A single request returns its ``AnalysisReport`` JSON —
-    byte-identical to what the CLI/engine produce for the same request
-    against the same cache; a multi-task body returns
+    the same document (same keys, same order, same values) the CLI
+    prints for the same request against the same cache, encoded
+    compactly; a multi-task body returns
     ``{"schema": "repro-service/v2", "reports": [...]}``.
 ``POST /lint``
     Same body shapes as ``/analyze``, but runs only the static checks
@@ -43,11 +44,12 @@ path, ``405`` + ``Allow`` for a known path under the wrong method
 ``DELETE``, ...) keeps the stdlib's ``501``.
 
 Keep-alive is the fast path: connections speak HTTP/1.1 with Nagle's
-algorithm off (``TCP_NODELAY``), so a client that reuses one
-connection pays for a cache hit what the lookup costs, not a TCP
-delayed-ACK round.  Route errors keep the connection open (a POST
-body is read before the reply, so its bytes cannot pose as the next
-request); ``429`` and ``503`` replies close it.
+algorithm off (``TCP_NODELAY``), and each reply is compact JSON
+written to the socket once, status line, headers and body together.
+A client that reuses one connection thus pays for a cache hit what
+the lookup costs, not a TCP delayed-ACK round.  Route errors keep the
+connection open (a POST body is read before the reply, so its bytes
+cannot pose as the next request); ``429`` and ``503`` replies close it.
 
 ``ThreadingHTTPServer`` handles each connection on its own thread; the
 shared :class:`~repro.cache.ResultCache` is thread-safe and the engine
@@ -116,6 +118,9 @@ class AnalysisHTTPServer(ThreadingHTTPServer):
         max_inflight: int = DEFAULT_MAX_INFLIGHT,
         drain_timeout_s: float = DEFAULT_DRAIN_TIMEOUT_S,
     ):
+        # A failed bind calls server_close() from inside
+        # super().__init__, before there is a session of ours to release.
+        self._owns_analyzer = False
         super().__init__(address, _Handler)
         self._owns_analyzer = analyzer is None
         if analyzer is None:
@@ -237,9 +242,13 @@ class _Handler(BaseHTTPRequestHandler):
 
     # Keep-alive is safe: every response carries Content-Length.
     protocol_version = "HTTP/1.1"
-    # TCP_NODELAY on each accepted socket: headers and body go out in
-    # two writes, and with Nagle on the body waits for the client's
-    # delayed ACK of the headers (~40 ms per keep-alive reply).
+    # Buffer the response (status line, headers, body) and flush it once
+    # at the end of `_send_json`: one write, so one segment and one
+    # client wake-up per reply (a reply over the 8 KiB buffer leaves as
+    # headers, then body).  TCP_NODELAY sends each write at once instead
+    # of holding a short tail for the client's delayed ACK (~40 ms per
+    # keep-alive reply).
+    wbufsize = -1
     disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002 - stdlib signature
@@ -254,7 +263,7 @@ class _Handler(BaseHTTPRequestHandler):
         payload: Mapping[str, Any],
         extra_headers: Optional[Mapping[str, str]] = None,
     ) -> None:
-        body = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+        body = (json.dumps(payload) + "\n").encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -263,6 +272,16 @@ class _Handler(BaseHTTPRequestHandler):
                 self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
+        # On the socket before do_GET/do_POST call request_finished():
+        # once that runs, the drain path may shut the process down.
+        self.wfile.flush()
+
+    def handle_expect_100(self) -> bool:  # noqa: D102 - stdlib override
+        # The interim 100 must reach the client now, not wait in the
+        # buffer until the final reply is flushed.
+        proceed = super().handle_expect_100()
+        self.wfile.flush()
+        return proceed
 
     def _send_throttled(self) -> None:
         """429 + Retry-After: the admission gate is full."""

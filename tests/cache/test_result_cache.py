@@ -1,6 +1,9 @@
 """Unit tests for the content-addressed result cache (`repro.cache`)."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -91,6 +94,29 @@ class TestRequestKey:
     def test_salt_in_fingerprint(self):
         assert request_fingerprint(RDWALK)["salt"] == cache_salt()
         assert ENTRY_SCHEMA in cache_salt()
+
+    def test_salt_matches_scipy_version_without_importing_it(self):
+        import scipy
+
+        import repro
+
+        assert cache_salt() == f"{ENTRY_SCHEMA}|repro={repro.__version__}|scipy-{scipy.__version__}"
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = (
+            "import json, sys\n"
+            "from repro.batch import AnalysisRequest\n"
+            "from repro.cache import cache_salt, request_key\n"
+            "key = request_key(AnalysisRequest(benchmark='rdwalk'))\n"
+            "heavy = sorted({'numpy', 'scipy'} & set(sys.modules))\n"
+            "print(json.dumps([key, cache_salt(), heavy]))\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+        )
+        assert completed.returncode == 0, completed.stderr
+        key, salt, heavy = json.loads(completed.stdout)
+        assert (key, salt, heavy) == (request_key(RDWALK), cache_salt(), [])
 
     def test_unresolvable_request_raises_but_request_key_helper_swallows(self):
         bad = AnalysisRequest(benchmark="no_such_benchmark")

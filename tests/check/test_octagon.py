@@ -14,6 +14,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.check import Octagon, analyze_cfg_octagon, check_program
 from repro.programs import get_benchmark
@@ -66,6 +68,50 @@ class TestClosure:
         assert oct_.diff_bounds("x", "y") == (4.0, 4.0)
         assert oct_.contains({"x": 3.0, "y": -1.0})
         assert not oct_.contains({"x": 3.0, "y": 0.0})
+
+
+def _two_round_close(oct_):
+    """Reference closure: shortest paths + strengthening, run twice."""
+    n2 = len(oct_.m)
+    m = [row[:] for row in oct_.m]
+    for _ in range(2):
+        for k in range(n2):
+            for i in range(n2):
+                for j in range(n2):
+                    m[i][j] = min(m[i][j], m[i][k] + m[k][j])
+        for i in range(n2):
+            for j in range(n2):
+                m[i][j] = min(m[i][j], (m[i][i ^ 1] + m[j ^ 1][j]) / 2.0)
+    if any(m[i][i] < 0.0 for i in range(n2)):
+        return None
+    for i in range(n2):
+        m[i][i] = 0.0
+    return m
+
+
+@st.composite
+def coherent_dbms(draw):
+    """Unclosed octagons over 1-4 variables from random ``V_i - V_j <= c``
+    bounds (``set_bound`` writes each coherent mirror), some empty."""
+    n2 = 2 * draw(st.integers(min_value=1, max_value=4))
+    oct_ = Octagon.top(tuple(f"v{k}" for k in range(n2 // 2)))
+    index = st.integers(min_value=0, max_value=n2 - 1)
+    bounds = st.tuples(index, index, st.integers(min_value=-8, max_value=8))
+    for i, j, c in draw(st.lists(bounds, max_size=3 * n2)):
+        if i != j:
+            oct_.set_bound(i, j, float(c))
+    return oct_
+
+
+@settings(max_examples=300, deadline=None)
+@given(coherent_dbms())
+def test_one_pass_closure_equals_two_rounds(oct_):
+    closed = oct_.close()
+    reference = _two_round_close(oct_)
+    if reference is None:
+        assert closed is None
+    else:
+        assert closed is not None and closed.m == reference
 
 
 class TestLattice:

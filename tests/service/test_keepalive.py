@@ -1,5 +1,6 @@
 """Keep-alive behaviour of `repro serve`: one client connection carrying
-many requests, as HTTP/1.1 clients do by default."""
+many requests, as HTTP/1.1 clients do by default, each reply written
+to the socket once."""
 
 import json
 import socket
@@ -110,5 +111,91 @@ def test_unusable_content_length_on_unknown_path_closes_the_connection(served):
 
 def test_unsupported_verb_keeps_stdlib_501(served):
     _, conn = served
-    response, _ = _request(conn, "DELETE", "/analyze")
-    assert response.status == 501
+    for verb in ("DELETE", "PUT"):
+        response, body = _request(conn, verb, "/analyze")
+        assert response.status == 501
+        # The stdlib's reply closes the connection (the client reconnects
+        # for the next verb); its body still arrives whole.
+        assert response.will_close
+        assert len(body) == int(response.getheader("Content-Length")) > 0
+        assert b"Unsupported method" in body
+
+
+def test_reply_reaches_the_socket_in_one_write_before_request_finished(served, monkeypatch):
+    server, conn = served
+    _request(conn, "POST", "/analyze", HIT_BODY)  # the miss stores the entry
+    # Its reply can reach us before its handler calls request_finished().
+    assert server.wait_drained(10)
+    events = []
+    original_write = socket.SocketIO.write
+    original_finished = server.request_finished
+
+    def recording_write(sock_io, data):
+        events.append(("write", bytes(data)))
+        return original_write(sock_io, data)
+
+    def recording_finished():
+        events.append(("finished", b""))
+        original_finished()
+
+    # The client sends with sock.sendall, so SocketIO.write is the server's.
+    monkeypatch.setattr(socket.SocketIO, "write", recording_write)
+    monkeypatch.setattr(server, "request_finished", recording_finished)
+    response, body = _request(conn, "POST", "/analyze", HIT_BODY)
+    assert response.status == 200
+    deadline = time.monotonic() + 10
+    while len(events) < 2 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert [kind for kind, _ in events] == ["write", "finished"]
+    written = events[0][1]
+    assert written.startswith(b"HTTP/1.1 200 OK\r\n")
+    assert written.endswith(b"\r\n\r\n" + body)
+    # Compact JSON, one document per reply.
+    assert body == (json.dumps(json.loads(body)) + "\n").encode()
+
+
+def test_every_reply_arrives_whole_and_the_connection_stays_usable(served):
+    _, conn = served
+    response, miss = _request(conn, "POST", "/analyze", HIT_BODY)
+    assert response.status == 200
+    exchanges = [
+        ("POST", "/analyze", HIT_BODY, 200),
+        ("POST", "/analyze", "{not json", 400),
+        ("GET", "/nope", None, 404),
+        ("GET", "/analyze", None, 405),
+        ("POST", "/analyze", HIT_BODY, 200),
+    ]
+    for method, path, body, status in exchanges:
+        response, reply = _request(conn, method, path, body)
+        assert response.status == status, (method, path, reply)
+        assert len(reply) == int(response.getheader("Content-Length"))
+        assert not response.will_close
+        payload = json.loads(reply)
+        if status == 200:
+            assert reply == miss
+        else:
+            assert "error" in payload
+
+
+def test_draining_503_delivers_its_full_body(served):
+    server, conn = served
+    server.draining.set()
+    response, body = _request(conn, "POST", "/analyze", HIT_BODY)
+    assert response.status == 503
+    assert response.will_close
+    assert len(body) == int(response.getheader("Content-Length"))
+    assert json.loads(body) == {"error": "service is draining; not accepting new work"}
+
+
+def test_interim_100_continue_is_not_held_back(served):
+    server, _ = served
+    body = json.dumps({"benchmark": "rdwalk"}).encode()
+    with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+        sock.sendall(
+            b"POST /lint HTTP/1.1\r\nHost: localhost\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\nExpect: 100-continue\r\n\r\n" % len(body)
+        )
+        # The server is now reading the body; the 100 must already be out.
+        assert sock.recv(1024) == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(body)
+        assert sock.recv(1024).startswith(b"HTTP/1.1 200 OK\r\n")

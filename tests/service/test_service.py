@@ -1,6 +1,11 @@
 """HTTP analysis-service tests (`repro.service` / `repro serve`)."""
 
+import errno
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -289,3 +294,36 @@ class TestBadEnvelopes:
         _, _, base = service
         status, payload = _post(base, "/nope", {"benchmark": "rdwalk"})
         assert status == 404
+
+
+@pytest.fixture
+def held_port():
+    """A port another socket is listening on."""
+    with socket.socket() as holder:
+        holder.bind(("127.0.0.1", 0))
+        holder.listen()
+        yield holder.getsockname()[1]
+
+
+class TestPortInUse:
+    def test_create_server_raises_address_in_use(self, held_port):
+        with pytest.raises(OSError) as info:
+            create_server(host="127.0.0.1", port=held_port)
+        assert info.value.errno == errno.EADDRINUSE
+
+    def test_cli_exits_nonzero_naming_the_cause(self, held_port, tmp_path):
+        import repro
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        argv = ["serve", "--port", str(held_port), "--cache-dir", str(tmp_path)]
+        completed = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+        assert completed.returncode != 0
+        assert "Address already in use" in completed.stderr
+        assert "Traceback" not in completed.stderr
