@@ -14,19 +14,20 @@
 Steps 1-4 do not depend on the template degree.  :func:`analyze_ladder`
 runs them once and then step 5 per degree of a plan, stopping at the
 first degree that yields every requested bound; :func:`analyze` is its
-one-degree case and :func:`analyze_for` its settings-driven form, the
-one entry point of the batch engine, ``Benchmark.analyze`` and
-``Analyzer.synthesize``.
+one-degree case, and ``Benchmark.analyze`` drives it from an
+:class:`~repro.api.AnalysisOptions` record for the batch engine and
+``Analyzer.synthesize``.  :func:`assemble_invariants` is step 2 on its
+own, shared with ``Analyzer.derive_invariants``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Union
+from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # runtime imports would be circular; these are lazy below
     from ..api.options import AnalysisOptions
-    from ..check.diagnostics import Diagnostic
+    from ..check.diagnostics import CheckResult, Diagnostic
     from .tails import TailBound
 
 from ..core.conditions import AnalysisMode, classify
@@ -42,8 +43,8 @@ from ..termination import RankingCertificate, certify_concentration
 __all__ = [
     "CostAnalysisResult",
     "analyze",
-    "analyze_for",
     "analyze_ladder",
+    "assemble_invariants",
     "attach_tail_bound",
     "degree_plan",
 ]
@@ -227,51 +228,6 @@ def degree_plan(settings: "AnalysisOptions", default: Optional[int] = None) -> l
     return [default]
 
 
-def analyze_for(
-    program: Union[str, Program],
-    init: Mapping[str, float],
-    invariants,
-    settings: "AnalysisOptions",
-    *,
-    degree: int = 2,
-    mode: str = "auto",
-    check_concentration: bool = False,
-) -> CostAnalysisResult:
-    """:func:`analyze_ladder` driven by a settings record.
-
-    ``settings`` is an :class:`~repro.api.AnalysisOptions` (an engine
-    :class:`~repro.batch.spec.AnalysisRequest` is one).  ``degree`` and
-    ``mode`` are the program's own defaults (a benchmark's), used where
-    the settings leave them unset.  The single entry point of the batch
-    engine, ``Benchmark.analyze`` and ``Analyzer.synthesize``, so the
-    ladder cannot drift between them.  An ``"auto"`` plan that runs out
-    of degrees before every requested bound exists says so in a
-    warning.
-    """
-    result = analyze_ladder(
-        program,
-        init,
-        degree_plan(settings, default=degree),
-        invariants,
-        auto_invariants=settings.auto_invariants,
-        check_concentration=check_concentration,
-        compute_lower=settings.compute_lower,
-        max_multiplicands=settings.max_multiplicands,
-        mode=settings.mode if settings.mode is not None else mode,
-        invariant_domain=settings.invariant_domain,
-        tails=settings.tails,
-        tail_horizon=settings.tail_horizon,
-        tail_probes=list(settings.tail_probes) if settings.tail_probes else None,
-        check=settings.check,
-    )
-    if settings.degree == "auto" and not result.complete_for(settings.compute_lower):
-        result.warnings.append(
-            f"degree escalation exhausted at d={settings.max_degree} "
-            "without a feasible bound for every requested side"
-        )
-    return result
-
-
 def analyze_ladder(
     program: Union[str, Program],
     init: Mapping[str, float],
@@ -309,44 +265,14 @@ def analyze_ladder(
     if isinstance(program, str):
         program = parse_program(program)
     cfg = build_cfg(program)
-    if isinstance(invariants, InvariantMap):
-        # Copy before strengthening below: the caller's map may be
-        # cached/shared and must not observe our additions.
-        inv = invariants.copy()
-    elif invariants is not None:
-        inv = InvariantMap.from_strings(cfg, dict(invariants))
-    else:
-        inv = InvariantMap.trivial()
-
-    if check != "off":
-        # Lint against the *user's* invariants, before auto
-        # strengthening mixes in generated intervals.
-        from ..check import check_cfg
-
-        check_result = check_cfg(
-            cfg,
-            init,
-            inv if invariants is not None else None,
-            invariant_domain=invariant_domain,
-        )
-        if check == "strict" and not check_result.ok:
-            from ..errors import CheckError
-
-            codes = ", ".join(sorted({d.code for d in check_result.errors}))
-            raise CheckError(
-                f"rejected by static checks ({codes}): "
-                + "; ".join(d.format() for d in check_result.errors),
-                diagnostics=check_result.diagnostics,
-            )
-
-    unknown_vars = set(init) - set(cfg.pvars)
-    if unknown_vars:
-        from ..errors import SemanticsError
-
-        raise SemanticsError(f"initial valuation mentions unknown variables: {sorted(unknown_vars)}")
-
-    if auto_invariants:
-        strengthen_invariants(inv, cfg, init, invariant_domain)
+    inv, check_result = assemble_invariants(
+        cfg,
+        init,
+        invariants,
+        auto_invariants=auto_invariants,
+        invariant_domain=invariant_domain,
+        check=check,
+    )
 
     if mode not in ("auto", "signed", "nonnegative"):
         raise ValueError("mode must be 'auto', 'signed' or 'nonnegative'")
@@ -381,7 +307,7 @@ def analyze_ladder(
     mode_info = detected
     base = CostAnalysisResult(program=program, cfg=cfg, invariants=inv, mode=mode_info)
     base.warnings.extend(forced_warnings)
-    if check != "off":
+    if check_result is not None:
         base.diagnostics = list(check_result.diagnostics)
 
     if mode_info.name == "unsupported":
@@ -417,6 +343,66 @@ def analyze_ladder(
             max_multiplicands=max_multiplicands,
         )
     return result
+
+
+def assemble_invariants(
+    cfg: CFG,
+    init: Mapping[str, float],
+    invariants: Optional[Union[InvariantMap, Mapping[int, object]]] = None,
+    *,
+    auto_invariants: bool = True,
+    invariant_domain: str = "interval",
+    check: str = "off",
+) -> Tuple[InvariantMap, Optional["CheckResult"]]:
+    """The invariant map synthesis runs under, and the lint result.
+
+    Copies (or parses) the user's annotations, lints them when
+    ``check`` asks — against the *user's* invariants, before generated
+    ones are mixed in; ``"strict"`` raises
+    :class:`~repro.errors.CheckError` on an error-severity finding —
+    and then strengthens them with the invariants generated in
+    ``invariant_domain`` (:func:`strengthen_invariants`), reusing the
+    fixpoint the lint pass already ran.
+    """
+    if isinstance(invariants, InvariantMap):
+        # Copy before strengthening below: the caller's map may be
+        # cached/shared and must not observe our additions.
+        inv = invariants.copy()
+    elif invariants is not None:
+        inv = InvariantMap.from_strings(cfg, dict(invariants))
+    else:
+        inv = InvariantMap.trivial()
+
+    check_result = None
+    if check != "off":
+        from ..check import check_cfg
+
+        check_result = check_cfg(
+            cfg,
+            init,
+            inv if invariants is not None else None,
+            invariant_domain=invariant_domain,
+        )
+        if check == "strict" and not check_result.ok:
+            from ..errors import CheckError
+
+            codes = ", ".join(sorted({d.code for d in check_result.errors}))
+            raise CheckError(
+                f"rejected by static checks ({codes}): "
+                + "; ".join(d.format() for d in check_result.errors),
+                diagnostics=check_result.diagnostics,
+            )
+
+    unknown_vars = set(init) - set(cfg.pvars)
+    if unknown_vars:
+        from ..errors import SemanticsError
+
+        raise SemanticsError(f"initial valuation mentions unknown variables: {sorted(unknown_vars)}")
+
+    if auto_invariants:
+        fixpoint = check_result.fixpoint if check_result is not None else None
+        strengthen_invariants(inv, cfg, init, invariant_domain, fixpoint)
+    return inv, check_result
 
 
 def _synthesize_at(

@@ -1,8 +1,9 @@
 """``repro.api`` — the one typed front door to the analysis pipeline.
 
-Every front end of this reproduction (the CLI, the HTTP service, the
-batch engine, the Table 2-5 experiment drivers, the perf harness) is a
-thin adapter over the three names this package exports first:
+The CLI's analysis verbs, the HTTP service, the Table 2-5 experiment
+drivers and the perf harness run their analyses through the three
+names this package exports first (the batch engine is what
+:class:`Analyzer` runs on):
 
 :class:`AnalysisOptions`
     The one settings record: frozen, validated, JSON-round-trippable,
@@ -14,8 +15,11 @@ thin adapter over the three names this package exports first:
     A session facade owning the result cache and the worker pool;
     ``analyze()`` returns the canonical :class:`AnalysisReport`,
     ``analyze_batch()`` fans out, and
-    ``parse``/``build_cfg``/``derive_invariants``/``synthesize``
-    expose the pipeline stage by stage.
+    ``parse``/``build_cfg``/``lint``/``derive_invariants``/``synthesize``
+    expose the pipeline stage by stage.  Every method but ``parse``
+    takes a registry name, source text, a ``Benchmark`` or a parsed
+    ``Program`` and resolves it by :func:`repro.programs.resolve`, the
+    one rule the batch engine, the cache and the lint pass share.
 :class:`AnalysisRequest` / :class:`AnalysisReport`
     The JSON work unit — an :class:`AnalysisOptions` record plus the
     program it applies to — and the canonical result record (schema

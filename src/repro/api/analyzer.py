@@ -17,9 +17,14 @@ staged inspection points:
   (AST, CFG, lint :class:`~repro.check.CheckResult`, invariant map,
   rich :class:`CostAnalysisResult`).
 
-Every front end (CLI, HTTP service, batch engine drivers, experiment
-tables, perf harness) is a thin adapter over this class, so a knob
-added to :class:`AnalysisOptions` is immediately available everywhere.
+Every method but :meth:`~Analyzer.parse` accepts a registry name,
+source text, a :class:`~repro.programs.Benchmark` or a parsed
+:class:`~repro.syntax.ast.Program` and resolves it by
+:func:`repro.programs.resolve`, the one rule the batch engine, the
+cache and :func:`repro.check.check_request` share: each staged method
+resolves, then runs its stage.  The CLI's analysis verbs, the HTTP
+service, the experiment tables and the perf harness analyze through
+this class.
 """
 
 from __future__ import annotations
@@ -29,13 +34,12 @@ import threading
 from pathlib import Path
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Union
 
-from ..analysis.bounds import CostAnalysisResult, analyze_for
+from ..analysis.bounds import CostAnalysisResult, assemble_invariants
 from ..batch.engine import _cached_execute, run_batch
 from ..batch.spec import AnalysisReport, AnalysisRequest
 from ..invariants import InvariantMap
-from ..invariants.generator import strengthen_invariants
-from ..programs import Benchmark, get_benchmark
-from ..semantics.cfg import CFG, build_cfg
+from ..programs import Benchmark, get_benchmark, resolve
+from ..semantics.cfg import CFG
 from ..syntax.ast import Program
 from ..syntax.parser import parse_program
 from ..syntax.pretty import pretty
@@ -283,13 +287,18 @@ class Analyzer:
         """Stage 1: surface syntax to AST."""
         return parse_program(source, name=name)
 
-    def build_cfg(self, program: Union[str, Program, Benchmark]) -> CFG:
-        """Stage 2: AST to the labelled control-flow graph."""
-        if isinstance(program, Benchmark):
-            return program.cfg
-        if isinstance(program, str):
-            program = self.parse(program)
-        return build_cfg(program)
+    def _resolve(self, program: ProgramLike, options, overrides):
+        """``(benchmark, init, settings)`` by :func:`repro.programs.resolve`:
+        a name or source text through :meth:`request`, an object as is."""
+        opts = self._merged(options, overrides)
+        if isinstance(program, (Benchmark, Program)):
+            return resolve(opts, program)
+        return resolve(self.request(program, opts))
+
+    def build_cfg(self, program: ProgramLike) -> CFG:
+        """Stage 2: the labelled control-flow graph the pipeline
+        analyzes (the session's ``nondet_prob`` applied)."""
+        return self._resolve(program, None, {})[0].cfg
 
     def lint(
         self,
@@ -300,67 +309,37 @@ class Analyzer:
         """Stage 2.5: the static lint pass (:mod:`repro.check`).
 
         Returns the :class:`~repro.check.CheckResult` for the exact CFG
-        the full pipeline would analyze — benchmark resolution,
-        ``options.init``/``options.invariants`` and the coin-flip
-        transformation all apply.  No LP work, no cache.
+        and invariants the full pipeline would analyze.  No LP work, no
+        cache.
         """
-        from ..check import check_benchmark, check_program
-        from ..programs import probabilistic_variant
-        from ..syntax.transform import replace_nondet
+        from ..check import check_request
 
-        opts = self._merged(options, overrides)
-        if isinstance(program, str) and _NAME_RE.match(program):
-            program = get_benchmark(program)
-        if isinstance(program, Benchmark):
-            if opts.nondet_prob is not None and program.has_nondeterminism:
-                program = probabilistic_variant(program, prob=opts.nondet_prob)
-            init = dict(opts.init) if opts.init is not None else None
-            return check_benchmark(program, init=init, invariant_domain=opts.invariant_domain)
-        parsed = self.parse(program) if isinstance(program, str) else program
-        if not isinstance(parsed, Program):
-            raise TypeError(
-                "program must be a benchmark name, source text, a Benchmark or a "
-                f"parsed Program, got {type(program).__name__}"
-            )
-        if opts.nondet_prob is not None and parsed.has_nondeterminism():
-            parsed = replace_nondet(parsed, prob=opts.nondet_prob)
-        return check_program(
-            parsed,
-            init=dict(opts.init) if opts.init is not None else None,
-            invariants=dict(opts.invariants) if opts.invariants else None,
-            invariant_domain=opts.invariant_domain,
-        )
+        bench, _, settings = self._resolve(program, options, overrides)
+        return check_request(settings, bench)
 
     def derive_invariants(
         self,
-        program: Union[str, Program, Benchmark, CFG],
+        program: ProgramLike,
         options: Optional[AnalysisOptions] = None,
         **overrides: Any,
     ) -> InvariantMap:
         """Stage 3: the invariant map synthesis will run under.
 
-        Assembles annotations (the benchmark's own, or
-        ``options.invariants`` for inline source) and — when
-        ``options.auto_invariants`` — strengthens them with
-        automatically generated invariants in
-        ``options.invariant_domain``, exactly as the full pipeline
-        does: interval invariants fill unannotated labels only, while
-        octagon invariants additionally conjoin into annotated ones.
+        The resolved annotations, strengthened — when
+        ``options.auto_invariants`` — with the invariants generated in
+        ``options.invariant_domain``, by the same
+        :func:`~repro.analysis.bounds.assemble_invariants` the degree
+        ladder runs: interval invariants fill unannotated labels only,
+        while octagon invariants also conjoin into annotated ones.
         """
-        opts = self._merged(options, overrides)
-        if isinstance(program, Benchmark):
-            cfg = program.cfg
-            init = dict(opts.init) if opts.init is not None else dict(program.init)
-            inv = program.invariant_map(init)
-        else:
-            cfg = program if isinstance(program, CFG) else self.build_cfg(program)
-            init = dict(opts.init) if opts.init is not None else {}
-            if opts.invariants:
-                inv = InvariantMap.from_strings(cfg, dict(opts.invariants))
-            else:
-                inv = InvariantMap.trivial()
-        if opts.auto_invariants:
-            strengthen_invariants(inv, cfg, init, opts.invariant_domain)
+        bench, init, settings = self._resolve(program, options, overrides)
+        inv, _ = assemble_invariants(
+            bench.cfg,
+            init,
+            bench.invariant_map(init),
+            auto_invariants=settings.auto_invariants,
+            invariant_domain=settings.invariant_domain,
+        )
         return inv
 
     def synthesize(
@@ -376,33 +355,14 @@ class Analyzer:
 
         Unlike :meth:`analyze` this bypasses the cache and the process
         pool — it exists to hand back the intermediate artifacts the
-        flat report cannot carry.  Degree escalation and the coin-flip
-        transformation still apply.  A parsed :class:`Program` is
-        analyzed *as parsed* (no pretty-print round trip, so exact
-        float literals survive).
+        flat report cannot carry.  It resolves and runs the degree
+        ladder exactly as :meth:`analyze` does, so the values, warnings
+        and diagnostics agree.  A parsed :class:`Program` is analyzed
+        *as parsed* (no pretty-print round trip, so exact float
+        literals survive).
         """
-        from ..syntax.transform import replace_nondet
-
-        opts = self._merged(options, overrides)
-        if isinstance(program, str) and _NAME_RE.match(program):
-            program = get_benchmark(program)
-        if isinstance(program, Benchmark):
-            return program.analyze(opts, check_concentration=check_concentration)
-        parsed = self.parse(program) if isinstance(program, str) else program
-        if not isinstance(parsed, Program):
-            raise TypeError(
-                "program must be a benchmark name, source text, a Benchmark or a "
-                f"parsed Program, got {type(program).__name__}"
-            )
-        if opts.nondet_prob is not None and parsed.has_nondeterminism():
-            parsed = replace_nondet(parsed, prob=opts.nondet_prob)
-        return analyze_for(
-            parsed,
-            dict(opts.init) if opts.init is not None else {},
-            dict(opts.invariants) if opts.invariants else None,
-            opts,
-            check_concentration=check_concentration,
-        )
+        bench, _, settings = self._resolve(program, options, overrides)
+        return bench.analyze(settings, check_concentration=check_concentration)
 
     def __repr__(self) -> str:
         cache = getattr(self._cache, "root", None)

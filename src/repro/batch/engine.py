@@ -16,8 +16,8 @@ output, only the wall clock.
 Adaptive degree escalation (``degree="auto"``) mirrors how the paper's
 evaluation picks template degrees: try d = 1, 2, ... ``max_degree`` and
 keep the first degree at which the requested bounds are feasible
-(:func:`repro.analysis.bounds.analyze_for`, shared with the staged
-API).
+(``Benchmark.analyze``, shared with the staged API, after
+:func:`repro.programs.resolve`, the one request-resolution rule).
 
 The analysis itself is deterministic (LP synthesis; Monte-Carlo columns
 are seeded), which is what makes sequential/parallel equivalence exact —
@@ -37,11 +37,11 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.bounds import CostAnalysisResult, analyze_for
+from ..analysis.bounds import CostAnalysisResult
 from ..core.lp import SOLVER_ID
 from ..deadline import DeadlineExceeded, deadline_scope
 from ..errors import CheckError, ReproError
-from ..programs import Benchmark, get_benchmark, probabilistic_variant
+from ..programs import resolve
 from ..resilience import DEFAULT_RETRY_POLICY, PoolTask, ResilientPool, RetryPolicy, faults
 from ..semantics import simulate
 from .spec import AnalysisReport, AnalysisRequest
@@ -94,51 +94,6 @@ def _task_budget(seconds: Optional[float]):
         signal.signal(signal.SIGALRM, previous)
 
 
-# ---------------------------------------------------------------------------
-# Request resolution
-# ---------------------------------------------------------------------------
-
-#: (benchmark name, prob) -> variant Benchmark.  ``probabilistic_variant``
-#: re-parses the program; per-process memoisation keeps repeated inits of
-#: the same Table 5 variant on the cached CFG, like the registry benches.
-_VARIANT_CACHE: Dict[Tuple[str, float], Benchmark] = {}
-
-
-def _resolve_benchmark(request: AnalysisRequest) -> Benchmark:
-    if request.benchmark is not None:
-        bench = get_benchmark(request.benchmark)
-        if request.invariants is not None:
-            # Annotation override: replace the registry invariants with
-            # the request's (``{}`` drops them entirely — the point of
-            # invariant_domain="octagon" sweeps).  Init-dependent
-            # annotations are dropped too; the override is total.
-            from dataclasses import replace as dataclass_replace
-
-            bench = dataclass_replace(
-                bench, invariants=dict(request.invariants), init_invariants=None
-            )
-    else:
-        bench = Benchmark(
-            name=request.display_name,
-            title=request.display_name,
-            source=request.source or "",
-            invariants=dict(request.invariants or {}),
-            init=dict(request.init or {}),
-            degree=2,
-        )
-    if request.nondet_prob is not None and bench.has_nondeterminism:
-        if request.benchmark is not None and request.invariants is None:
-            key = (request.benchmark, request.nondet_prob)
-            variant = _VARIANT_CACHE.get(key)
-            if variant is None:
-                variant = probabilistic_variant(bench, prob=request.nondet_prob)
-                _VARIANT_CACHE[key] = variant
-            bench = variant
-        else:
-            bench = probabilistic_variant(bench, prob=request.nondet_prob)
-    return bench
-
-
 def _fill_bounds(report: AnalysisReport, result: CostAnalysisResult) -> None:
     report.mode = result.mode.name
     report.warnings = list(result.warnings)
@@ -182,23 +137,15 @@ def execute_request(request: AnalysisRequest, attempt: int = 1) -> AnalysisRepor
             # InjectedFaultError that surfaces as a normal error report.
             faults.on_task_attempt(request.display_name, attempt)
             report.solver = SOLVER_ID
-            bench = _resolve_benchmark(request)
+            bench, init, settings = resolve(request)
             if request.name is None:
                 report.name = bench.name
-            init = dict(request.init) if request.init is not None else dict(bench.init)
             report.init = init
 
             # The degree ladder lints first when asked: in strict mode an
             # error-severity finding rejects the task before any
             # template/LP work.
-            result = analyze_for(
-                bench.program,
-                init,
-                bench.invariant_map(init),
-                request,
-                degree=bench.degree,
-                mode=bench.mode,
-            )
+            result = bench.analyze(settings)
             report.analysis_runtime = time.perf_counter() - start
             report.degrees_tried = list(result.degrees_tried)
             report.degree = result.degrees_tried[-1]
@@ -317,8 +264,7 @@ def _pool_worker(
 ) -> Tuple[int, Dict, Optional[bool], bool]:
     """Module-level so it pickles under both fork and spawn contexts.
 
-    ``attempt`` arrives from the resilient pool on crash retries; the
-    legacy ``multiprocessing.Pool`` path calls with the default.
+    ``attempt`` arrives from the resilient pool on crash retries.
     """
     index, request_dict, cache_config, key = payload
     hit: Optional[bool] = None
@@ -377,8 +323,7 @@ def run_batch(
     ``pool`` lends an already-running :class:`ResilientPool` (e.g. the
     one a :class:`repro.api.Analyzer` session owns): the batch fans out
     on it, ``jobs`` is ignored, and the pool is left running for the
-    caller to reuse or close.  A legacy ``multiprocessing.Pool`` is
-    still accepted and used as before (no crash safety).
+    caller to reuse or close.
 
     ``keys`` are cache keys the caller already derived, one per request
     (``None`` entries are derived as usual), so a request is not
@@ -404,25 +349,6 @@ def run_batch(
 
     cache_config = cache.worker_config() if cache is not None else None
     ordered: List[Optional[AnalysisReport]] = [None] * len(requests)
-
-    if pool is not None and not isinstance(pool, ResilientPool):
-        # Lent multiprocessing.Pool: the pre-resilience fan-out path.
-        payloads = [
-            (index, request.to_dict(), cache_config, keys[index])
-            for index, request in enumerate(requests)
-        ]
-        for index, report_dict, hit, stored in pool.imap_unordered(_pool_worker, payloads):
-            report = AnalysisReport.from_dict(report_dict)
-            ordered[index] = report
-            if cache is not None and hit is not None:
-                # Fold worker-side consults into the parent counters;
-                # bypassed (uncacheable) tasks count nowhere, matching
-                # the jobs == 1 accounting exactly.
-                cache.record(hit, stored=stored)
-            if progress is not None:
-                progress(report)
-        assert all(report is not None for report in ordered)
-        return ordered  # type: ignore[return-value]
 
     fallback = retry if retry is not None else DEFAULT_RETRY_POLICY
     tasks = [

@@ -114,7 +114,7 @@ class AnalysisRequest(AnalysisOptions):
         to plain strings for the given valuation and its own degree and
         mode filling unset ones, so the request stays JSON-serializable.
         """
-        from ..programs import get_benchmark
+        from ..programs import get_benchmark, resolve
 
         options = (options or AnalysisOptions()).merge(overrides, invariants=None)
         try:
@@ -123,13 +123,8 @@ class AnalysisRequest(AnalysisOptions):
             registered = False
         if registered:
             return options.to_request(benchmark=bench.name)
-        anchor = options.init if options.init is not None else dict(bench.init)
-        options = options.merge(
-            init=anchor,
-            invariants=bench.anchored_invariants(anchor),
-            degree=bench.degree if options.degree is None else options.degree,
-            mode=bench.mode if options.mode is None else options.mode,
-        )
+        _, anchor, settings = resolve(options, bench)
+        options = settings.merge(init=anchor, invariants=bench.anchored_invariants(anchor))
         return options.to_request(source=bench.source, name=bench.name)
 
 

@@ -11,8 +11,9 @@ service all short-circuit to a lookup.
 
 Key derivation
 --------------
-:func:`request_fingerprint` resolves a request exactly the way the
-batch engine would (registry benchmark lookup, the Table 5
+:func:`request_fingerprint` resolves a request by
+:func:`repro.programs.resolve`, as the batch engine does (registry
+benchmark lookup, the ``invariants`` override, the Table 5
 ``nondet_prob`` transformation, init-dependent invariants, the degree
 escalation plan) and then serializes the *parsed program AST* — not the
 raw source text — so whitespace, comments and formatting never split
@@ -276,22 +277,21 @@ def _canonical_program_text(bench) -> str:
 def request_fingerprint(request: "AnalysisRequest") -> Dict[str, Any]:
     """Everything that determines the analysis outcome, canonicalized.
 
-    Mirrors the batch engine's request resolution: the registry
-    benchmark (or inline source) after the ``nondet_prob``
-    transformation, the effective initial valuation, the resolved
-    invariant annotations (including init-dependent ones), the degree
-    plan, the soundness mode and the simulation settings.  Raises for
-    requests that cannot be resolved (unknown benchmark, parse error) —
-    callers treat that as "uncacheable" and fall through to execution,
-    which will surface the same failure as a structured report.
+    Resolves the request by :func:`repro.programs.resolve`, as the
+    batch engine does: the registry benchmark (or inline source) after
+    the ``nondet_prob`` transformation, the effective initial
+    valuation, the resolved invariant annotations (including
+    init-dependent ones), the degree plan, the soundness mode and the
+    simulation settings.  Raises for requests that cannot be resolved
+    (unknown benchmark, parse error) — callers treat that as
+    "uncacheable" and fall through to execution, which will surface the
+    same failure as a structured report.
     """
     from .analysis.bounds import degree_plan
-    from .batch.engine import _resolve_benchmark
     from .core.lp import SOLVER_ID
+    from .programs import resolve
 
-    bench = _resolve_benchmark(request)
-    init = dict(request.init) if request.init is not None else dict(bench.init)
-
+    bench, init, settings = resolve(request)
     invariants = {str(label): cond for label, cond in bench.anchored_invariants(init).items()}
 
     # The request validated its settings at construction, so they are
@@ -316,8 +316,8 @@ def request_fingerprint(request: "AnalysisRequest") -> Dict[str, Any]:
         "auto_invariants": request.auto_invariants,
         "invariant_domain": request.invariant_domain,
         "init": {var: float(value) for var, value in init.items()},
-        "degrees": degree_plan(request, default=bench.degree),
-        "mode": request.mode if request.mode is not None else bench.mode,
+        "degrees": degree_plan(settings),
+        "mode": settings.mode,
         "compute_lower": request.compute_lower,
         "max_multiplicands": request.max_multiplicands,
         # Kept so keys written before the solver became fixed still hit.
@@ -488,18 +488,11 @@ class ResultCache:
         incoming request (the resolved benchmark name — coin-flip
         variant suffix included — when no explicit name was given).
         """
-        report.tag = request.tag
-        if request.name is not None:
-            report.name = request.name
-        elif request.benchmark is not None:
-            from .batch.engine import _resolve_benchmark
+        from .programs import resolve
 
-            try:
-                report.name = _resolve_benchmark(request).name
-            except Exception:  # pragma: no cover - key already resolved
-                pass
-        else:
-            report.name = request.display_name
+        report.tag = request.tag
+        # The key was derived, so the request resolves.
+        report.name = request.name if request.name is not None else resolve(request)[0].name
 
     def get(self, request):
         """Convenience request-level lookup (the engine uses the

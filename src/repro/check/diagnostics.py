@@ -13,7 +13,7 @@ the program before any LP work (``status="rejected"`` reports), while
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
 __all__ = ["CODES", "CheckResult", "Diagnostic", "SEVERITIES"]
@@ -106,6 +106,10 @@ class CheckResult:
     """
 
     diagnostics: List[Diagnostic]
+    #: The abstract analysis of the requested invariant domain that the
+    #: pass ran (interval or octagon), so the invariant generator can
+    #: reuse it instead of running the same fixpoint again.
+    fixpoint: Any = field(default=None, repr=False, compare=False)
 
     @property
     def errors(self) -> List[Diagnostic]:

@@ -1,6 +1,6 @@
 """Entry points of the lint pass: programs, benchmarks and batch requests.
 
-The heavy imports (:mod:`repro.programs`, :mod:`repro.batch.engine`) are
+The heavy imports (:mod:`repro.programs`, :mod:`repro.api.options`) are
 deferred into the functions that need them: ``repro.check`` sits *below*
 the analysis stack in the import graph (``repro.invariants.generator``
 imports :mod:`repro.check.interp`), so importing them at module level
@@ -46,7 +46,8 @@ def check_cfg(
     nondet_cap: Optional[int] = None,
     invariant_domain: str = "interval",
 ) -> CheckResult:
-    """Lint a CFG: run the interval fixpoint, then every rule."""
+    """Lint a CFG: run the interval fixpoint (and the octagon one in
+    that domain), then every rule."""
     from ..invariants.generator import INVARIANT_DOMAINS
 
     if invariant_domain not in INVARIANT_DOMAINS:
@@ -60,7 +61,7 @@ def check_cfg(
     diagnostics = run_rules(
         cfg, analysis, init, invariants, nondet_cap=nondet_cap, octagon=octagon
     )
-    return CheckResult(diagnostics)
+    return CheckResult(diagnostics, fixpoint=octagon if octagon is not None else analysis)
 
 
 def check_program(
@@ -96,26 +97,29 @@ def check_benchmark(
     init: Optional[Mapping[str, float]] = None,
     invariant_domain: str = "interval",
 ) -> CheckResult:
-    """Lint a registry benchmark with its declared invariants and init."""
-    anchor = dict(init) if init is not None else dict(bench.init)
+    """Lint a benchmark with its declared invariants at ``init``
+    (``None``: its anchor valuation)."""
+    from ..api.options import AnalysisOptions
+
+    return check_request(AnalysisOptions(init=init, invariant_domain=invariant_domain), bench)
+
+
+def check_request(request, program=None) -> CheckResult:
+    """Lint one batch :class:`~repro.batch.spec.AnalysisRequest`, or
+    options applied to a Benchmark or parsed Program ``program``.
+
+    Resolves by :func:`repro.programs.resolve`, exactly like the batch
+    engine (``invariants`` override and ``nondet_prob`` variants
+    included), so a clean lint here means the engine will analyse the
+    same CFG under the same invariants the lint saw.
+    """
+    from ..programs import resolve
+
+    bench, init, settings = resolve(request, program)
     return check_program(
         bench.program,
-        init=anchor,
-        invariants=bench.invariant_map(anchor),
+        init=init,
+        invariants=bench.invariant_map(init),
         cfg=bench.cfg,
-        invariant_domain=invariant_domain,
+        invariant_domain=settings.invariant_domain,
     )
-
-
-def check_request(request) -> CheckResult:
-    """Lint one batch :class:`~repro.batch.spec.AnalysisRequest`.
-
-    Resolves the benchmark/source exactly like the batch engine does
-    (including ``nondet_prob`` variants), so a clean lint here means the
-    engine will analyse the same CFG the lint saw.
-    """
-    from ..batch.engine import _resolve_benchmark
-
-    bench = _resolve_benchmark(request)
-    init = dict(request.init) if request.init is not None else dict(bench.init)
-    return check_benchmark(bench, init=init, invariant_domain=request.invariant_domain)

@@ -71,24 +71,32 @@ def _invariant_map(analysis) -> InvariantMap:
     return InvariantMap(entries)
 
 
-def generate_interval_invariants(cfg: CFG, init: Mapping[str, float]) -> InvariantMap:
+def generate_interval_invariants(
+    cfg: CFG, init: Mapping[str, float], fixpoint=None
+) -> InvariantMap:
     """Interval bounds ``x - lo >= 0`` and ``hi - x >= 0`` from the
     analysis started at ``init`` (unmentioned variables start at 0,
-    matching the interpreter)."""
-    return _invariant_map(analyze_cfg(cfg, init))
+    matching the interpreter).  ``fixpoint`` is that analysis when the
+    caller already ran it (the lint pass does)."""
+    return _invariant_map(fixpoint if fixpoint is not None else analyze_cfg(cfg, init))
 
 
-def generate_octagon_invariants(cfg: CFG, init: Mapping[str, float]) -> InvariantMap:
+def generate_octagon_invariants(
+    cfg: CFG, init: Mapping[str, float], fixpoint=None
+) -> InvariantMap:
     """The unary bounds plus every relational constraint ``+-x +-y <= c``
     strictly stronger than what the unary bounds already imply (the
-    entailed ones would only bloat the Handelman products)."""
-    return _invariant_map(analyze_cfg_octagon(cfg, init))
+    entailed ones would only bloat the Handelman products).
+    ``fixpoint`` is the octagon analysis from ``init`` when the caller
+    already ran it (the lint pass does in this domain)."""
+    return _invariant_map(fixpoint if fixpoint is not None else analyze_cfg_octagon(cfg, init))
 
 
 def generate_invariants(
-    cfg: CFG, init: Mapping[str, float], domain: str = "interval"
+    cfg: CFG, init: Mapping[str, float], domain: str = "interval", fixpoint=None
 ) -> InvariantMap:
-    """Generate invariants in the requested abstract ``domain``."""
+    """Generate invariants in the requested abstract ``domain``
+    (``fixpoint``: that domain's analysis, when already run)."""
     if domain not in INVARIANT_DOMAINS:
         raise ValueError(
             f"invariant_domain must be one of {INVARIANT_DOMAINS}, got {domain!r}"
@@ -96,11 +104,11 @@ def generate_invariants(
     generate = (
         generate_octagon_invariants if domain == "octagon" else generate_interval_invariants
     )
-    return generate(cfg, init)
+    return generate(cfg, init, fixpoint)
 
 
 def strengthen_invariants(
-    inv: InvariantMap, cfg: CFG, init: Mapping[str, float], domain: str
+    inv: InvariantMap, cfg: CFG, init: Mapping[str, float], domain: str, fixpoint=None
 ) -> None:
     """Add the generated ``domain`` invariants to ``inv``, in place.
 
@@ -110,9 +118,10 @@ def strengthen_invariants(
     conditioning.  Octagon rows are also conjoined into annotated
     labels — they are sound by construction, and this is what lets
     annotation-dependent benchmarks synthesize with their hand-written
-    invariants deleted.
+    invariants deleted.  ``fixpoint`` is the ``domain`` analysis from
+    ``init`` when already run (:attr:`repro.check.CheckResult.fixpoint`).
     """
-    for label_id, region in generate_invariants(cfg, init, domain).items():
+    for label_id, region in generate_invariants(cfg, init, domain, fixpoint).items():
         if label_id not in inv:
             inv.set(label_id, region)
         elif domain == "octagon":

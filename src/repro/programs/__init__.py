@@ -2,7 +2,13 @@
 Table 6 extension families)."""
 
 from .base import Benchmark, probabilistic_variant
-from .registry import all_benchmarks, benchmark_names, benchmarks_by_category, get_benchmark
+from .registry import (
+    all_benchmarks,
+    benchmark_names,
+    benchmarks_by_category,
+    get_benchmark,
+    resolve,
+)
 from .table2 import TABLE2_BENCHMARKS
 from .table3 import TABLE3_BENCHMARKS
 from .table6 import TABLE6_BENCHMARKS
@@ -17,4 +23,5 @@ __all__ = [
     "benchmarks_by_category",
     "get_benchmark",
     "probabilistic_variant",
+    "resolve",
 ]

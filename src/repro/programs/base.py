@@ -11,13 +11,14 @@ without fixing a policy, cf. Table 4's missing rows).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..analysis.bounds import CostAnalysisResult, analyze_for
+from ..analysis.bounds import CostAnalysisResult, analyze_ladder, degree_plan
 from ..invariants import InvariantMap
 from ..semantics.cfg import CFG, build_cfg
+from ..syntax import pretty, replace_nondet
 from ..syntax.ast import Program
 from ..syntax.parser import parse_program
 
@@ -65,7 +66,10 @@ class Benchmark:
 
     @cached_property
     def _parsed_invariants(self) -> InvariantMap:
-        """The init-independent annotations, parsed once per benchmark."""
+        """The init-independent annotations, parsed once per benchmark
+        (none need no CFG: an inline program's is built by the ladder)."""
+        if not self.invariants:
+            return InvariantMap()
         return InvariantMap.from_strings(self.cfg, self.invariants)
 
     def anchored_invariants(self, init: Mapping[str, float]) -> Dict[int, str]:
@@ -112,32 +116,42 @@ class Benchmark:
         """Run the pipeline on this benchmark under a
         :class:`repro.api.AnalysisOptions` (``None``: the defaults).
 
-        Honors the synthesis-relevant subset of the options: the degree
-        plan (``"auto"`` escalates d = 1..``max_degree`` until every
-        requested bound is feasible, through the same
-        :func:`~repro.analysis.bounds.analyze_for` ladder as the batch
-        engine), mode, multiplicand cap, invariant policy, lint, tails,
-        init valuation and the ``nondet_prob`` coin-flip transformation.
-        Unset degree, mode and init fall back to the benchmark's own, so
-        a bare ``analyze()`` runs the benchmark as registered.  Simulation and timeout settings are engine-level
-        concerns — use :meth:`repro.api.Analyzer.analyze` for those.
+        Resolves by :func:`~repro.programs.resolve` (unset degree, mode
+        and init fall back to the benchmark's own; ``nondet_prob``
+        applies the coin flip), then runs the degree ladder
+        :func:`~repro.analysis.bounds.analyze_ladder` on the settings —
+        the one path of the batch engine and ``Analyzer.synthesize``
+        too.  An ``"auto"`` plan that runs out of degrees before every
+        requested bound exists says so in a warning.  Simulation and
+        timeout settings are engine-level concerns — use
+        :meth:`repro.api.Analyzer.analyze` for those.
         """
         from ..api.options import AnalysisOptions
+        from .registry import resolve
 
-        options = options if options is not None else AnalysisOptions()
-        bench = self
-        if options.nondet_prob is not None and self.has_nondeterminism:
-            bench = probabilistic_variant(self, prob=options.nondet_prob)
-        anchor = dict(options.init) if options.init is not None else dict(bench.init)
-        return analyze_for(
+        bench, init, settings = resolve(options if options is not None else AnalysisOptions(), self)
+        result = analyze_ladder(
             bench.program,
-            anchor,
-            bench.invariant_map(anchor),
-            options,
-            degree=bench.degree,
-            mode=bench.mode,
+            init,
+            degree_plan(settings),
+            bench.invariant_map(init),
+            auto_invariants=settings.auto_invariants,
             check_concentration=check_concentration,
+            compute_lower=settings.compute_lower,
+            max_multiplicands=settings.max_multiplicands,
+            mode=settings.mode,
+            invariant_domain=settings.invariant_domain,
+            tails=settings.tails,
+            tail_horizon=settings.tail_horizon,
+            tail_probes=list(settings.tail_probes) if settings.tail_probes else None,
+            check=settings.check,
         )
+        if settings.degree == "auto" and not result.complete_for(settings.compute_lower):
+            result.warnings.append(
+                f"degree escalation exhausted at d={settings.max_degree} "
+                "without a feasible bound for every requested side"
+            )
+        return result
 
     def __repr__(self) -> str:
         return f"Benchmark({self.name!r}, category={self.category!r}, degree={self.degree})"
@@ -152,14 +166,10 @@ def probabilistic_variant(bench: Benchmark, prob: float = 0.5) -> Benchmark:
     This is the Table 5 transformation; it lives here so the batch
     engine can build variants without importing the experiment drivers.
     """
-    from dataclasses import replace as dataclass_replace
-
-    from ..syntax import pretty, replace_nondet
-
     if not bench.has_nondeterminism:
         return bench
     transformed = replace_nondet(bench.program, prob=prob)
-    return dataclass_replace(
+    return replace(
         bench,
         name=f"{bench.name}_prob",
         title=f"{bench.title} (nondet -> prob({prob:g}))",

@@ -1,16 +1,30 @@
-"""Benchmark registry: lookup by name, iteration by category."""
+"""Benchmark registry: lookup by name, iteration by category, and the
+one rule that resolves a request to the benchmark it analyzes."""
 
 from __future__ import annotations
 
+import copy
 import difflib
-from typing import Dict, List
+from dataclasses import replace
+from typing import TYPE_CHECKING, Dict, List, Tuple, Union
 
-from .base import Benchmark
+from ..syntax import pretty, replace_nondet
+from ..syntax.ast import Program
+from .base import Benchmark, probabilistic_variant
 from .table2 import TABLE2_BENCHMARKS
 from .table3 import TABLE3_BENCHMARKS
 from .table6 import TABLE6_BENCHMARKS
 
-__all__ = ["all_benchmarks", "benchmark_names", "benchmarks_by_category", "get_benchmark"]
+if TYPE_CHECKING:
+    from ..api.options import AnalysisOptions
+
+__all__ = [
+    "all_benchmarks",
+    "benchmark_names",
+    "benchmarks_by_category",
+    "get_benchmark",
+    "resolve",
+]
 
 _REGISTRY: Dict[str, Benchmark] = {}
 for _bench in [*TABLE2_BENCHMARKS, *TABLE3_BENCHMARKS, *TABLE6_BENCHMARKS]:
@@ -48,3 +62,74 @@ def benchmark_names() -> List[str]:
 
 def benchmarks_by_category(category: str) -> List[Benchmark]:
     return [b for b in _REGISTRY.values() if b.category == category]
+
+
+#: (benchmark name, prob) -> variant Benchmark.  ``probabilistic_variant``
+#: re-parses the program; per-process memoisation keeps repeated inits of
+#: the same Table 5 variant on the cached CFG, like the registry benches.
+_VARIANT_CACHE: Dict[Tuple[str, float], Benchmark] = {}
+
+
+def resolve(
+    options: "AnalysisOptions", program: Union[Benchmark, Program, None] = None
+) -> Tuple[Benchmark, Dict[str, float], "AnalysisOptions"]:
+    """The one rule that turns a request into what the pipeline analyzes.
+
+    ``program`` is a :class:`Benchmark` or a parsed
+    :class:`~repro.syntax.ast.Program`; ``None`` takes the program an
+    :class:`~repro.batch.spec.AnalysisRequest` names — its registry
+    ``benchmark`` or its inline ``source``.  The rules:
+
+    * a registry name resolves to the registry object, with its cached
+      program, CFG and parsed annotations;
+    * ``options.invariants`` replaces the annotations of a name, source
+      text or Program (``{}`` drops them, init-dependent ones too); a
+      Benchmark object brings its own and ignores it;
+    * ``options.nondet_prob`` replaces every ``if *`` by a coin flip (a
+      Program is transformed as parsed, with no pretty-print round trip);
+    * an unset ``init`` is the benchmark's anchor (``{}`` for inline
+      programs), and an unset ``degree`` or ``mode`` is the benchmark's
+      own (2 and ``"auto"`` for inline programs).
+
+    Returns ``(benchmark, init, settings)``, ``settings`` being
+    ``options`` with ``degree`` and ``mode`` filled in.  Resolving the
+    result again under ``settings`` changes nothing.  Raises
+    ``KeyError`` for an unknown name.
+    """
+    prob = options.nondet_prob
+    memo_key = None
+    if isinstance(program, Benchmark):
+        bench = program
+    elif isinstance(program, Program) or options.source is not None:
+        if program is None:
+            name, source = options.display_name, options.source
+        else:
+            if prob is not None and program.has_nondeterminism():
+                program = replace_nondet(program, prob=prob)
+            name, source = program.name or "<source>", pretty(program)
+        bench = Benchmark(
+            name=name, title=name, source=source, invariants=dict(options.invariants or {}), init={}
+        )
+        if program is not None:
+            # Analyzed as parsed: exact float literals survive.
+            vars(bench)["program"] = program
+    else:
+        bench = get_benchmark(options.benchmark)
+        if options.invariants is None:
+            memo_key = (bench.name, prob)
+        else:
+            bench = replace(bench, invariants=dict(options.invariants), init_invariants=None)
+    if prob is not None and bench.has_nondeterminism:
+        bench = _VARIANT_CACHE.get(memo_key) or probabilistic_variant(bench, prob=prob)
+        if memo_key is not None:
+            _VARIANT_CACHE[memo_key] = bench
+    init = dict(options.init) if options.init is not None else dict(bench.init)
+    # Both filled-in values come from the benchmark; setting them on a
+    # copy skips the full re-validation ``dataclasses.replace`` would
+    # run on every cache lookup.
+    settings = copy.copy(options)
+    if options.degree is None:
+        object.__setattr__(settings, "degree", bench.degree)
+    if options.mode is None:
+        object.__setattr__(settings, "mode", bench.mode)
+    return bench, init, settings

@@ -13,14 +13,18 @@ and 5 workloads:
 * semantically identical cold reports — modulo wall-clock fields.
 """
 
+import dataclasses
 import sys
 
 import pytest
 
+from repro import parse_program
 from repro.analysis import bounds
 from repro.api import AnalysisOptions, Analyzer
 from repro.batch import AnalysisRequest, requests_from_spec, run_batch
 from repro.cache import ResultCache, request_key
+from repro.check import check_request
+from repro.check.interp import analyze_cfg
 from repro.check.octagon import analyze_cfg_octagon
 from repro.programs import all_benchmarks, get_benchmark
 
@@ -40,21 +44,51 @@ REGISTRY = [bench.name for bench in all_benchmarks()]
 WALL_CLOCK_FIELDS = ("runtime", "analysis_runtime", "upper_runtime", "lower_runtime")
 
 
-def _count_octagon_runs(monkeypatch):
-    """Count ``analyze_cfg_octagon`` calls through every ``repro``
-    module that imported it."""
+#: Source text shared by the inline-source and parsed-Program rows.
+COUNTDOWN = """
+var x;
+while x >= 1 do
+    x := x + (1, -1) : (0.25, 0.75);
+    tick(1)
+od
+"""
+
+#: (row id, program, per-call options): one row per way a front end can
+#: name a program and each option the request resolver interprets.
+RESOLUTION_MATRIX = [
+    ("name+invariants", "rdwalk", {"invariants": {1: "x - 1000 >= 0"}}),
+    ("name+no-invariants", "rdwalk", {"invariants": {}, "degree": 1}),
+    ("name+nondet_prob", "bitcoin_mining", {"nondet_prob": 0.5}),
+    ("name+init", "rdwalk", {"init": {"x": 50}}),
+    ("registry-benchmark", get_benchmark("ber"), {}),
+    ("adhoc-benchmark", dataclasses.replace(get_benchmark("goods_discount")), {}),
+    ("source", COUNTDOWN, {"init": {"x": 20}, "invariants": {1: "x >= 0"}}),
+    (
+        "program",
+        parse_program(COUNTDOWN, name="countdown"),
+        {"init": {"x": 20}, "invariants": {1: "x >= 0"}},
+    ),
+]
+
+
+def _count_runs(monkeypatch, fixpoint):
+    """Count ``fixpoint`` calls through every ``repro`` module that
+    imported it."""
     calls = []
+    name = fixpoint.__name__
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return analyze_cfg_octagon(*args, **kwargs)
+        return fixpoint(*args, **kwargs)
 
     for module_name, module in list(sys.modules.items()):
-        if module_name.split(".")[0] == "repro" and (
-            getattr(module, "analyze_cfg_octagon", None) is analyze_cfg_octagon
-        ):
-            monkeypatch.setattr(module, "analyze_cfg_octagon", counting)
+        if module_name.split(".")[0] == "repro" and getattr(module, name, None) is fixpoint:
+            monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def _rows(inv):
+    return [(label, str(region)) for label, region in inv.items()]
 
 
 def _strip_clock(report_dict):
@@ -141,7 +175,7 @@ class TestStagedVsEngine:
     def test_ladder_runs_the_prefix_once(self, monkeypatch, front_end):
         # simple_loop escalates to degree 2 under the octagon domain;
         # the CFG and the octagon fixpoint must not be rebuilt per rung.
-        octagon_runs = _count_octagon_runs(monkeypatch)
+        octagon_runs = _count_runs(monkeypatch, analyze_cfg_octagon)
         cfg_builds = []
         original_build = bounds.build_cfg
         monkeypatch.setattr(
@@ -159,6 +193,20 @@ class TestStagedVsEngine:
         assert len(octagon_runs) == 1
         assert len(cfg_builds) == 1
 
+    @pytest.mark.parametrize(
+        "domain,fixpoint", [("octagon", analyze_cfg_octagon), ("interval", analyze_cfg)]
+    )
+    def test_lint_and_generator_share_one_fixpoint(self, monkeypatch, domain, fixpoint):
+        # The lint pass hands its fixpoint of the request's domain to
+        # the invariant generator instead of the generator running it
+        # again.
+        runs = _count_runs(monkeypatch, fixpoint)
+        result = Analyzer().synthesize(
+            "simple_loop", degree="auto", invariant_domain=domain, check="strict"
+        )
+        assert result.upper is not None
+        assert len(runs) == 1
+
     def test_bare_benchmark_call_matches_options_path(self):
         bench = get_benchmark("ber")
         bare = bench.analyze()
@@ -167,6 +215,40 @@ class TestStagedVsEngine:
         )
         assert bare.upper.value == explicit.upper.value
         assert bare.lower.value == explicit.lower.value
+
+
+@pytest.mark.parametrize(
+    "program,options",
+    [row[1:] for row in RESOLUTION_MATRIX],
+    ids=[row[0] for row in RESOLUTION_MATRIX],
+)
+class TestOneResolutionRule:
+    """Every front end resolves a (program, options) pair by one rule,
+    so they agree on the bounds, the lint findings and the invariants."""
+
+    def test_synthesize_values_match_the_report(self, program, options):
+        az = Analyzer()
+        report = az.analyze(program, check="warn", **options)
+        assert report.status == "ok", report.error
+        result = az.synthesize(program, check="warn", **options)
+        assert result.degrees_tried == report.degrees_tried
+        assert (result.upper.value if result.upper else None) == report.upper_value
+        assert (result.lower.value if result.lower else None) == report.lower_value
+        assert result.lower_skipped == report.lower_skipped
+        assert result.warnings == report.warnings
+        assert [d.code for d in result.diagnostics] == [d["code"] for d in report.diagnostics]
+
+    def test_lint_matches_check_request_and_warn_mode(self, program, options):
+        az = Analyzer()
+        staged = az.lint(program, **options).codes()
+        engine = check_request(az.request(program, **options)).codes()
+        report = az.analyze(program, check="warn", compute_lower=False, **options)
+        assert staged == engine == sorted({d["code"] for d in report.diagnostics})
+
+    def test_derive_invariants_matches_synthesis(self, program, options):
+        az = Analyzer()
+        derived = az.derive_invariants(program, **options)
+        assert _rows(derived) == _rows(az.synthesize(program, **options).invariants)
 
 
 class TestV1Shim:

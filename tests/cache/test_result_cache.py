@@ -168,6 +168,20 @@ class TestStore:
         assert got.name == "renamed"
         assert got.tag == "warm"
 
+    def test_hit_names_a_coin_flip_source_like_its_miss(self, tmp_path):
+        # The resolved name carries the coin-flip suffix whether the
+        # report was just computed or served from the store.
+        request = _source_request(
+            "var x;\nwhile x >= 1 do\n    if * then x := x - 1 else x := x - 2 fi;\n"
+            "    tick(1)\nod",
+            invariants={1: "x >= 0"},
+            nondet_prob=0.5,
+        )
+        cold = execute_request(request)
+        cache = ResultCache(tmp_path)
+        assert cache.put(request, cold)
+        assert cache.get(request).name == cold.name == "<source>_prob"
+
     def test_corrupt_entry_is_a_miss_and_self_cleans(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(_source_request(), execute_request(_source_request()))
