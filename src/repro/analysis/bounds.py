@@ -23,7 +23,7 @@ own, shared with ``Analyzer.derive_invariants``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 if TYPE_CHECKING:  # runtime imports would be circular; these are lazy below
     from ..api.options import AnalysisOptions
@@ -244,17 +244,20 @@ def analyze_ladder(
     tail_horizon: Optional[int] = None,
     tail_probes: Optional[List[float]] = None,
     check: str = "off",
+    cfg: Optional[CFG] = None,
 ) -> CostAnalysisResult:
     """The degree ladder: the degree-independent prefix once, then
     synthesis per degree.
 
-    The prefix builds the CFG, assembles user plus automatic
+    The prefix builds the CFG (unless the caller passes ``cfg``, the
+    CFG of ``program`` it already has), assembles user plus automatic
     invariants, lints when ``check`` asks, classifies the regime and
     certifies concentration.  The ``degrees`` are then tried in order,
     stopping at the first whose result is
     :meth:`~CostAnalysisResult.complete_for` the request; the tail
-    bound is derived once, on that result, and ``degrees_tried``
-    records the rungs run.  The other parameters are :func:`analyze`'s.
+    bound is derived once, on that result, reusing the rungs' upper
+    bounds for a refit, and ``degrees_tried`` records the rungs run.
+    The other parameters are :func:`analyze`'s.
     """
     if check not in ("off", "warn", "strict"):
         raise ValueError("check must be 'off', 'warn' or 'strict'")
@@ -264,7 +267,8 @@ def analyze_ladder(
         )
     if isinstance(program, str):
         program = parse_program(program)
-    cfg = build_cfg(program)
+    if cfg is None:
+        cfg = build_cfg(program)
     inv, check_result = assemble_invariants(
         cfg,
         init,
@@ -326,14 +330,14 @@ def analyze_ladder(
             )
 
     result: Optional[CostAnalysisResult] = None
-    tried: List[int] = []
+    uppers: Dict[int, Optional[BoundResult]] = {}
     for degree in degrees:
-        tried.append(degree)
         result = _synthesize_at(base, init, degree, compute_lower, max_multiplicands)
+        uppers[degree] = result.upper
         if result.complete_for(compute_lower):
             break
     assert result is not None, "the degree plan is empty"
-    result.degrees_tried = tried
+    result.degrees_tried = list(uppers)
 
     if tails:
         attach_tail_bound(
@@ -341,6 +345,7 @@ def analyze_ladder(
             horizon=tail_horizon,
             probes=tail_probes,
             max_multiplicands=max_multiplicands,
+            uppers=uppers,
         )
     return result
 
@@ -461,13 +466,16 @@ def attach_tail_bound(
     horizon: Optional[int] = None,
     probes: Optional[List[float]] = None,
     max_multiplicands: Optional[int] = None,
+    uppers: Optional[Mapping[int, Optional[BoundResult]]] = None,
 ) -> None:
     """Derive the Azuma–Hoeffding tail bound and attach it to ``result``.
 
     Unavailability (no upper certificate, or no constant
     step-difference bound at any tried degree) becomes a warning, not
     an error.  :func:`analyze_ladder` calls this once, on the *final*
-    rung, rather than paying the auxiliary LP at every discarded degree.
+    rung, rather than paying the auxiliary LP at every discarded degree,
+    and passes the rungs' upper bounds as ``uppers`` (see
+    :func:`~repro.analysis.tails.derive_tail_bound`).
     """
     from .tails import derive_tail_bound
 
@@ -480,6 +488,7 @@ def attach_tail_bound(
             horizon=horizon,
             probes=probes,
             max_multiplicands=max_multiplicands,
+            uppers=uppers,
         )
     except (InfeasibleError, UnboundedError, SynthesisError) as exc:
         result.warnings.append(

@@ -28,7 +28,9 @@ When the reported certificate has no constant difference bound (e.g. a
 quadratic ``h`` whose gradient is unbounded on the invariant),
 :func:`derive_tail_bound` *refits* a degree-1 PUCS for the tail
 analysis only: any valid upper certificate yields a valid — if looser
-— concentration statement, with its own anchor value ``E``.
+— concentration statement, with its own anchor value ``E``.  When the
+degree ladder already ran degree 1 for the request, the refit is that
+rung's certificate.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from ..core.synthesis import difference_bound, synthesize
+from ..core.synthesis import BoundResult, difference_bound, synthesize
 from ..errors import InfeasibleError, SynthesisError, UnboundedError
 from ..semantics.cfg import AssignLabel
 
@@ -148,13 +150,18 @@ def derive_tail_bound(
     horizon: Optional[int] = None,
     probes: Optional[Sequence[float]] = None,
     max_multiplicands: Optional[int] = None,
+    uppers: Optional[Mapping[int, Optional[BoundResult]]] = None,
 ) -> TailBound:
     """Derive the concentration bound for a :class:`CostAnalysisResult`.
 
     ``result`` must carry a synthesized upper bound (``result.upper``).
     ``horizon`` defaults to :data:`DEFAULT_TAIL_HORIZON`; ``probes`` are
     the offsets ``t`` to pre-evaluate (defaulting to multiples of the
-    natural scale ``c * sqrt(horizon)``).
+    natural scale ``c * sqrt(horizon)``).  ``uppers`` maps degrees
+    already synthesized for this request (the degree ladder's rungs,
+    same invariants, regime and cap) to their upper bound, ``None``
+    where synthesis failed; a refit at such a degree reuses it instead
+    of solving its LP again.
 
     Raises :class:`SynthesisError` when no upper certificate exists and
     :class:`InfeasibleError`/:class:`UnboundedError` when neither the
@@ -201,16 +208,22 @@ def derive_tail_bound(
         # the certificate most likely to have bounded differences.
         if result.upper.degree <= 1:
             raise
+        reused = uppers is not None and 1 in uppers
+        if reused and uppers[1] is None:
+            raise  # the degree-1 synthesis already failed for this request
         try:
-            refit_result = synthesize(
-                cfg,
-                invariants,
-                result.upper.anchor,
-                kind="upper",
-                degree=1,
-                nonnegative=result.mode.require_nonnegative_template,
-                max_multiplicands=max_multiplicands,
-            )
+            if reused:
+                refit_result = uppers[1]
+            else:
+                refit_result = synthesize(
+                    cfg,
+                    invariants,
+                    result.upper.anchor,
+                    kind="upper",
+                    degree=1,
+                    nonnegative=result.mode.require_nonnegative_template,
+                    max_multiplicands=max_multiplicands,
+                )
             c = difference_bound(
                 cfg, invariants, refit_result.h, max_multiplicands=max_multiplicands
             )

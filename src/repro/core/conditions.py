@@ -18,7 +18,7 @@ Section 6.2 and Section 6.3 regimes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..errors import InfeasibleError, UnboundedError
 from ..invariants import InvariantMap
@@ -154,17 +154,6 @@ def check_bounded_costs(cfg: CFG) -> ConditionReport:
     return ConditionReport(True, "all tick costs are constants")
 
 
-def _is_nonnegative_on(poly: Polynomial, gammas: List[Polynomial], cap: Optional[int]) -> bool:
-    """Certify ``poly >= 0`` on ``<Gamma>`` via a Handelman feasibility LP."""
-    problem = CertificateProblem()
-    problem.add_site("nncheck", poly, gammas, cap=cap)
-    try:
-        problem.solve(LinForm(0.0))
-        return True
-    except (InfeasibleError, UnboundedError):
-        return False
-
-
 def check_nonnegative_costs(
     cfg: CFG, invariants: Optional[InvariantMap] = None, max_multiplicands: Optional[int] = None
 ) -> ConditionReport:
@@ -177,13 +166,30 @@ def check_nonnegative_costs(
     """
     invariants = invariants or InvariantMap.trivial()
     offending: List[int] = []
+    # Tick labels often pose the same LP, e.g. ``5x`` on ``1 <= x <= 10``
+    # and ``5y`` on ``1 <= y <= 10``: each distinct LP is solved once.
+    verdicts: Dict[tuple, bool] = {}
+
+    def certified(cost: Polynomial, gammas: List[Polynomial]) -> bool:
+        """Certify ``cost >= 0`` on ``<gammas>`` by a feasibility LP."""
+        problem = CertificateProblem()
+        problem.add_site("nncheck", cost, gammas, cap=max_multiplicands)
+        key = problem.content_key()
+        if key not in verdicts:
+            try:
+                problem.solve(LinForm(0.0))
+                verdicts[key] = True
+            except (InfeasibleError, UnboundedError):
+                verdicts[key] = False
+        return verdicts[key]
+
     for label in cfg.tick_labels():
         if label.cost.is_constant():
             if float(label.cost.constant_term()) < 0.0:
                 offending.append(label.id)
             continue
         if not all(
-            _is_nonnegative_on(label.cost, polyhedron.constraints, max_multiplicands)
+            certified(label.cost, polyhedron.constraints)
             for polyhedron in invariants.get(label.id)
         ):
             offending.append(label.id)

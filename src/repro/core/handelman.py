@@ -22,50 +22,55 @@ rule, the deadline checkpoint, the column/row order and the NaN guard.
 
 Performance notes
 -----------------
-``monoid_products`` is built *incrementally*: the degree-``k`` frontier
-extends the cached degree-``k-1`` products by one factor instead of
-re-multiplying every combination from the constant polynomial, and the
-result is memoised per ``(Gamma, cap)`` — constraint sites repeat the
-same invariant polyhedra many times within one synthesis run (and again
-across the PUCS/PLCS runs of a single analysis).
+The products of ``Gamma`` are built once per ``(Gamma, cap)`` into a
+:class:`ProductBlock`: for each monomial of the products, in
+first-appearance order, the multiplier indices ``k`` and values
+``-coeff`` in flat ``array('i')``/``array('d')`` storage, plus an id per
+distinct row.  Blocks are memoised (constraint sites repeat the same
+invariant polyhedra many times within one analysis); the polynomials
+they were built from are not kept.
 
-``certificate_equalities`` never touches polynomial arithmetic: the
-equality rows are accumulated directly into per-monomial coefficient
-tables (one dict per row), instead of repeatedly rebuilding the
-``O(terms)`` residual polynomial per multiplier.
+Rows are numbered by column, never by name.  :class:`CertificateProblem`
+gives each unknown a fixed column and each chosen site one contiguous
+range of multiplier columns.  :func:`certificate_equalities` maps the
+target's unknowns to columns once per site and joins them with the
+block's rows, dropping the site's duplicate rows there;
+:meth:`CertificateProblem.solve` copies the chosen sites' rows into the
+CSR arrays of a :class:`~repro.core.lp.LinearProgram`.  The names
+``c_<site>_<k>`` exist only on demand, for dumps and tests.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from itertools import chain
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..deadline import check_deadline
-from ..errors import NonLinearError, SynthesisError
+from ..errors import CONSISTENCY_TOL, ZERO_TOL, InfeasibleError, NonLinearError, SynthesisError
 from ..polynomials import LinForm, Monomial, Polynomial
 from .lp import LinearProgram, LPSolution
 
-__all__ = ["CertificateProblem", "LinearEquality", "certificate_equalities", "clear_monoid_cache",
-           "monoid_products"]
+__all__ = ["CertificateProblem", "ProductBlock", "certificate_equalities", "clear_product_blocks",
+           "monoid_products", "product_block"]
 
-#: One linear equality ``sum(coeffs[u] * u) = rhs`` over LP unknowns.
-LinearEquality = Tuple[Dict[str, float], float]
+#: One certificate row ``(cols, vals, block_row, rhs, key)``: the
+#: unknowns' columns and coefficients, the :class:`ProductBlock` row
+#: holding the multipliers' part (``-1``: none) and the right-hand side.
+#: ``key`` is set on rows without multipliers, which can repeat across
+#: sites; :meth:`CertificateProblem.solve` keeps the first of each.
+Row = Tuple[Tuple[int, ...], Tuple[float, ...], int, float, Optional[tuple]]
 
-#: ``(per-gamma canonical keys, cap) -> tuple of products``; bounded so a
+#: ``(per-gamma term sets, cap) -> ProductBlock``; bounded so a
 #: long-lived process sweeping many programs cannot grow it unboundedly.
-_MONOID_CACHE: Dict[tuple, Tuple[Polynomial, ...]] = {}
-_MONOID_CACHE_MAX = 4096
+_BLOCKS: Dict[tuple, "ProductBlock"] = {}
+_BLOCKS_MAX = 4096
 
 
-def clear_monoid_cache() -> None:
-    """Drop the memoised monoid products (tests and benchmarks)."""
-    _MONOID_CACHE.clear()
-
-
-def _gamma_key(g: Polynomial) -> tuple:
-    """Canonical hashable key of a numeric linear constraint."""
-    return tuple(sorted((m.powers, float(c)) for m, c in g.terms()))
+def clear_product_blocks() -> None:
+    """Drop the memoised product blocks (tests and benchmarks)."""
+    _BLOCKS.clear()
 
 
 def monoid_products(gammas: Sequence[Polynomial], max_multiplicands: int) -> List[Polynomial]:
@@ -74,7 +79,8 @@ def monoid_products(gammas: Sequence[Polynomial], max_multiplicands: int) -> Lis
     The empty product (the constant polynomial 1) is always included —
     it is the ``t = 0`` case of the paper's ``Monoid(Gamma)`` and lets
     certificates carry a nonnegative constant slack.  Duplicate products
-    (e.g. from repeated constraints) are removed.
+    (e.g. from repeated constraints) are removed; the rest keep their
+    first-appearance order.
     """
     if max_multiplicands < 0:
         raise ValueError("max_multiplicands must be nonnegative")
@@ -83,11 +89,6 @@ def monoid_products(gammas: Sequence[Polynomial], max_multiplicands: int) -> Lis
             raise NonLinearError("Handelman constraints must be numeric")
         if not g.is_linear():
             raise NonLinearError(f"Handelman constraints must be linear, got {g}")
-
-    cache_key = (tuple(_gamma_key(g) for g in gammas), int(max_multiplicands))
-    cached = _MONOID_CACHE.get(cache_key)
-    if cached is not None:
-        return list(cached)
 
     one = Polynomial.constant(1.0)
     products: List[Polynomial] = [one]
@@ -106,65 +107,158 @@ def monoid_products(gammas: Sequence[Polynomial], max_multiplicands: int) -> Lis
                     seen.add(extended)
                     products.append(extended)
         frontier = next_frontier
+    return products
 
-    if len(_MONOID_CACHE) >= _MONOID_CACHE_MAX:
-        _MONOID_CACHE.clear()
-    _MONOID_CACHE[cache_key] = tuple(products)
-    return list(products)
+
+class ProductBlock:
+    """The products ``f_k`` of one ``(Gamma, cap)`` as certificate rows.
+
+    Row ``r`` belongs to one monomial of the products (``position`` maps
+    monomial -> row, in first-appearance order) and holds the entries
+    ``(k, -coeff of the monomial in f_k)`` at ``ks``/``values``
+    ``[starts[r]:starts[r + 1]]``, ``k`` ascending.  Entries at or below
+    ``ZERO_TOL`` are not in the row; a row that had any gets a second
+    row holding just those (``tiny[r]``), for the rare certificate row
+    made of nothing else.  ``ids[r]`` is equal for rows of equal
+    content.  ``len(block)`` is the number of products.
+    """
+
+    __slots__ = ("size", "position", "starts", "ks", "values", "ids", "tiny")
+
+    def __init__(self, products: Sequence[Polynomial]):
+        self.size = len(products)
+        self.position: Dict[Monomial, int] = {}
+        entries: List[List[Tuple[int, float]]] = []
+        for k, product in enumerate(products):
+            for mono, coeff in product.terms():
+                row = self.position.get(mono)
+                if row is None:
+                    self.position[mono] = len(entries)
+                    entries.append([(k, -float(coeff))])
+                else:
+                    entries[row].append((k, -float(coeff)))
+        kept = [[e for e in row if abs(e[1]) > ZERO_TOL] for row in entries]
+        self.tiny: Dict[int, int] = {}
+        for r, row in enumerate(entries):
+            if len(kept[r]) < len(row):
+                self.tiny[r] = len(kept)
+                kept.append([e for e in row if abs(e[1]) <= ZERO_TOL])
+        self.starts = array("i", [0])
+        self.ks = array("i")
+        self.values = array("d")
+        self.ids = array("i")
+        content_ids: Dict[tuple, int] = {}
+        for row in kept:
+            for k, value in row:
+                self.ks.append(k)
+                self.values.append(value)
+            self.starts.append(len(self.ks))
+            self.ids.append(content_ids.setdefault(tuple(row), len(content_ids)))
+
+    def __len__(self) -> int:
+        return self.size
+
+
+def product_block(gammas: Sequence[Polynomial], max_multiplicands: int) -> ProductBlock:
+    """The memoised :class:`ProductBlock` of ``Gamma`` and the cap."""
+    # Equal constraints share a block whatever their term order; a
+    # constraint that is not numeric and linear never gets one, as
+    # monoid_products raises on the miss.
+    key = (tuple(frozenset(g.terms()) for g in gammas), int(max_multiplicands))
+    block = _BLOCKS.get(key)
+    if block is None:
+        block = ProductBlock(monoid_products(gammas, max_multiplicands))
+        if len(_BLOCKS) >= _BLOCKS_MAX:
+            _BLOCKS.clear()
+        _BLOCKS[key] = block
+    return block
 
 
 def certificate_equalities(
     target: Polynomial,
     gammas: Sequence[Polynomial],
     max_multiplicands: int,
-    site_name: str,
-) -> Tuple[List[LinearEquality], List[str]]:
-    """Encode ``target = sum_k c_k f_k`` as linear equalities.
+    columns: Mapping[str, int],
+) -> Tuple[List[Row], ProductBlock, Optional[float]]:
+    """Encode ``target = sum_k c_k f_k`` as rows over integer columns.
 
     ``target`` is a polynomial whose coefficients are affine in the
-    template unknowns.  Returns the equality rows (one per monomial of
-    the combined polynomial) plus the names of the fresh nonnegative
-    multipliers ``c_k``; the caller registers those with the LP.
+    unknowns that ``columns`` numbers.  There is one row per monomial of
+    ``target - sum_k c_k f_k``: the target's monomials first, in its
+    order, then the block's other monomials.  Multiplier ``c_k`` is
+    column ``k`` of the site's range (see :data:`Row`).
 
-    ``site_name`` keys the multiplier names so that constraint sites
-    stay distinguishable in LP dumps (useful when debugging
-    infeasibility).
+    Each row is cleaned as an LP row: coefficients at or below
+    ``ZERO_TOL`` are dropped, unless all of them are that small (a
+    badly scaled but real constraint keeps them all); ``0 = 0`` is
+    skipped; and a row equal to an earlier one of the site is dropped.
+    The first ``0 = c`` row ends the rows: its ``c`` is returned as the
+    site's contradiction, which makes any LP holding the site
+    infeasible.  Returns ``(rows, block, contradiction)``;
+    ``len(block)`` is the number of multipliers.
     """
-    products = monoid_products(gammas, max_multiplicands)
-    prefix = f"c_{site_name}"
-    multipliers = [f"{prefix}_{k}" for k in range(len(products))]
+    block = product_block(gammas, max_multiplicands)
+    position, starts, ids, tiny = block.position, block.starts, block.ids, block.tiny
+    rows: List[Row] = []
+    seen = set()
 
-    # One row per monomial of target - sum_k c_k f_k; accumulate the
-    # unknowns' coefficients directly instead of building the residual
-    # polynomial multiplier by multiplier.
-    rows: Dict[Monomial, Dict[str, float]] = {}
-    rhs: Dict[Monomial, float] = {}
+    def add(entries: List[Tuple[int, float]], r: int, rhs: float) -> bool:
+        """Append the cleaned row of the unknowns' ``entries`` and block
+        row ``r`` (``-1``: none); ``False`` when it reads ``0 = c``."""
+        # HiGHS zeroes matrix entries below its small_matrix_value (1e-9)
+        # anyway; dropping those at or below ZERO_TOL makes rows canonical
+        # for the duplicate check.  A row of nothing else keeps them: it
+        # is badly scaled, yet a real constraint, not ``0 = rhs``.
+        kept = [e for e in entries if abs(e[1]) > ZERO_TOL]
+        brow = r if r >= 0 and starts[r] < starts[r + 1] else -1
+        if not kept and brow < 0:
+            kept = entries  # all tiny (LinForm drops exact zeros)
+            brow = tiny.get(r, -1)
+            if not kept and brow < 0:
+                return abs(rhs) <= CONSISTENCY_TOL  # 0 = 0 is skipped
+        cols = tuple(col for col, _ in kept)
+        vals = tuple(value for _, value in kept)
+        pairs = tuple(sorted(kept))
+        if brow < 0:
+            rows.append((cols, vals, -1, rhs, (pairs, rhs)))
+            return True
+        key = (ids[brow], pairs, rhs)
+        if key not in seen:
+            seen.add(key)
+            rows.append((cols, vals, brow, rhs, None))
+        return True
+
+    used = set()
     for mono, coeff in target.terms():
+        entries = []
         if isinstance(coeff, LinForm):
-            rows[mono] = dict(coeff.terms)
-            rhs[mono] = -coeff.const
+            for name, value in coeff.terms.items():
+                col = columns.get(name)
+                if col is None:
+                    raise SynthesisError(f"equality references unregistered unknown {name!r}")
+                entries.append((col, value))
+            rhs = -coeff.const
         else:
-            rows[mono] = {}
-            rhs[mono] = -float(coeff)
-    for c_name, product in zip(multipliers, products):
-        for mono, pcoeff in product.terms():
-            row = rows.get(mono)
-            if row is None:
-                rows[mono] = {c_name: -float(pcoeff)}
-                rhs[mono] = 0.0
-            else:
-                row[c_name] = row.get(c_name, 0.0) - float(pcoeff)
-
-    equalities: List[LinearEquality] = [(row, rhs[mono]) for mono, row in rows.items()]
-    return equalities, multipliers
+            rhs = -float(coeff)
+        r = position.get(mono, -1)
+        used.add(r)
+        if not add(entries, r, rhs):
+            return rows, block, rhs
+    for r in range(len(position)):
+        if r not in used:
+            add([], r, 0.0)
+    return rows, block, None
 
 
 class _Site(NamedTuple):
-    """One site's certificate rows and multiplier names ``c_<name>_k``."""
+    """One site's certificate rows over its multipliers ``c_<name>_k``."""
 
+    name: str
     tag: Optional[Tuple[int, int]]
-    equalities: List[LinearEquality]
-    multipliers: List[str]
+    rows: List[Row]
+    block: ProductBlock
+    #: ``c`` of the site's first ``0 = c`` row, if it has one.
+    contradiction: Optional[float]
 
 
 class CertificateProblem:
@@ -172,14 +266,17 @@ class CertificateProblem:
 
     ``unknowns`` become the first columns, in order: the free template
     coefficients of a synthesis, or a bound such as ``tail_c``
-    (``nonnegative=True``).  A site tagged ``(label_id, choice)`` enters
-    the LP only when ``choices`` picks that successor at that label (the
-    PLCS condition (C3')), so one problem serves every policy.
+    (``nonnegative=True``).  Each site chosen for an LP then gets the
+    next ``len(block)`` columns for its multipliers.  A site tagged
+    ``(label_id, choice)`` enters the LP only when ``choices`` picks
+    that successor at that label (the PLCS condition (C3')), so one
+    problem serves every policy.
     """
 
     def __init__(self, unknowns: Sequence[str] = (), nonnegative: bool = False):
-        self.unknowns = list(unknowns)
+        self.unknowns = list(dict.fromkeys(unknowns))
         self.nonnegative = nonnegative
+        self.columns = {name: col for col, name in enumerate(self.unknowns)}
         self.sites: List[_Site] = []
 
     def add_site(
@@ -199,8 +296,22 @@ class CertificateProblem:
         check_deadline()
         if cap is None:
             cap = max(target.degree(), 1)
-        equalities, multipliers = certificate_equalities(target, gammas, cap, name)
-        self.sites.append(_Site(tag, equalities, multipliers))
+        rows, block, contradiction = certificate_equalities(target, gammas, cap, self.columns)
+        self.sites.append(_Site(name, tag, rows, block, contradiction))
+
+    def content_key(self) -> tuple:
+        """A key equal for problems that pose equal LPs, whatever their
+        site names: the unknowns, their sign, and every site's tag,
+        rows and product block."""
+        return (
+            tuple(self.unknowns),
+            self.nonnegative,
+            tuple(
+                (site.tag, tuple(site.rows), site.contradiction, len(site.block),
+                 site.block.starts.tobytes(), site.block.ks.tobytes(), site.block.values.tobytes())
+                for site in self.sites
+            ),
+        )
 
     def solve(
         self,
@@ -220,15 +331,49 @@ class CertificateProblem:
             chosen = groups.setdefault(label_id, [])
             if site.tag is None or site.tag[1] == choices.get(label_id, 0):
                 chosen.append(site)
-        lp = LinearProgram()
-        for name in self.unknowns:
-            lp.add_unknown(name, nonnegative=self.nonnegative)
+        starts, index, value, rhs = [0], [], [], []
+        ranges: List[Tuple[str, int]] = []
+        repeated = set()
+        offset = len(self.unknowns)
         for site in chain.from_iterable(groups.values()):
-            for c_name in site.multipliers:
-                lp.add_unknown(c_name, nonnegative=True)
-            for coeffs, rhs in site.equalities:
-                lp.add_equality(coeffs, rhs)
-        lp.set_objective(objective, maximize=maximize)
+            if site.contradiction is not None:
+                raise InfeasibleError(f"contradictory constant equality 0 = {site.contradiction}")
+            block = site.block
+            bstarts, bks, bvalues = block.starts, block.ks, block.values
+            for cols, vals, brow, b, key in site.rows:
+                if key is not None:
+                    if key in repeated:
+                        continue
+                    repeated.add(key)
+                index.extend(cols)
+                value.extend(vals)
+                if brow >= 0:
+                    lo, hi = bstarts[brow], bstarts[brow + 1]
+                    index.extend([k + offset for k in bks[lo:hi]])
+                    value.extend(bvalues[lo:hi])
+                starts.append(len(index))
+                rhs.append(b)
+            ranges.append((f"c_{site.name}", len(block)))
+            offset += len(block)
+        cost = [0.0] * offset
+        for name, coeff in objective.terms.items():
+            col = self.columns.get(name)
+            if col is None:
+                raise SynthesisError(f"objective references unregistered unknown {name!r}")
+            cost[col] = coeff
+        named = len(self.unknowns)
+        lp = LinearProgram(
+            names=self.unknowns,
+            nonneg=[self.nonnegative] * named + [True] * (offset - named),
+            starts=starts,
+            index=index,
+            value=value,
+            rhs=rhs,
+            cost=cost,
+            offset=objective.const,
+            maximize=maximize,
+            ranges=ranges,
+        )
         solution = lp.solve()
         if math.isnan(solution.objective):
             # Letting a NaN into bound comparisons would silently

@@ -2,14 +2,14 @@
 
 A thin, explicit wrapper over HiGHS.  The synthesis pipeline only needs:
 
-* unknowns that are either free (template coefficients ``a_ij``) or
+* columns that are either free (template coefficients ``a_ij``) or
   nonnegative (Handelman multipliers ``c_k``);
 * equality rows from coefficient matching;
 * a linear objective (the bound value at the anchor valuation).
 
 :meth:`LinearProgram.solve` is the one LP path.  It calls SciPy's
 bundled HiGHS bindings (``scipy.optimize._highspy._core``) directly,
-handing HiGHS the rowwise CSR arrays as-is: SciPy's public LP
+handing HiGHS the rowwise CSR arrays as they are: SciPy's public LP
 wrapper re-validates and re-copies every input on each call, which
 costs more than the simplex run on this pipeline's many small LPs.
 The first solve in a process imports NumPy and loads that one
@@ -36,10 +36,15 @@ Every HiGHS exit maps to exactly one outcome:
 
 Performance notes
 -----------------
-Equality rows are held sparsely (name -> coefficient dicts), duplicate
-rows are dropped at insertion, and the constraint matrix is assembled
-directly in CSR form — the dense ``np.zeros((rows, n))`` staging array
-of the naive implementation dominated LP setup for larger templates.
+A :class:`LinearProgram` holds only arrays: the rowwise CSR matrix,
+right-hand sides, per-column signs and the cost vector, with columns
+numbered by :class:`~repro.core.handelman.CertificateProblem` (which
+also cleans and deduplicates the rows).  No row is keyed by a name
+string, and names exist only for the named unknowns that
+:class:`LPSolution` reports; :meth:`LinearProgram.column_names` builds
+the rest on demand.  The CSR lists go to HiGHS as they are: its
+bindings copy a plain list into a vector field faster than a NumPy
+array.
 """
 
 from __future__ import annotations
@@ -49,11 +54,10 @@ import importlib.util
 import os
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import deadline
-from ..errors import CONSISTENCY_TOL, ZERO_TOL, InfeasibleError, SynthesisError, UnboundedError
-from ..polynomials import LinForm
+from ..errors import InfeasibleError, SynthesisError, UnboundedError
 
 __all__ = [
     "LinearProgram",
@@ -167,7 +171,7 @@ def _arm_time_limit(solver) -> bool:
 
 @dataclass
 class LPSolution:
-    """A solved LP: unknown values plus solver metadata."""
+    """A solved LP: the named unknowns' values plus solver metadata."""
 
     values: Dict[str, float]
     objective: float
@@ -179,145 +183,103 @@ class LPSolution:
 
 
 class LinearProgram:
-    """An LP under construction: ``min/max c.x  s.t.  A_eq x = b, bounds``."""
+    """An assembled LP: ``min/max cost.x + offset  s.t.  A x = rhs``,
+    with ``x_j >= 0`` where ``nonneg[j]`` and ``x_j`` free otherwise.
 
-    def __init__(self):
-        self._index: Dict[str, int] = {}
-        self._nonneg: List[bool] = []
-        self._rows: List[Dict[str, float]] = []
-        self._rhs: List[float] = []
-        self._row_keys: set = set()
-        self._objective: Optional[LinForm] = None
-        self._maximize = False
+    ``A`` is rowwise CSR: row ``i`` has the coefficients
+    ``value[starts[i]:starts[i + 1]]`` at the columns ``index[...]``.
+    The first ``len(names)`` columns are the named unknowns that
+    :class:`LPSolution` reports; the rest are anonymous (Handelman
+    multipliers), covered in order by ``ranges`` of ``(prefix, width)``
+    so that :meth:`column_names` can name them ``<prefix>_<k>``.
+    :class:`~repro.core.handelman.CertificateProblem` builds these.
+    """
 
-    # -- construction -------------------------------------------------------
-
-    def add_unknown(self, name: str, nonnegative: bool = False) -> None:
-        """Register an unknown; re-registration must agree on the sign."""
-        if name in self._index:
-            if self._nonneg[self._index[name]] != nonnegative:
-                raise SynthesisError(f"unknown {name!r} registered with conflicting signs")
-            return
-        self._index[name] = len(self._nonneg)
-        self._nonneg.append(nonnegative)
-
-    def add_equality(self, coeffs: Mapping[str, float], rhs: float) -> None:
-        """Add the row ``sum(coeffs[u] * u) = rhs``.
-
-        Unknowns must have been registered.  All-zero rows are checked
-        for consistency immediately, and rows identical to an existing
-        one (same coefficients and right-hand side) are dropped.
-        """
-        # Coefficients at or below ZERO_TOL (1e-12) are dropped from
-        # mixed rows: HiGHS itself zeroes matrix entries below its
-        # ``small_matrix_value`` tolerance (1e-9), so keeping them would
-        # not change the solve — dropping them here just makes the rows
-        # canonical enough for the duplicate check below to fire.
-        cleaned = {}
-        dropped = {}
-        for name, coeff in coeffs.items():
-            if name not in self._index:
-                raise SynthesisError(f"equality references unregistered unknown {name!r}")
-            if abs(coeff) > ZERO_TOL:
-                cleaned[name] = float(coeff)
-            elif coeff != 0.0:
-                dropped[name] = float(coeff)
-        if not cleaned:
-            if dropped:
-                # Every coefficient is sub-tolerance but not exactly
-                # zero: badly scaled, yet a real constraint.  Keep the
-                # tiny coefficients (seed behavior) rather than either
-                # fabricating 0 = rhs or silently deleting the row.
-                cleaned = dropped
-            elif abs(rhs) > CONSISTENCY_TOL:
-                raise InfeasibleError(f"contradictory constant equality 0 = {rhs}")
-            else:
-                return
-        key = (tuple(sorted(cleaned.items())), float(rhs))
-        if key in self._row_keys:
-            return
-        self._row_keys.add(key)
-        self._rows.append(cleaned)
-        self._rhs.append(float(rhs))
-
-    def set_objective(self, form: LinForm, maximize: bool = False) -> None:
-        for name in form.terms:
-            if name not in self._index:
-                raise SynthesisError(f"objective references unregistered unknown {name!r}")
-        self._objective = form
-        self._maximize = maximize
+    def __init__(
+        self,
+        names: Sequence[str],
+        nonneg: Sequence[bool],
+        starts: Sequence[int],
+        index: Sequence[int],
+        value: Sequence[float],
+        rhs: Sequence[float],
+        cost: Sequence[float],
+        offset: float = 0.0,
+        maximize: bool = False,
+        ranges: Sequence[Tuple[str, int]] = (),
+    ):
+        self.names = names
+        self.nonneg = nonneg
+        self.starts = starts
+        self.index = index
+        self.value = value
+        self.rhs = rhs
+        self.cost = cost
+        self.offset = offset
+        self.maximize = maximize
+        self.ranges = ranges
 
     # -- inspection -----------------------------------------------------------
 
     @property
     def num_variables(self) -> int:
-        return len(self._index)
+        return len(self.nonneg)
 
     @property
     def num_equalities(self) -> int:
-        return len(self._rows)
+        return len(self.rhs)
+
+    def column_names(self) -> List[str]:
+        """Every column's name, in column order (built on demand)."""
+        names = list(self.names)
+        for prefix, width in self.ranges:
+            names.extend(f"{prefix}_{k}" for k in range(width))
+        return names
 
     # -- solving ----------------------------------------------------------------
 
     def _highs_lp(self, h):
         """The program as a ``HighsLp``: rowwise CSR, ``row_lower ==
-        row_upper`` for the equalities, minimization sense."""
+        row_upper`` for the equalities, minimization sense.  The
+        bindings copy plain lists into their vector fields faster than
+        NumPy arrays; ``col_cost_`` alone is an array field."""
         import numpy as np
 
-        n = len(self._index)
-        c = np.zeros(n)
-        if self._objective is not None:
-            for name, coeff in self._objective.terms.items():
-                c[self._index[name]] = coeff
-        if self._maximize:
-            c = -c
-
-        index = self._index
-        data: List[float] = []
-        indices: List[int] = []
-        indptr: List[int] = [0]
-        for row in self._rows:
-            for name, coeff in row.items():
-                indices.append(index[name])
-                data.append(coeff)
-            indptr.append(len(indices))
-        b_eq = np.asarray(self._rhs, dtype=np.float64)
-
+        n, m = self.num_variables, self.num_equalities
         lp = h.HighsLp()
         lp.num_col_ = n
-        lp.num_row_ = len(self._rows)
+        lp.num_row_ = m
         lp.a_matrix_.format_ = h.MatrixFormat.kRowwise
         lp.a_matrix_.num_col_ = n
-        lp.a_matrix_.num_row_ = len(self._rows)
-        lp.a_matrix_.start_ = np.asarray(indptr, dtype=np.int32)
-        lp.a_matrix_.index_ = np.asarray(indices, dtype=np.int32)
-        lp.a_matrix_.value_ = np.asarray(data, dtype=np.float64)
-        lp.col_cost_ = c
+        lp.a_matrix_.num_row_ = m
+        lp.a_matrix_.start_ = self.starts
+        lp.a_matrix_.index_ = self.index
+        lp.a_matrix_.value_ = self.value
+        cost = np.array(self.cost, dtype=np.float64)
+        lp.col_cost_ = -cost if self.maximize else cost
         inf = h.kHighsInf
-        lower = np.full(n, -inf)
-        lower[np.fromiter(self._nonneg, dtype=bool, count=n)] = 0.0
-        lp.col_lower_ = lower
-        lp.col_upper_ = np.full(n, inf)
-        lp.row_lower_ = b_eq
-        lp.row_upper_ = b_eq
+        lp.col_lower_ = [0.0 if nonneg else -inf for nonneg in self.nonneg]
+        lp.col_upper_ = [inf] * n
+        lp.row_lower_ = self.rhs
+        lp.row_upper_ = self.rhs
         return lp
 
     def solve(self) -> LPSolution:
         """Solve with HiGHS (see the module docstring for how each
         HiGHS exit maps to a result or a typed error)."""
-        n = len(self._index)
+        n = self.num_variables
         if n == 0:
             raise SynthesisError("linear program has no unknowns")
 
         _SOLVE_COUNT[0] += 1
         h = _highs()
         lp = self._highs_lp(h)
-        size = f"{len(self._rows)} rows x {n} columns"
+        size = f"{self.num_equalities} rows x {n} columns"
         unresolved = []
         for presolve in (None, "off"):
             solver = _cached_solver(h, presolve)
             if solver.passModel(lp) == h.HighsStatus.kError:
-                largest = max((abs(v) for row in self._rows for v in row.values()), default=0.0)
+                largest = max(map(abs, self.value), default=0.0)
                 raise SynthesisError(
                     f"HiGHS rejected the LP ({size}) in passModel; "
                     f"largest |coefficient| {largest:.3g}"
@@ -350,12 +312,11 @@ class LinearProgram:
 
         x = solver.getSolution().col_value
         fun = solver.getInfo().objective_function_value
-        offset = self._objective.const if self._objective is not None else 0.0
-        values = {name: float(x[idx]) for name, idx in self._index.items()}
-        objective = float(fun) * (-1.0 if self._maximize else 1.0) + offset
+        values = {name: float(x[col]) for col, name in enumerate(self.names)}
+        objective = float(fun) * (-1.0 if self.maximize else 1.0) + self.offset
         return LPSolution(
             values=values,
             objective=objective,
             num_variables=n,
-            num_equalities=len(self._rows),
+            num_equalities=self.num_equalities,
         )

@@ -145,6 +145,7 @@ class Benchmark:
             tail_horizon=settings.tail_horizon,
             tail_probes=list(settings.tail_probes) if settings.tail_probes else None,
             check=settings.check,
+            cfg=bench.cfg,
         )
         if settings.degree == "auto" and not result.complete_for(settings.compute_lower):
             result.warnings.append(

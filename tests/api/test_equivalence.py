@@ -174,7 +174,8 @@ class TestStagedVsEngine:
     @pytest.mark.parametrize("front_end", ["engine", "synthesize", "benchmark"])
     def test_ladder_runs_the_prefix_once(self, monkeypatch, front_end):
         # simple_loop escalates to degree 2 under the octagon domain;
-        # the CFG and the octagon fixpoint must not be rebuilt per rung.
+        # the octagon fixpoint must not be rerun per rung, and the
+        # ladder reuses the registry benchmark's cached CFG.
         octagon_runs = _count_runs(monkeypatch, analyze_cfg_octagon)
         cfg_builds = []
         original_build = bounds.build_cfg
@@ -191,7 +192,21 @@ class TestStagedVsEngine:
             degrees = get_benchmark("simple_loop").analyze(options).degrees_tried
         assert degrees == [1, 2]
         assert len(octagon_runs) == 1
-        assert len(cfg_builds) == 1
+        assert len(cfg_builds) == 0
+
+    def test_tail_refit_reuses_the_degree_1_rung(self, monkeypatch):
+        # bitcoin_pool settles at degree 2, whose certificate has no
+        # constant step-difference bound; the tail refits at degree 1,
+        # which the ladder already synthesized.
+        from repro.analysis import tails
+
+        refits = []
+        monkeypatch.setattr(tails, "synthesize", lambda *a, **k: refits.append(1))
+        result = get_benchmark("bitcoin_pool").analyze(AnalysisOptions(degree="auto", tails=True))
+        assert result.degrees_tried == [1, 2]
+        assert result.tail.refit and result.tail.degree == 1
+        assert (result.tail.c, result.tail.expected) == (5000.0, 1000.0000000000002)
+        assert refits == []
 
     @pytest.mark.parametrize(
         "domain,fixpoint", [("octagon", analyze_cfg_octagon), ("interval", analyze_cfg)]

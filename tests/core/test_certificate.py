@@ -4,8 +4,9 @@ HiGHS verdicts on badly scaled LPs depend on how the LP is presented —
 column and row order included — so "same optimum" is not enough: each
 LP is hashed at the moment :meth:`LinearProgram.solve` is called.  The
 digest covers the column names and signs in column order, every row's
-(column, coefficient) pairs in insertion order with its right-hand
-side, the objective over the columns plus its constant, and the sense.
+(column, coefficient) pairs in CSR order with its right-hand side, the
+objective's nonzero coefficients by column plus its constant, and the
+sense.
 """
 
 import hashlib
@@ -20,27 +21,27 @@ from repro.core import (
 from repro.core import lp as lp_module
 from repro.core.handelman import CertificateProblem
 from repro.deadline import DeadlineExceeded, deadline_scope
-from repro.polynomials import LinForm, Polynomial
+from repro.errors import InfeasibleError, SynthesisError
+from repro.polynomials import LinForm, Monomial, Polynomial
 from repro.programs import get_benchmark
 from repro.termination import synthesize_rsm
 
 
 def lp_digest(lp) -> str:
     h = hashlib.sha256()
-    for name in sorted(lp._index, key=lp._index.get):
-        h.update(f"{name}:{int(lp._nonneg[lp._index[name]])};".encode())
+    for name, nonneg in zip(lp.column_names(), lp.nonneg):
+        h.update(f"{name}:{int(nonneg)};".encode())
     h.update(b"|rows|")
-    for row, rhs in zip(lp._rows, lp._rhs):
-        for name, coeff in row.items():
-            h.update(f"{lp._index[name]}={float(coeff).hex()},".encode())
+    for row, rhs in enumerate(lp.rhs):
+        for at in range(lp.starts[row], lp.starts[row + 1]):
+            h.update(f"{lp.index[at]}={float(lp.value[at]).hex()},".encode())
         h.update(f"={float(rhs).hex()};".encode())
     h.update(b"|obj|")
-    objective = lp._objective
-    if objective is not None:
-        for index, coeff in sorted((lp._index[n], c) for n, c in objective.terms.items()):
+    for index, coeff in enumerate(lp.cost):
+        if coeff != 0.0:
             h.update(f"{index}={float(coeff).hex()},".encode())
-        h.update(f"+{float(objective.const).hex()}".encode())
-    h.update(f"|max={int(lp._maximize)}".encode())
+    h.update(f"+{float(lp.offset).hex()}".encode())
+    h.update(f"|max={int(lp.maximize)}".encode())
     return h.hexdigest()
 
 
@@ -171,13 +172,14 @@ def test_expired_deadline_stops_every_consumer(monkeypatch, consumer):
 class TestCertificateProblem:
     X = Polynomial.variable("x")
 
-    def test_default_cap_is_target_degree(self):
+    def test_default_cap_is_target_degree(self, monkeypatch):
         problem = CertificateProblem()
         problem.add_site("quad", self.X * self.X, [self.X])
         problem.add_site("const", Polynomial.constant(1.0), [self.X])
         # Products of at most 2 (resp. 1) copies of x, plus the constant 1.
-        assert [len(site.multipliers) for site in problem.sites] == [3, 2]
-        assert problem.sites[0].multipliers == ["c_quad_0", "c_quad_1", "c_quad_2"]
+        assert [len(site.block) for site in problem.sites] == [3, 2]
+        (lp,) = solved_lps(monkeypatch, lambda: problem.solve(LinForm(0.0)))
+        assert lp.column_names() == ["c_quad_0", "c_quad_1", "c_quad_2", "c_const_0", "c_const_1"]
 
     def test_tagged_sites_follow_the_chosen_policy(self):
         problem = CertificateProblem(["a"])
@@ -193,5 +195,110 @@ class TestCertificateProblem:
         for name, tag in [("t2", (2, 0)), ("u1", None), ("t1", (1, 0)), ("t2b", (2, 0)), ("u2", None)]:
             problem.add_site(name, one, [], tag=tag)
         (lp,) = solved_lps(monkeypatch, lambda: problem.solve(LinForm(0.0)))
-        columns = sorted(lp._index, key=lp._index.get)
+        columns = lp.column_names()
         assert columns == ["c_u1_0", "c_u2_0", "c_t2_0", "c_t2b_0", "c_t1_0"]
+
+
+def named_rows(lp):
+    """The LP's rows as ``({column name: coeff}, rhs)``, in row order."""
+    names = lp.column_names()
+    return [
+        ({names[lp.index[at]]: lp.value[at] for at in range(lp.starts[row], lp.starts[row + 1])}, rhs)
+        for row, rhs in enumerate(lp.rhs)
+    ]
+
+
+class _Assembled(Exception):
+    pass
+
+
+def _capture(lp):
+    raise _Assembled(lp)
+
+
+def _lin(const, **terms):
+    return Polynomial.constant(LinForm(const, terms))
+
+
+class TestCertificateRows:
+    """Row cleaning, as HiGHS receives the rows.  With ``Gamma = []``
+    the only product is 1, so a target monomial other than 1 gives a row
+    over the unknowns alone: ``coeff = 0``."""
+
+    X, Y, Z = Polynomial.variable("x"), Polynomial.variable("y"), Polynomial.variable("z")
+
+    def rows_of(self, monkeypatch, problem):
+        """The rows ``problem.solve`` hands HiGHS, left unsolved."""
+        monkeypatch.setattr(lp_module.LinearProgram, "solve", _capture)
+        with pytest.raises(_Assembled) as assembled:
+            problem.solve(LinForm(0.0))
+        return named_rows(assembled.value.args[0])
+
+    def test_subtolerance_coefficients_dropped_from_mixed_rows(self, monkeypatch):
+        problem = CertificateProblem(["a", "b"])
+        problem.add_site("s", self.X * _lin(-2.0, a=1.0, b=1e-15), [], cap=0)
+        assert self.rows_of(monkeypatch, problem) == [({"a": 1.0}, 2.0), ({"c_s_0": -1.0}, 0.0)]
+
+    def test_all_subtolerance_row_is_kept_not_deleted(self, monkeypatch):
+        # Tiny-but-nonzero everywhere: badly scaled, yet a real
+        # constraint, so it neither raises nor vanishes.
+        problem = CertificateProblem(["c"], nonnegative=True)
+        target = self.X * _lin(-5e-10, c=5e-13) + self.Y * _lin(-1.0, c=5e-13)
+        problem.add_site("s", target, [], cap=0)
+        assert self.rows_of(monkeypatch, problem) == [
+            ({"c": 5e-13}, 5e-10),  # forces c = 1000
+            ({"c": 5e-13}, 1.0),  # badly scaled, not contradictory
+            ({"c_s_0": -1.0}, 0.0),
+        ]
+
+    def test_exact_zero_row_is_skipped(self, monkeypatch):
+        # Arithmetic prunes zero coefficients; a raw zero gives 0 = 0.
+        zero = Polynomial._raw({Monomial.variable("x"): LinForm(0.0)})
+        problem = CertificateProblem()
+        problem.add_site("s", zero, [], cap=0)
+        assert self.rows_of(monkeypatch, problem) == [({"c_s_0": -1.0}, 0.0)]
+
+    @pytest.mark.parametrize("coeff", [-1.0, LinForm(-1.0, {"a": 0.0})], ids=["number", "zero-form"])
+    def test_zero_row_with_large_rhs_is_contradictory(self, monkeypatch, coeff):
+        problem = CertificateProblem(["a"])
+        problem.add_site("s", self.X * Polynomial.constant(coeff), [], cap=0)
+        solved = solved_lps(monkeypatch, lambda: None)
+        before = lp_module.solve_count()
+        with pytest.raises(InfeasibleError, match="0 = 1.0"):
+            problem.solve(LinForm(0.0))
+        assert solved == [] and lp_module.solve_count() == before
+
+    def test_duplicate_rows_deduplicated(self, monkeypatch):
+        problem = CertificateProblem(["a"])
+        target = self.X * _lin(-1.0, a=2.0) + self.Y * _lin(-1.0, a=2.0) + self.Z * _lin(-3.0, a=2.0)
+        problem.add_site("s", target, [], cap=0)
+        # Unknown-only rows repeat across sites too.
+        problem.add_site("t", target, [], cap=0)
+        assert self.rows_of(monkeypatch, problem) == [
+            ({"a": 2.0}, 1.0),
+            ({"a": 2.0}, 3.0),  # same coefficients, another rhs: kept
+            ({"c_s_0": -1.0}, 0.0),
+            ({"c_t_0": -1.0}, 0.0),
+        ]
+
+    def test_duplicate_block_rows_deduplicated_within_a_site(self, monkeypatch):
+        # x and y appear only in the product x + y: both rows read -c_1 = 0.
+        problem = CertificateProblem()
+        problem.add_site("s", Polynomial.constant(1.0), [self.X + self.Y], cap=1)
+        assert self.rows_of(monkeypatch, problem) == [({"c_s_0": -1.0}, -1.0), ({"c_s_1": -1.0}, 0.0)]
+
+    def test_unregistered_unknowns_rejected(self):
+        problem = CertificateProblem(["a"])
+        with pytest.raises(SynthesisError, match="ghost"):
+            problem.add_site("s", _lin(0.0, ghost=1.0), [])
+        problem.add_site("s", _lin(0.0, a=1.0), [])
+        with pytest.raises(SynthesisError, match="ghost"):
+            problem.solve(LinForm.unknown("ghost"))
+
+    def test_repeated_unknown_has_one_column(self):
+        problem = CertificateProblem(["x", "x"])
+        assert problem.unknowns == ["x"]
+        problem.add_site("s", _lin(-2.0, x=1.0), [])
+        solution = problem.solve(LinForm.unknown("x"))
+        assert solution.values == {"x": pytest.approx(2.0)}
+        assert solution.num_variables == 2

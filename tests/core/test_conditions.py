@@ -102,3 +102,18 @@ class TestClassify:
         cfg = make("var x; tick(1)")
         mode = classify(cfg)
         assert set(mode.reports) == {"bounded_updates", "nonnegative_costs", "bounded_costs"}
+
+    def test_each_distinct_lp_is_solved_once(self):
+        # pollutant_disposal certifies 5x on 1 <= x <= 10, 5y on
+        # 1 <= y <= 10 (the same LP) and -0.2n on n >= 2.
+        from repro.core.lp import solve_count
+        from repro.invariants.generator import strengthen_invariants
+        from repro.programs import get_benchmark
+
+        bench = get_benchmark("pollutant_disposal")
+        inv = bench.invariant_map()
+        strengthen_invariants(inv, bench.cfg, bench.init, "interval")
+        before = solve_count()
+        mode = classify(bench.cfg, inv)
+        assert solve_count() - before == 2
+        assert mode.reports["nonnegative_costs"].offending_labels == [9]

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.core import certificate_equalities, monoid_products
-from repro.errors import NonLinearError
+from repro.core.handelman import CertificateProblem
+from repro.errors import InfeasibleError, NonLinearError
 from repro.polynomials import LinForm, Polynomial
 
 X = Polynomial.variable("x")
@@ -58,57 +59,52 @@ class TestMonoid:
 class TestCertificates:
     def test_row_count_matches_monomials(self):
         target = Polynomial.constant(LinForm.unknown("a")) * X + LinForm.unknown("b")
-        equalities, multipliers = certificate_equalities(target, [X], 1, "site")
+        rows, block, contradiction = certificate_equalities(target, [X], 1, {"a": 0, "b": 1})
         # Combined polynomial has monomials {1, x}: two rows.
-        assert len(equalities) == 2
-        assert len(multipliers) == 2  # c for 1 and for x
+        assert len(rows) == 2
+        assert len(block) == 2  # c for 1 and for x
+        assert contradiction is None
 
-    def test_multiplier_names_unique_per_site(self):
+    def test_rows_number_unknowns_by_column(self):
+        target = Polynomial.constant(LinForm.unknown("a")) * X + LinForm.unknown("b")
+        rows, block, _ = certificate_equalities(target, [X], 1, {"a": 0, "b": 1})
+        (cols_x, vals_x, brow_x, rhs_x, _), (cols_1, vals_1, brow_1, rhs_1, _) = rows
+        assert (cols_x, vals_x, rhs_x) == ((0,), (1.0,), 0.0)  # a - c_1 = 0
+        assert (cols_1, vals_1, rhs_1) == ((1,), (1.0,), 0.0)  # b - c_0 = 0
+        lo, hi = block.starts[brow_x], block.starts[brow_x + 1]
+        assert list(zip(block.ks[lo:hi], block.values[lo:hi])) == [(1, -1.0)]
+        lo, hi = block.starts[brow_1], block.starts[brow_1 + 1]
+        assert list(zip(block.ks[lo:hi], block.values[lo:hi])) == [(0, -1.0)]
+
+    def test_multipliers_get_a_range_per_site(self, monkeypatch):
+        from repro.core import lp as lp_module
+
         t = Polynomial.constant(LinForm.unknown("a"))
-        _, m1 = certificate_equalities(t, [X], 1, "s1")
-        _, m2 = certificate_equalities(t, [X], 1, "s2")
-        assert not set(m1) & set(m2)
+        problem = CertificateProblem(["a"])
+        problem.add_site("s1", t, [X], cap=1)
+        problem.add_site("s2", t, [X], cap=1)
+        solved, real_solve = [], lp_module.LinearProgram.solve
+        monkeypatch.setattr(lp_module.LinearProgram, "solve", lambda lp: solved.append(lp) or real_solve(lp))
+        problem.solve(LinForm(0.0))
+        assert solved[0].column_names() == ["a", "c_s1_0", "c_s1_1", "c_s2_0", "c_s2_1"]
 
     def test_solvable_certificate_exists(self):
-        """x + 1 >= 0 on {x >= 0} has the certificate 1*1 + 1*x."""
-        from repro.core import LinearProgram
-
-        target = X + 1  # numeric target
-        equalities, multipliers = certificate_equalities(target, [X], 1, "t")
-        lp = LinearProgram()
-        for name in multipliers:
-            lp.add_unknown(name, nonnegative=True)
-        for coeffs, rhs in equalities:
-            lp.add_equality(coeffs, rhs)
-        lp.set_objective(LinForm(0.0))
-        solution = lp.solve()
-        assert solution.values[multipliers[0]] == pytest.approx(1.0)
+        """x + 1 >= 0 on {x >= 0} has the certificate 1*1 + 1*x: the
+        largest constant s with x + 1 - s >= 0 there is c_0 = 1."""
+        problem = CertificateProblem(["s"])
+        problem.add_site("t", X + 1 - Polynomial.constant(LinForm.unknown("s")), [X], cap=1)
+        solution = problem.solve(LinForm.unknown("s"), maximize=True)
+        assert solution.values["s"] == pytest.approx(1.0)
 
     def test_unsatisfiable_certificate(self):
         """-1 >= 0 on {x >= 0} has no certificate."""
-        from repro.core import LinearProgram
-        from repro.errors import InfeasibleError
-
-        equalities, multipliers = certificate_equalities(Polynomial.constant(-1.0), [X], 2, "t")
-        lp = LinearProgram()
-        for name in multipliers:
-            lp.add_unknown(name, nonnegative=True)
-        for coeffs, rhs in equalities:
-            lp.add_equality(coeffs, rhs)
-        lp.set_objective(LinForm(0.0))
+        problem = CertificateProblem()
+        problem.add_site("t", Polynomial.constant(-1.0), [X], cap=2)
         with pytest.raises(InfeasibleError):
-            lp.solve()
+            problem.solve(LinForm(0.0))
 
     def test_quadratic_on_interval(self):
         """x(1-x) >= 0 on {x >= 0, 1 - x >= 0} via the product x * (1-x)."""
-        from repro.core import LinearProgram
-
-        target = X * (1 - X)
-        equalities, multipliers = certificate_equalities(target, [X, 1 - X], 2, "t")
-        lp = LinearProgram()
-        for name in multipliers:
-            lp.add_unknown(name, nonnegative=True)
-        for coeffs, rhs in equalities:
-            lp.add_equality(coeffs, rhs)
-        lp.set_objective(LinForm(0.0))
-        lp.solve()  # must not raise
+        problem = CertificateProblem()
+        problem.add_site("t", X * (1 - X), [X, 1 - X], cap=2)
+        problem.solve(LinForm(0.0))  # must not raise

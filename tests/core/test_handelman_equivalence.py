@@ -1,19 +1,28 @@
 """Equivalence of the optimized Handelman/LP paths with the seed logic.
 
-The fast synthesis core rebuilt ``monoid_products`` (incremental with
-memoisation), ``certificate_equalities`` (bulk row accumulation instead
-of residual-polynomial arithmetic) and the LP assembly (sparse, direct
-HiGHS).  These tests pin the optimized implementations against
-straightforward reference implementations transcribed from the seed
-revision, and against the seed revision's synthesized bounds on every
-experiment-table benchmark.
+The fast synthesis core rebuilt ``monoid_products`` (incremental),
+the certificate rows (memoised product blocks joined with the target
+by column number, instead of residual-polynomial arithmetic) and the
+LP assembly (CSR arrays, direct HiGHS).  These tests pin the optimized
+implementations against straightforward reference implementations
+transcribed from the seed revision, and against the seed revision's
+synthesized bounds on every experiment-table benchmark.
 """
 
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.handelman import certificate_equalities, clear_monoid_cache, monoid_products
+from repro.core import lp as lp_module
+from repro.core.handelman import (
+    CertificateProblem,
+    clear_product_blocks,
+    monoid_products,
+    product_block,
+)
+from repro.errors import CONSISTENCY_TOL, ZERO_TOL, InfeasibleError
 from repro.polynomials import LinForm, Polynomial
 
 X = Polynomial.variable("x")
@@ -54,12 +63,71 @@ def naive_certificate_equalities(target, gammas, max_multiplicands, site_name):
     return equalities, multipliers
 
 
-def canonical_rows(equalities):
-    """Order-independent canonical form of equality rows."""
-    return sorted(
-        (tuple(sorted((name, round(c, 9)) for name, c in coeffs.items())), round(rhs, 9))
-        for coeffs, rhs in equalities
-    )
+def reference_rows(unknowns, sites, choices):
+    """The seed's LP for ``choices``: column names, and rows as
+    ``({name: coeff}, rhs)`` after the seed's row cleaning (drop
+    coefficients at or below ZERO_TOL unless all are; skip ``0 = 0``;
+    ``0 = c`` is infeasible; keep the first of equal rows)."""
+    groups = {None: []}
+    for site in sites:
+        name, target, gammas, cap, tag = site
+        label = tag[0] if tag else None
+        chosen = groups.setdefault(label, [])
+        if tag is None or tag[1] == choices.get(label, 0):
+            chosen.append(site)
+    columns = list(dict.fromkeys(unknowns))
+    rows, seen = [], set()
+    for name, target, gammas, cap, _tag in (site for group in groups.values() for site in group):
+        equalities, multipliers = naive_certificate_equalities(target, gammas, cap, name)
+        columns += multipliers
+        for coeffs, rhs in equalities:
+            cleaned = {n: c for n, c in coeffs.items() if abs(c) > ZERO_TOL}
+            if not cleaned:
+                cleaned = {n: c for n, c in coeffs.items() if c != 0.0}
+            if not cleaned:
+                if abs(rhs) > CONSISTENCY_TOL:
+                    raise InfeasibleError(f"contradictory constant equality 0 = {rhs}")
+                continue
+            key = (tuple(sorted(cleaned.items())), rhs)
+            if key not in seen:
+                seen.add(key)
+                rows.append((cleaned, rhs))
+    return columns, rows
+
+
+class _Assembled(Exception):
+    pass
+
+
+def assembled_rows(monkeypatch, problem, choices):
+    """Column names and named rows of the LP ``problem`` hands HiGHS."""
+
+    def capture(lp):
+        raise _Assembled(lp)
+
+    monkeypatch.setattr(lp_module.LinearProgram, "solve", capture)
+    with pytest.raises(_Assembled) as assembled:
+        problem.solve(LinForm(0.0), choices=choices)
+    lp = assembled.value.args[0]
+    names = lp.column_names()
+    rows = [
+        ({names[lp.index[at]]: lp.value[at] for at in range(lp.starts[row], lp.starts[row + 1])}, rhs)
+        for row, rhs in enumerate(lp.rhs)
+    ]
+    return names, rows
+
+
+def assert_rows_match_reference(monkeypatch, unknowns, sites, choices):
+    problem = CertificateProblem(unknowns)
+    for name, target, gammas, cap, tag in sites:
+        problem.add_site(name, target, gammas, cap=cap, tag=tag)
+    try:
+        expected = reference_rows(unknowns, sites, choices)
+    except InfeasibleError as exc:
+        with pytest.raises(InfeasibleError, match=str(exc)):
+            assembled_rows(monkeypatch, problem, choices)
+        return
+    assert assembled_rows(monkeypatch, problem, choices) == expected
 
 
 GAMMA_SETS = [
@@ -77,24 +145,28 @@ class TestMonoidEquivalence:
     @pytest.mark.parametrize("gammas", GAMMA_SETS)
     @pytest.mark.parametrize("cap", [0, 1, 2, 3])
     def test_products_match_naive(self, gammas, cap):
-        clear_monoid_cache()
         fast = monoid_products(gammas, cap)
         naive = naive_monoid_products(gammas, cap)
         assert len(fast) == len(naive)
-        for product in naive:
-            assert any(product == p for p in fast)
+        for product_poly in naive:
+            assert any(product_poly == p for p in fast)
 
-    def test_products_order_stable_with_cache(self):
-        clear_monoid_cache()
-        first = monoid_products([X, 1 - X], 2)
-        cached = monoid_products([X, 1 - X], 2)
-        assert first == cached  # memoised call returns the same sequence
+    def test_blocks_memoised_per_gamma(self):
+        clear_product_blocks()
+        first = product_block([X, 1 - X], 2)
+        assert product_block([X, 1 - X], 2) is first
+        # Equal constraints hit the memo whatever their term order.
+        assert product_block([X, -X + 1], 2) is first
+        assert len(first) == 6  # 1, x, 1 - x, x^2, x(1 - x), (1 - x)^2
+        clear_product_blocks()
+        assert product_block([X, 1 - X], 2) is not first
 
-    def test_cache_returns_fresh_list(self):
-        clear_monoid_cache()
-        first = monoid_products([X], 2)
-        first.append(Polynomial.constant(42.0))
-        assert len(monoid_products([X], 2)) == 3
+    def test_block_rows_cover_every_product(self):
+        block = product_block([X, Y], 2)
+        assert len(block) == 6
+        entries = [(k, v) for k, v in zip(block.ks, block.values)]
+        # Each product is one monomial with coefficient 1: one entry each.
+        assert sorted(entries) == [(k, -1.0) for k in range(6)]
 
 
 class TestCertificateEquivalence:
@@ -110,12 +182,49 @@ class TestCertificateEquivalence:
     @pytest.mark.parametrize("target", TARGETS)
     @pytest.mark.parametrize("gammas", [[X], [X, 1 - X], [X, Y, 2 - Y]])
     @pytest.mark.parametrize("cap", [1, 2])
-    def test_rows_match_naive(self, target, gammas, cap):
-        clear_monoid_cache()
-        fast_rows, fast_mults = certificate_equalities(target, gammas, cap, "s")
-        naive_rows, naive_mults = naive_certificate_equalities(target, gammas, cap, "s")
-        assert fast_mults == naive_mults
-        assert canonical_rows(fast_rows) == canonical_rows(naive_rows)
+    def test_rows_match_naive(self, monkeypatch, target, gammas, cap):
+        clear_product_blocks()
+        assert_rows_match_reference(monkeypatch, ["a", "b"], [("s", target, gammas, cap, None)], {})
+
+
+#: Small pools, so sites share constraints and targets: rows repeat
+#: within a site (x and y only in x + y) and across sites (z is in no
+#: constraint, so its coefficient is a row over the unknowns alone).
+_GAMMAS = [X, Y, X + Y, 1 - X, 2 - Y, X - 1, 3 * X + 1e-13 * Y, 2 * X]
+_COEFFS = [
+    1.0, -2.0, 1e-13, LinForm.unknown("a"), LinForm(-1.0, {"b": 2.0}),
+    LinForm(0.0, {"a": 1.0, "b": 1e-13}), LinForm(1e-13, {"a": 1e-13}), LinForm(3.0, {"a": -1.0}),
+]
+_MONOMIALS = [Polynomial.constant(1.0), X, Y, Polynomial.variable("z"), X * Y, X * X]
+
+
+@st.composite
+def certificate_sites(draw):
+    targets = draw(st.lists(
+        st.lists(st.tuples(st.sampled_from(_MONOMIALS), st.sampled_from(_COEFFS)), min_size=1, max_size=4),
+        min_size=1, max_size=3,
+    ))
+    targets = [sum((mono * Polynomial.constant(coeff) for mono, coeff in terms), Polynomial.zero())
+               for terms in targets]
+    sites = []
+    for index in range(draw(st.integers(1, 5))):
+        tag = draw(st.one_of(st.none(), st.tuples(st.sampled_from([1, 2]), st.sampled_from([0, 1]))))
+        sites.append((
+            f"s{index}",
+            draw(st.sampled_from(targets)),
+            draw(st.lists(st.sampled_from(_GAMMAS), max_size=3)),
+            draw(st.integers(0, 2)),
+            tag,
+        ))
+    return sites
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificate_sites())
+def test_problem_rows_match_naive_under_every_policy(sites):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for choice_1, choice_2 in product((0, 1), repeat=2):
+            assert_rows_match_reference(monkeypatch, ["a", "b"], sites, {1: choice_1, 2: choice_2})
 
 
 # ---------------------------------------------------------------------------

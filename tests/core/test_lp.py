@@ -14,15 +14,38 @@ from repro.core import LinearProgram
 from repro.core import lp as lp_module
 from repro.deadline import DeadlineExceeded, deadline_scope
 from repro.errors import InfeasibleError, SynthesisError, UnboundedError
-from repro.polynomials import LinForm
+
+
+def program(columns, rows, cost, offset=0.0, maximize=False) -> LinearProgram:
+    """An LP over named columns: ``columns`` maps name -> nonnegative,
+    ``rows`` are ``({name: coeff}, rhs)`` and ``cost`` is ``{name: coeff}``."""
+    names = list(columns)
+    col = {name: j for j, name in enumerate(names)}
+    starts, index, value, rhs = [0], [], [], []
+    for coeffs, b in rows:
+        for name, coeff in coeffs.items():
+            index.append(col[name])
+            value.append(coeff)
+        starts.append(len(index))
+        rhs.append(b)
+    vector = [0.0] * len(names)
+    for name, coeff in cost.items():
+        vector[col[name]] = coeff
+    return LinearProgram(
+        names=names,
+        nonneg=[columns[name] for name in names],
+        starts=starts,
+        index=index,
+        value=value,
+        rhs=rhs,
+        cost=vector,
+        offset=offset,
+        maximize=maximize,
+    )
 
 
 def test_simple_minimization():
-    lp = LinearProgram()
-    lp.add_unknown("x", nonnegative=True)
-    lp.add_unknown("y", nonnegative=True)
-    lp.add_equality({"x": 1.0, "y": 1.0}, 10.0)
-    lp.set_objective(LinForm(0.0, {"x": 1.0}))
+    lp = program({"x": True, "y": True}, [({"x": 1.0, "y": 1.0}, 10.0)], {"x": 1.0})
     sol = lp.solve()
     assert sol.values["x"] == pytest.approx(0.0)
     assert sol.values["y"] == pytest.approx(10.0)
@@ -30,156 +53,59 @@ def test_simple_minimization():
 
 
 def test_maximization():
-    lp = LinearProgram()
-    lp.add_unknown("x", nonnegative=True)
-    lp.add_unknown("y", nonnegative=True)
-    lp.add_equality({"x": 1.0, "y": 2.0}, 8.0)
-    lp.set_objective(LinForm(0.0, {"x": 1.0}), maximize=True)
+    lp = program({"x": True, "y": True}, [({"x": 1.0, "y": 2.0}, 8.0)], {"x": 1.0}, maximize=True)
     assert lp.solve().objective == pytest.approx(8.0)
 
 
 def test_free_variables_can_go_negative():
-    lp = LinearProgram()
-    lp.add_unknown("a", nonnegative=False)
-    lp.add_unknown("c", nonnegative=True)
-    lp.add_equality({"a": 1.0, "c": 1.0}, -5.0)
-    lp.set_objective(LinForm(0.0, {"a": 1.0}), maximize=True)
+    lp = program({"a": False, "c": True}, [({"a": 1.0, "c": 1.0}, -5.0)], {"a": 1.0}, maximize=True)
     assert lp.solve().values["a"] == pytest.approx(-5.0)
 
 
 def test_objective_offset():
-    lp = LinearProgram()
-    lp.add_unknown("x", nonnegative=True)
-    lp.add_equality({"x": 1.0}, 3.0)
-    lp.set_objective(LinForm(7.0, {"x": 1.0}))
+    lp = program({"x": True}, [({"x": 1.0}, 3.0)], {"x": 1.0}, offset=7.0)
     assert lp.solve().objective == pytest.approx(10.0)
 
 
 def test_infeasible():
-    lp = LinearProgram()
-    lp.add_unknown("x", nonnegative=True)
-    lp.add_equality({"x": 1.0}, -2.0)
-    lp.set_objective(LinForm(0.0, {"x": 1.0}))
+    lp = program({"x": True}, [({"x": 1.0}, -2.0)], {"x": 1.0})
     with pytest.raises(InfeasibleError):
         lp.solve()
 
 
 def test_unbounded():
-    lp = LinearProgram()
-    lp.add_unknown("a", nonnegative=False)
-    lp.set_objective(LinForm(0.0, {"a": 1.0}), maximize=True)
+    lp = program({"a": False}, [], {"a": 1.0}, maximize=True)
     with pytest.raises(UnboundedError):
         lp.solve()
 
 
 def test_row_free_optimal():
-    lp = LinearProgram()
-    lp.add_unknown("a", nonnegative=True)
-    lp.set_objective(LinForm(2.0, {"a": 1.0}))
-    sol = lp.solve()
+    sol = program({"a": True}, [], {"a": 1.0}, offset=2.0).solve()
     assert sol.num_equalities == 0
     assert sol.objective == pytest.approx(2.0)
 
 
-def test_contradictory_constant_row():
-    lp = LinearProgram()
-    lp.add_unknown("x", nonnegative=True)
-    with pytest.raises(InfeasibleError):
-        lp.add_equality({}, 1.0)
-
-
-def test_zero_row_with_zero_rhs_ignored():
-    lp = LinearProgram()
-    lp.add_unknown("x", nonnegative=True)
-    lp.add_equality({"x": 0.0}, 0.0)
-    assert lp.num_equalities == 0
-
-
-def test_unregistered_unknown_rejected():
-    lp = LinearProgram()
-    with pytest.raises(SynthesisError):
-        lp.add_equality({"ghost": 1.0}, 0.0)
-
-
-def test_conflicting_sign_registration_rejected():
-    lp = LinearProgram()
-    lp.add_unknown("x", nonnegative=True)
-    with pytest.raises(SynthesisError):
-        lp.add_unknown("x", nonnegative=False)
-
-
-def test_idempotent_registration():
-    lp = LinearProgram()
-    lp.add_unknown("x", nonnegative=True)
-    lp.add_unknown("x", nonnegative=True)
-    assert lp.num_variables == 1
-
-
 def test_empty_lp_rejected():
     with pytest.raises(SynthesisError):
-        LinearProgram().solve()
+        program({}, [], {}).solve()
 
 
 def test_solution_indexing():
-    lp = LinearProgram()
-    lp.add_unknown("x", nonnegative=True)
-    lp.add_equality({"x": 2.0}, 4.0)
-    lp.set_objective(LinForm(0.0, {"x": 1.0}))
-    sol = lp.solve()
+    sol = program({"x": True}, [({"x": 2.0}, 4.0)], {"x": 1.0}).solve()
     assert sol["x"] == pytest.approx(2.0)
 
 
-class TestToleranceHandling:
-    """Regression tests for the shared ZERO_TOL/CONSISTENCY_TOL cleanup."""
-
-    def test_subtolerance_coefficients_dropped_from_mixed_rows(self):
-        from repro.core import LinearProgram
-
-        lp = LinearProgram()
-        lp.add_unknown("a")
-        lp.add_unknown("b")
-        lp.add_equality({"a": 1.0, "b": 1e-15}, 2.0)
-        assert lp.num_equalities == 1
-
-    def test_all_subtolerance_row_is_kept_not_deleted(self):
-        """A row whose coefficients are all tiny-but-nonzero is a real
-        (badly scaled) constraint: it must neither raise nor vanish."""
-        from repro.core import LinearProgram
-
-        lp = LinearProgram()
-        lp.add_unknown("c", nonnegative=True)
-        lp.add_equality({"c": 5e-13}, 5e-10)  # forces c = 1000
-        lp.add_equality({"c": 5e-13}, 1.0)  # badly scaled, not contradictory
-        assert lp.num_equalities == 2
-
-    def test_exact_zero_row_with_large_rhs_is_contradictory(self):
-        from repro.core import LinearProgram
-        from repro.errors import InfeasibleError
-
-        lp = LinearProgram()
-        lp.add_unknown("a")
-        with pytest.raises(InfeasibleError):
-            lp.add_equality({"a": 0.0}, 1.0)
-
-    def test_duplicate_rows_deduplicated(self):
-        from repro.core import LinearProgram
-
-        lp = LinearProgram()
-        lp.add_unknown("a")
-        lp.add_equality({"a": 2.0}, 1.0)
-        lp.add_equality({"a": 2.0}, 1.0)
-        lp.add_equality({"a": 2.0}, 3.0)  # same coeffs, different rhs: kept
-        assert lp.num_equalities == 2
+def test_solution_reports_named_columns_only():
+    # min x  s.t.  x + c = 10: x is named, c one anonymous multiplier.
+    lp = LinearProgram(names=["x"], nonneg=[True, True], starts=[0, 2], index=[0, 1],
+                       value=[1.0, 1.0], rhs=[10.0], cost=[1.0, 0.0], ranges=[("c_s", 1)])
+    assert lp.column_names() == ["x", "c_s_0"]
+    assert lp.solve().values == {"x": pytest.approx(0.0)}
 
 
 def _feasible_lp() -> LinearProgram:
     # min x  s.t.  x + y = 10, x, y >= 0  ->  x = 0.
-    lp = LinearProgram()
-    lp.add_unknown("x", nonnegative=True)
-    lp.add_unknown("y", nonnegative=True)
-    lp.add_equality({"x": 1.0, "y": 1.0}, 10.0)
-    lp.set_objective(LinForm(0.0, {"x": 1.0}))
-    return lp
+    return program({"x": True, "y": True}, [({"x": 1.0, "y": 1.0}, 10.0)], {"x": 1.0})
 
 
 def _script_highs(monkeypatch, on=None, off=None):
@@ -294,10 +220,8 @@ class TestHighsOutcomes:
         assert f"model status {on} with presolve on, {off} with presolve off" in str(info.value)
 
     def test_rejected_model_is_not_reported_infeasible(self):
-        lp = LinearProgram()
-        lp.add_unknown("x", nonnegative=True)
-        lp.add_equality({"x": 1e18}, 1.0)  # beyond HiGHS's matrix-value limit
-        lp.set_objective(LinForm(0.0, {"x": 1.0}))
+        # 1e18 is beyond HiGHS's matrix-value limit.
+        lp = program({"x": True}, [({"x": 1e18}, 1.0)], {"x": 1.0})
         with pytest.raises(SynthesisError, match="HiGHS rejected the LP .* in passModel") as info:
             lp.solve()
         assert not isinstance(info.value, InfeasibleError)
@@ -410,14 +334,11 @@ def _run_fresh(code: str) -> None:
 
 _SOLVE = """
 from repro.core import LinearProgram
-from repro.polynomials import LinForm
 
 def solve():
-    lp = LinearProgram()
-    lp.add_unknown("x", nonnegative=True)
-    lp.add_unknown("y", nonnegative=True)
-    lp.add_equality({"x": 1.0, "y": 1.0}, 10.0)
-    lp.set_objective(LinForm(0.0, {"y": 1.0}), maximize=True)
+    # max y  s.t.  x + y = 10, x, y >= 0.
+    lp = LinearProgram(names=["x", "y"], nonneg=[True, True], starts=[0, 2], index=[0, 1],
+                       value=[1.0, 1.0], rhs=[10.0], cost=[0.0, 1.0], maximize=True)
     return lp.solve().objective
 """
 
