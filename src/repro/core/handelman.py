@@ -32,9 +32,14 @@ they were built from are not kept.
 
 Rows are numbered by column, never by name.  :class:`CertificateProblem`
 gives each unknown a fixed column and each chosen site one contiguous
-range of multiplier columns.  :func:`certificate_equalities` maps the
-target's unknowns to columns once per site and joins them with the
-block's rows, dropping the site's duplicate rows there;
+range of multiplier columns.  A site's target is compiled once into a
+:class:`CompiledTarget`: per monomial, the unknowns' columns and values,
+cleaned and raw, their sorted dedupe key and the right-hand side.
+Synthesis and the ranking supermartingale keep the compiled targets of a
+template (they repeat for every request on the same CFG and degree);
+other callers pass polynomials, compiled on the spot.
+:func:`certificate_equalities` joins a compiled target with the block's
+rows in one pass per site, dropping the site's duplicate rows there;
 :meth:`CertificateProblem.solve` copies the chosen sites' rows into the
 CSR arrays of a :class:`~repro.core.lp.LinearProgram`.  The names
 ``c_<site>_<k>`` exist only on demand, for dumps and tests.
@@ -43,17 +48,18 @@ CSR arrays of a :class:`~repro.core.lp.LinearProgram`.  The names
 from __future__ import annotations
 
 import math
+import weakref
 from array import array
 from itertools import chain
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from ..deadline import check_deadline
 from ..errors import CONSISTENCY_TOL, ZERO_TOL, InfeasibleError, NonLinearError, SynthesisError
 from ..polynomials import LinForm, Monomial, Polynomial
 from .lp import LinearProgram, LPSolution
 
-__all__ = ["CertificateProblem", "ProductBlock", "certificate_equalities", "clear_product_blocks",
-           "monoid_products", "product_block"]
+__all__ = ["CertificateProblem", "CompiledTarget", "ProductBlock", "certificate_equalities",
+           "clear_product_blocks", "column_map", "monoid_products", "product_block"]
 
 #: One certificate row ``(cols, vals, block_row, rhs, key)``: the
 #: unknowns' columns and coefficients, the :class:`ProductBlock` row
@@ -120,10 +126,12 @@ class ProductBlock:
     ``ZERO_TOL`` are not in the row; a row that had any gets a second
     row holding just those (``tiny[r]``), for the rare certificate row
     made of nothing else.  ``ids[r]`` is equal for rows of equal
-    content.  ``len(block)`` is the number of products.
+    content.  ``bare[r]`` is the row a target without monomial ``r``
+    gets (``-1``: none, as it reads ``0 = 0``).  ``len(block)`` is the
+    number of products.
     """
 
-    __slots__ = ("size", "position", "starts", "ks", "values", "ids", "tiny")
+    __slots__ = ("size", "position", "starts", "ks", "values", "ids", "tiny", "bare")
 
     def __init__(self, products: Sequence[Polynomial]):
         self.size = len(products)
@@ -154,6 +162,9 @@ class ProductBlock:
                 self.values.append(value)
             self.starts.append(len(self.ks))
             self.ids.append(content_ids.setdefault(tuple(row), len(content_ids)))
+        self.bare = array("i", (
+            r if self.starts[r] < self.starts[r + 1] else self.tiny.get(r, -1) for r in range(len(entries))
+        ))
 
     def __len__(self) -> int:
         return self.size
@@ -174,8 +185,93 @@ def product_block(gammas: Sequence[Polynomial], max_multiplicands: int) -> Produ
     return block
 
 
+#: unknowns -> their column map, alive while a problem or compiled
+#: target uses it: problems over the same unknowns share one map, so a
+#: compiled target recognises its numbering by identity.
+_COLUMN_MAPS: "weakref.WeakValueDictionary[Tuple[str, ...], ColumnMap]" = weakref.WeakValueDictionary()
+
+
+class ColumnMap(dict):
+    """``{unknown: column}``, shared; never mutated once built."""
+
+    __slots__ = ("__weakref__",)
+
+
+def column_map(unknowns: Sequence[str]) -> ColumnMap:
+    """The shared column map numbering ``unknowns`` (distinct) in order."""
+    key = tuple(unknowns)
+    columns = _COLUMN_MAPS.get(key)
+    if columns is None:
+        columns = ColumnMap((name, col) for col, name in enumerate(key))
+        _COLUMN_MAPS[key] = columns
+    return columns
+
+
+#: One compiled target monomial ``(mono, cols, vals, key, raw, rhs)``:
+#: the unknowns' columns and values with coefficients at or below
+#: ``ZERO_TOL`` dropped, their dedupe key (the same, in column order),
+#: those three of all the coefficients (``raw``, for a row made of
+#: nothing else), and the right-hand side.
+Term = Tuple[Monomial, Tuple[int, ...], Tuple[float, ...], tuple, tuple, float]
+
+
+#: The dedupe key of a row without unknowns, as :func:`_entries` makes it.
+_NO_ENTRIES = ((), ())
+
+
+def _entries(pairs: List[Tuple[int, float]]) -> tuple:
+    """``(cols, vals, key)`` of a row's ``(col, value)`` entries; the
+    columns are distinct, so ``key`` is equal for equal sets."""
+    if not pairs:
+        return (), (), _NO_ENTRIES
+    cols, vals = zip(*pairs)
+    ordered = sorted(pairs)
+    return cols, vals, (cols, vals) if ordered == pairs else tuple(zip(*ordered))
+
+
+class CompiledTarget:
+    """A site target's half of its certificate rows, for ``columns``.
+
+    ``target`` is a polynomial whose coefficients are affine in the
+    unknowns that ``columns`` numbers; ``terms`` holds one :data:`Term`
+    per monomial, in the target's order.  What is left per site depends
+    on its product block alone (:func:`certificate_equalities`).
+    """
+
+    __slots__ = ("columns", "terms", "_degree")
+
+    def __init__(self, target: Polynomial, columns: Mapping[str, int]):
+        self.columns = columns
+        degree = 0
+        terms: List[Term] = []
+        for mono, coeff in target.terms():
+            degree = max(degree, mono.degree())
+            entries = []
+            if isinstance(coeff, LinForm):
+                for name, value in coeff.terms.items():
+                    col = columns.get(name)
+                    if col is None:
+                        raise SynthesisError(f"equality references unregistered unknown {name!r}")
+                    entries.append((col, value))
+                rhs = -coeff.const
+            else:
+                rhs = -float(coeff)
+            # HiGHS zeroes matrix entries below its small_matrix_value
+            # (1e-9) anyway; dropping those at or below ZERO_TOL makes
+            # rows canonical for the duplicate check.
+            kept = [e for e in entries if abs(e[1]) > ZERO_TOL]
+            cleaned = _entries(kept)
+            terms.append((mono, *cleaned, cleaned if len(kept) == len(entries) else _entries(entries), rhs))
+        self.terms: Tuple[Term, ...] = tuple(terms)
+        self._degree = degree
+
+    def degree(self) -> int:
+        """The target polynomial's total degree."""
+        return self._degree
+
+
 def certificate_equalities(
-    target: Polynomial,
+    target: Union[Polynomial, CompiledTarget],
     gammas: Sequence[Polynomial],
     max_multiplicands: int,
     columns: Mapping[str, int],
@@ -183,7 +279,8 @@ def certificate_equalities(
     """Encode ``target = sum_k c_k f_k`` as rows over integer columns.
 
     ``target`` is a polynomial whose coefficients are affine in the
-    unknowns that ``columns`` numbers.  There is one row per monomial of
+    unknowns that ``columns`` numbers, or a :class:`CompiledTarget` of
+    one for ``columns``.  There is one row per monomial of
     ``target - sum_k c_k f_k``: the target's monomials first, in its
     order, then the block's other monomials.  Multiplier ``c_k`` is
     column ``k`` of the site's range (see :data:`Row`).
@@ -197,56 +294,41 @@ def certificate_equalities(
     infeasible.  Returns ``(rows, block, contradiction)``;
     ``len(block)`` is the number of multipliers.
     """
+    if not isinstance(target, CompiledTarget):
+        target = CompiledTarget(target, columns)
+    elif target.columns is not columns and target.columns != columns:
+        raise SynthesisError("target compiled for another numbering of the unknowns")
     block = product_block(gammas, max_multiplicands)
     position, starts, ids, tiny = block.position, block.starts, block.ids, block.tiny
     rows: List[Row] = []
     seen = set()
-
-    def add(entries: List[Tuple[int, float]], r: int, rhs: float) -> bool:
-        """Append the cleaned row of the unknowns' ``entries`` and block
-        row ``r`` (``-1``: none); ``False`` when it reads ``0 = c``."""
-        # HiGHS zeroes matrix entries below its small_matrix_value (1e-9)
-        # anyway; dropping those at or below ZERO_TOL makes rows canonical
-        # for the duplicate check.  A row of nothing else keeps them: it
-        # is badly scaled, yet a real constraint, not ``0 = rhs``.
-        kept = [e for e in entries if abs(e[1]) > ZERO_TOL]
+    used = set()
+    for mono, cols, vals, entries, raw, rhs in target.terms:
+        r = position.get(mono, -1)
+        used.add(r)
         brow = r if r >= 0 and starts[r] < starts[r + 1] else -1
-        if not kept and brow < 0:
-            kept = entries  # all tiny (LinForm drops exact zeros)
+        if not cols and brow < 0:
+            # All coefficients tiny (LinForm drops exact zeros): keep
+            # them, as the row is badly scaled yet real, not ``0 = rhs``.
+            cols, vals, entries = raw
             brow = tiny.get(r, -1)
-            if not kept and brow < 0:
-                return abs(rhs) <= CONSISTENCY_TOL  # 0 = 0 is skipped
-        cols = tuple(col for col, _ in kept)
-        vals = tuple(value for _, value in kept)
-        pairs = tuple(sorted(kept))
+            if not cols and brow < 0:
+                if abs(rhs) > CONSISTENCY_TOL:
+                    return rows, block, rhs
+                continue  # 0 = 0 is skipped
         if brow < 0:
-            rows.append((cols, vals, -1, rhs, (pairs, rhs)))
-            return True
-        key = (ids[brow], pairs, rhs)
+            rows.append((cols, vals, -1, rhs, (entries, rhs)))
+            continue
+        key = (ids[brow], entries, rhs)
         if key not in seen:
             seen.add(key)
             rows.append((cols, vals, brow, rhs, None))
-        return True
-
-    used = set()
-    for mono, coeff in target.terms():
-        entries = []
-        if isinstance(coeff, LinForm):
-            for name, value in coeff.terms.items():
-                col = columns.get(name)
-                if col is None:
-                    raise SynthesisError(f"equality references unregistered unknown {name!r}")
-                entries.append((col, value))
-            rhs = -coeff.const
-        else:
-            rhs = -float(coeff)
-        r = position.get(mono, -1)
-        used.add(r)
-        if not add(entries, r, rhs):
-            return rows, block, rhs
-    for r in range(len(position)):
-        if r not in used:
-            add([], r, 0.0)
+    for r, brow in enumerate(block.bare):
+        if brow >= 0 and r not in used:
+            key = (ids[brow], _NO_ENTRIES, 0.0)
+            if key not in seen:
+                seen.add(key)
+                rows.append(((), (), brow, 0.0, None))
     return rows, block, None
 
 
@@ -276,18 +358,19 @@ class CertificateProblem:
     def __init__(self, unknowns: Sequence[str] = (), nonnegative: bool = False):
         self.unknowns = list(dict.fromkeys(unknowns))
         self.nonnegative = nonnegative
-        self.columns = {name: col for col, name in enumerate(self.unknowns)}
+        self.columns = column_map(self.unknowns)
         self.sites: List[_Site] = []
 
     def add_site(
         self,
         name: str,
-        target: Polynomial,
+        target: Union[Polynomial, CompiledTarget],
         gammas: Sequence[Polynomial],
         cap: Optional[int] = None,
         tag: Optional[Tuple[int, int]] = None,
     ) -> None:
-        """Certify ``target >= 0`` on ``<gammas>``.  ``cap`` bounds the
+        """Certify ``target >= 0`` on ``<gammas>``; a compiled target
+        must be compiled for :attr:`columns`.  ``cap`` bounds the
         multiplicands per product; ``None`` picks the target's degree
         (at least 1), the smallest cap that can match it."""
         # Cooperative per-site checkpoint: certificate extraction

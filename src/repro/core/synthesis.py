@@ -32,7 +32,10 @@ per-``(label, choice)`` sites, and each of the up-to-``2^k`` policy LPs
 only stitches precomputed rows together before solving.  The template
 and its pre-expectation cases are additionally memoised per CFG and
 degree, so the PUCS and PLCS runs of one analysis — and the ranking
-supermartingale of :mod:`repro.termination` — share them.
+supermartingale of :mod:`repro.termination` — share them.  So are the
+site targets ``h(l) - pre_h``, ``pre_h - h(l)`` and ``h(l)``, compiled
+once into :class:`~repro.core.handelman.CompiledTarget` rows: a request
+on a CFG and degree seen before only joins them with its product blocks.
 """
 
 from __future__ import annotations
@@ -41,13 +44,13 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Hashable, List, Mapping, Optional
 
 from ..errors import InfeasibleError, SynthesisError
 from ..invariants import InvariantMap
 from ..polynomials import LinForm, Polynomial
 from ..semantics.cfg import CFG, NondetLabel, TerminalLabel
-from .handelman import CertificateProblem
+from .handelman import CertificateProblem, CompiledTarget, column_map
 from .preexpectation import PreCase, pre_expectation_cases, step_difference_cases
 from .templates import Template, make_template
 
@@ -59,7 +62,7 @@ __all__ = [
     "synthesize",
     "synthesize_pucs",
     "synthesize_plcs",
-    "template_and_cases",
+    "template_memo",
 ]
 
 #: Enumerating nondeterministic policies for PLCS is exponential in the
@@ -131,35 +134,49 @@ class BoundResult:
 # Template / pre-expectation memoisation (shared by PUCS and PLCS runs)
 # ---------------------------------------------------------------------------
 
-#: cfg -> {degree: (template, {label_id: cases})}.  Templates are
-#: deterministic in (cfg, degree) — same unknown names, same polynomials
-#: — so sharing them across synthesis kinds is observationally free.
-_TEMPLATE_CACHE: "weakref.WeakKeyDictionary[CFG, Dict[int, tuple]]" = weakref.WeakKeyDictionary()
+class TemplateMemo:
+    """What every request on one CFG and degree shares: the template,
+    its pre-expectation cases per non-terminal label, and the compiled
+    site targets.  Templates are deterministic in (cfg, degree) — same
+    unknown names, same polynomials — so sharing them across synthesis
+    kinds and requests is observationally free."""
+
+    __slots__ = ("template", "cases", "columns", "targets")
+
+    def __init__(self, cfg: CFG, degree: int):
+        self.template = make_template(cfg, degree)
+        self.cases: Dict[int, List[PreCase]] = {
+            label.id: pre_expectation_cases(cfg, self.template.polys, label)
+            for label in cfg
+            if not isinstance(label, TerminalLabel)
+        }
+        #: The columns of every ``CertificateProblem(template.unknowns)``.
+        self.columns = column_map(self.template.unknowns)
+        self.targets: Dict[Hashable, CompiledTarget] = {}
+
+    def target(self, key: Hashable, build: Callable[[], Polynomial]) -> CompiledTarget:
+        """The site target ``key`` names, compiled from ``build()`` on
+        first use."""
+        compiled = self.targets.get(key)
+        if compiled is None:
+            compiled = self.targets[key] = CompiledTarget(build(), self.columns)
+        return compiled
 
 
-def clear_template_cache() -> None:
-    """Drop memoised templates and pre-expectation cases (benchmarks)."""
-    _TEMPLATE_CACHE.clear()
+#: cfg -> {degree: TemplateMemo}, weak on the CFG so a memo dies with it.
+_TEMPLATE_CACHE: "weakref.WeakKeyDictionary[CFG, Dict[int, TemplateMemo]]" = weakref.WeakKeyDictionary()
 
 
-def template_and_cases(cfg: CFG, degree: int) -> Tuple[Template, Dict[int, List[PreCase]]]:
-    """The degree-``degree`` template of ``cfg`` and its pre-expectation
-    cases per non-terminal label, memoised per CFG and degree."""
+def template_memo(cfg: CFG, degree: int) -> TemplateMemo:
+    """The :class:`TemplateMemo` of ``cfg`` at ``degree``."""
     try:
         per_cfg = _TEMPLATE_CACHE.setdefault(cfg, {})
     except TypeError:  # unhashable/unweakrefable CFG: skip caching
         per_cfg = {}
-    cached = per_cfg.get(degree)
-    if cached is None:
-        template = make_template(cfg, degree)
-        cases = {
-            label.id: pre_expectation_cases(cfg, template.polys, label)
-            for label in cfg
-            if not isinstance(label, TerminalLabel)
-        }
-        cached = (template, cases)
-        per_cfg[degree] = cached
-    return cached
+    memo = per_cfg.get(degree)
+    if memo is None:
+        memo = per_cfg[degree] = TemplateMemo(cfg, degree)
+    return memo
 
 
 def anchor_objective(cfg: CFG, template: Template, init: Mapping[str, float]) -> LinForm:
@@ -199,7 +216,8 @@ class _PreparedSynthesis:
         self.cfg = cfg
         self.kind = kind
         self.options = options
-        self.template, cases_by_label = template_and_cases(cfg, options.degree)
+        memo = template_memo(cfg, options.degree)
+        self.template = memo.template
         self.problem = CertificateProblem(self.template.unknowns)
         h = self.template.polys
         cap = options.max_multiplicands
@@ -207,7 +225,7 @@ class _PreparedSynthesis:
             if isinstance(label, TerminalLabel):
                 continue
             region = invariants.get(label.id)
-            for case_index, case in enumerate(cases_by_label[label.id]):
+            for case_index, case in enumerate(memo.cases[label.id]):
                 tag = None
                 if isinstance(label, NondetLabel) and kind == "lower":
                     # (C3') at a nondet label: max over successors >= h is
@@ -216,9 +234,9 @@ class _PreparedSynthesis:
                     if restrict_to is not None and case.choice != restrict_to.get(label.id, 0):
                         continue
                 if kind == "upper":
-                    target = h[label.id] - case.poly
+                    target = memo.target((kind, label.id, case_index), lambda: h[label.id] - case.poly)
                 else:
-                    target = case.poly - h[label.id]
+                    target = memo.target((kind, label.id, case_index), lambda: case.poly - h[label.id])
                 # The inequality must hold on the whole invariant region:
                 # one Handelman site per polyhedron of the union.
                 for d_index, polyhedron in enumerate(region):
@@ -227,9 +245,10 @@ class _PreparedSynthesis:
                         f"l{label.id}_{case_index}_{d_index}", target, gammas, cap=cap, tag=tag
                     )
             if options.nonnegative:
+                target = memo.target(("nn", label.id), lambda: h[label.id])
                 for d_index, polyhedron in enumerate(region):
                     self.problem.add_site(
-                        f"l{label.id}_nn_{d_index}", h[label.id], polyhedron.constraints, cap=cap
+                        f"l{label.id}_nn_{d_index}", target, polyhedron.constraints, cap=cap
                     )
         #: Certificate-extraction time, charged to every solved policy so
         #: ``BoundResult.runtime`` keeps meaning "time to produce this

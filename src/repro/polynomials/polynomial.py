@@ -396,7 +396,21 @@ class Polynomial:
             other = Polynomial.constant(float(other))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return (self - other).is_zero(_ZERO_TOL)
+        mine, theirs = self._terms, other._terms
+        for coeffs in (mine, theirs):
+            for c in coeffs.values():
+                if isinstance(c, LinForm):
+                    return (self - other).is_zero(_ZERO_TOL)
+        # Numeric: ``(self - other).is_zero(ZERO_TOL)`` term by term,
+        # without building the difference; a missing monomial counts as
+        # 0 and ``not <=`` keeps a NaN difference unequal.
+        for mono, a in mine.items():
+            if not abs(float(a) - float(theirs.get(mono, 0.0))) <= _ZERO_TOL:
+                return False
+        for mono, b in theirs.items():
+            if mono not in mine and not abs(float(b)) <= _ZERO_TOL:
+                return False
+        return True
 
     def __hash__(self) -> int:
         items = tuple(sorted(self._terms.items(), key=lambda kv: kv[0]))

@@ -31,7 +31,7 @@ from typing import Dict, Mapping, Optional
 from ..core.conditions import ConditionReport, check_bounded_updates
 from ..core.handelman import CertificateProblem
 from ..core.preexpectation import PreCase
-from ..core.synthesis import anchor_objective, template_and_cases
+from ..core.synthesis import anchor_objective, template_memo
 from ..errors import SynthesisError
 from ..invariants import InvariantMap
 from ..polynomials import Polynomial
@@ -78,29 +78,34 @@ def synthesize_rsm(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     start = time.perf_counter()
-    template, cases_by_label = template_and_cases(cfg, degree)
+    memo = template_memo(cfg, degree)
+    template = memo.template
     eta = template.polys
     problem = CertificateProblem(template.unknowns)
     for label in cfg:
         if isinstance(label, TerminalLabel):
             continue
+        nonnegative = memo.target(("nn", label.id), lambda: eta[label.id])
+        # Ranking condition: eta - pre_eta - eps >= 0, for every case
+        # and every nondeterministic successor (demonic termination).
+        # An RSM ranks steps, not cost: a tick's step is eta(succ).
+        cases = memo.cases[label.id]
+        if isinstance(label, TickLabel):
+            cases = [PreCase(poly=eta[label.succ])]
+        ranking = [
+            memo.target(("rsm", label.id, case_index, epsilon), lambda: eta[label.id] - case.poly - epsilon)
+            for case_index, case in enumerate(cases)
+        ]
         for d_index, polyhedron in enumerate(invariants.get(label.id)):
             # Nonnegativity of eta on the invariant; its cap is the
             # template degree whatever ``max_multiplicands`` says.
             problem.add_site(
-                f"rsm_nn_{label.id}_{d_index}", eta[label.id], polyhedron.constraints,
-                cap=max(degree, 1),
+                f"rsm_nn_{label.id}_{d_index}", nonnegative, polyhedron.constraints, cap=max(degree, 1),
             )
-            # Ranking condition: eta - pre_eta - eps >= 0, for every case
-            # and every nondeterministic successor (demonic termination).
-            # An RSM ranks steps, not cost: a tick's step is eta(succ).
-            cases = cases_by_label[label.id]
-            if isinstance(label, TickLabel):
-                cases = [PreCase(poly=eta[label.succ])]
             for case_index, case in enumerate(cases):
                 problem.add_site(
                     f"rsm_{label.id}_{case_index}_{d_index}",
-                    eta[label.id] - case.poly - epsilon,
+                    ranking[case_index],
                     polyhedron.constraints + [atom.poly for atom in case.guard],
                     cap=max_multiplicands,
                 )

@@ -9,17 +9,20 @@ objective's nonzero coefficients by column plus its constant, and the
 sense.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
+from repro.api import AnalysisOptions
 from repro.core import (
     check_nonnegative_costs,
     difference_bound,
     synthesize,
 )
 from repro.core import lp as lp_module
-from repro.core.handelman import CertificateProblem
+from repro.core import synthesis as synthesis_module
+from repro.core.handelman import CertificateProblem, CompiledTarget
 from repro.deadline import DeadlineExceeded, deadline_scope
 from repro.errors import InfeasibleError, SynthesisError
 from repro.polynomials import LinForm, Monomial, Polynomial
@@ -45,8 +48,14 @@ def lp_digest(lp) -> str:
     return h.hexdigest()
 
 
-def _bench(name):
-    bench = get_benchmark(name)
+def _fresh(name):
+    """Registry benchmark ``name`` on a CFG of its own, so its template
+    memo starts cold."""
+    return dataclasses.replace(get_benchmark(name))
+
+
+def _bench(name, fresh=False):
+    bench = _fresh(name) if fresh else get_benchmark(name)
     return bench.cfg, bench.invariant_map(), bench.init
 
 
@@ -148,12 +157,24 @@ def test_lp_is_byte_identical(monkeypatch, case):
     assert [lp_digest(lp) for lp in solved_lps(monkeypatch, run)] == expected
 
 
-@pytest.mark.parametrize(
-    "consumer", ["synthesize", "difference_bound", "check_nonnegative_costs", "synthesize_rsm"]
-)
+CONSUMERS = ["synthesize", "difference_bound", "check_nonnegative_costs", "synthesize_rsm"]
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
 def test_expired_deadline_stops_every_consumer(monkeypatch, consumer):
-    cfg, inv, init = _bench("rdwalk")
-    pol04_cfg, pol04_inv, _ = _bench("pol04")
+    assert_deadline_stops(monkeypatch, consumer, warm=False)
+
+
+@pytest.mark.parametrize("consumer", CONSUMERS)
+def test_expired_deadline_stops_every_consumer_with_a_warm_memo(monkeypatch, consumer):
+    # Every site target now comes from the memo: the per-site
+    # checkpoint must fire all the same.
+    assert_deadline_stops(monkeypatch, consumer, warm=True)
+
+
+def assert_deadline_stops(monkeypatch, consumer, warm):
+    cfg, inv, init = _bench("rdwalk", fresh=True)
+    pol04_cfg, pol04_inv, _ = _bench("pol04", fresh=True)
     h = synthesize(cfg, inv, init, degree=1).h
     run = {
         "synthesize": lambda: synthesize(cfg, inv, init, degree=2),
@@ -161,6 +182,8 @@ def test_expired_deadline_stops_every_consumer(monkeypatch, consumer):
         "check_nonnegative_costs": lambda: check_nonnegative_costs(pol04_cfg, pol04_inv),
         "synthesize_rsm": lambda: synthesize_rsm(cfg, inv, init),
     }[consumer]
+    if warm:
+        run()
     solved = []
     monkeypatch.setattr(lp_module.LinearProgram, "solve", lambda self: solved.append(self))
     with deadline_scope(1e-9):
@@ -169,8 +192,59 @@ def test_expired_deadline_stops_every_consumer(monkeypatch, consumer):
     assert solved == []
 
 
+#: Per benchmark: a second anchor and a request in the other domain,
+#: both served after a first request has warmed the template memo.
+WARM_REQUESTS = {
+    "rdwalk": [AnalysisOptions(init={"x": 7.0}), AnalysisOptions(invariant_domain="octagon")],
+    # Nondeterministic: PLCS sites tagged by policy, several LPs.
+    "bitcoin_mining": [AnalysisOptions(init={"x": 9.0}), AnalysisOptions(invariant_domain="octagon")],
+}
+
+
+def _analyze(bench, options):
+    return bench.analyze(options, check_concentration=True)
+
+
+@pytest.mark.parametrize("name", sorted(WARM_REQUESTS))
+def test_warm_memo_poses_the_same_lps(monkeypatch, name):
+    warm = _fresh(name)
+    _analyze(warm, AnalysisOptions())
+    for options in WARM_REQUESTS[name]:
+        served = [lp_digest(lp) for lp in solved_lps(monkeypatch, lambda: _analyze(warm, options))]
+        cold = [lp_digest(lp) for lp in solved_lps(monkeypatch, lambda: _analyze(_fresh(name), options))]
+        assert served and served == cold
+
+
+def test_second_request_compiles_no_synthesis_target(monkeypatch):
+    compiled = []
+
+    def counting(*args):
+        compiled.append(args)
+        return CompiledTarget(*args)
+
+    monkeypatch.setattr(synthesis_module, "CompiledTarget", counting)
+    bench = _fresh("rdwalk")
+    _analyze(bench, AnalysisOptions())
+    assert compiled  # the memo compiles through the counted name
+    compiled.clear()
+    _analyze(bench, AnalysisOptions(init={"x": 7.0}))
+    assert compiled == []
+
+
 class TestCertificateProblem:
     X = Polynomial.variable("x")
+
+    def test_compiled_target_is_checked_against_the_columns(self):
+        target = Polynomial.constant(LinForm.unknown("a")) * self.X
+        compiled = CompiledTarget(target, CertificateProblem(["a"]).columns)
+        problem = CertificateProblem(["a"])
+        assert problem.columns is compiled.columns  # one shared map per unknowns
+        problem.add_site("s", compiled, [self.X])
+        plain = CertificateProblem(["a"])
+        plain.add_site("s", target, [self.X])
+        assert problem.sites == plain.sites
+        with pytest.raises(SynthesisError, match="another numbering"):
+            CertificateProblem(["b", "a"]).add_site("s", compiled, [self.X])
 
     def test_default_cap_is_target_degree(self, monkeypatch):
         problem = CertificateProblem()

@@ -18,12 +18,13 @@ from hypothesis import strategies as st
 from repro.core import lp as lp_module
 from repro.core.handelman import (
     CertificateProblem,
+    CompiledTarget,
     clear_product_blocks,
     monoid_products,
     product_block,
 )
 from repro.errors import CONSISTENCY_TOL, ZERO_TOL, InfeasibleError
-from repro.polynomials import LinForm, Polynomial
+from repro.polynomials import LinForm, Monomial, Polynomial
 
 X = Polynomial.variable("x")
 Y = Polynomial.variable("y")
@@ -117,9 +118,14 @@ def assembled_rows(monkeypatch, problem, choices):
     return names, rows
 
 
-def assert_rows_match_reference(monkeypatch, unknowns, sites, choices):
+def assert_rows_match_reference(monkeypatch, unknowns, sites, choices, compiled=False):
+    """``compiled``: add each distinct target as one :class:`CompiledTarget`
+    shared by its sites, as the synthesis memo does."""
     problem = CertificateProblem(unknowns)
+    targets = {}
     for name, target, gammas, cap, tag in sites:
+        if compiled:
+            target = targets.setdefault(id(target), CompiledTarget(target, problem.columns))
         problem.add_site(name, target, gammas, cap=cap, tag=tag)
     try:
         expected = reference_rows(unknowns, sites, choices)
@@ -186,6 +192,23 @@ class TestCertificateEquivalence:
         clear_product_blocks()
         assert_rows_match_reference(monkeypatch, ["a", "b"], [("s", target, gammas, cap, None)], {})
 
+    #: Rows the join treats specially: every coefficient at or below
+    #: ZERO_TOL (kept, not deleted); ``0 = 1`` (the site's
+    #: contradiction, after a row it already made); and an exact zero
+    #: coefficient, whose row over ``x + y`` repeats the block's row of y.
+    EDGE_TARGETS = {
+        "all-subtolerance": X * LinForm(-5e-10, {"a": 5e-13}) + Y * LinForm(-1.0, {"a": 5e-13}),
+        "contradiction": Polynomial.constant(LinForm(-1.0, {"a": 2.0})) + X * -1.0,
+        "exact-zero": Polynomial._raw({Monomial.variable("x"): LinForm(0.0), Monomial.one(): 1.0}),
+    }
+
+    @pytest.mark.parametrize("compiled", [False, True], ids=["polynomial", "compiled"])
+    @pytest.mark.parametrize("edge", sorted(EDGE_TARGETS))
+    @pytest.mark.parametrize("gammas", [[], [Y], [X + Y]])
+    def test_edge_rows_match_naive(self, monkeypatch, edge, gammas, compiled):
+        sites = [("s", self.EDGE_TARGETS[edge], gammas, 1, None)]
+        assert_rows_match_reference(monkeypatch, ["a", "b"], sites, {}, compiled=compiled)
+
 
 #: Small pools, so sites share constraints and targets: rows repeat
 #: within a site (x and y only in x + y) and across sites (z is in no
@@ -224,7 +247,10 @@ def certificate_sites(draw):
 def test_problem_rows_match_naive_under_every_policy(sites):
     with pytest.MonkeyPatch.context() as monkeypatch:
         for choice_1, choice_2 in product((0, 1), repeat=2):
-            assert_rows_match_reference(monkeypatch, ["a", "b"], sites, {1: choice_1, 2: choice_2})
+            for compiled in (False, True):
+                assert_rows_match_reference(
+                    monkeypatch, ["a", "b"], sites, {1: choice_1, 2: choice_2}, compiled=compiled
+                )
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Unit and property tests for sparse multivariate polynomials."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import NonLinearError
+from repro.errors import ZERO_TOL, NonLinearError
 from repro.polynomials import LinForm, Monomial, Polynomial
 
 
@@ -192,6 +194,60 @@ class TestComparison:
     def test_str_ordering_and_signs(self):
         x = Polynomial.variable("x")
         assert str(x * x - x) == "x^2 - x"
+
+
+#: Coefficients at and around the equality tolerance, plus the values
+#: whose arithmetic is easy to get subtly wrong.
+_TOL_EDGES = [ZERO_TOL, math.nextafter(ZERO_TOL, 0.0), math.nextafter(ZERO_TOL, 1.0)]
+_DELTAS = [0.0, -0.0, 1e-15, 1.0, *_TOL_EDGES, *(-d for d in _TOL_EDGES)]
+_EQ_COEFFS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -2.5, 1e-13, float("nan"), float("inf"), *_TOL_EDGES]),
+    st.integers(-3, 3),
+    st.floats(min_value=-10, max_value=10),
+)
+_EQ_MONOS = [Monomial.one(), Monomial.variable("x"), Monomial({"x": 1, "y": 1}), Monomial.variable("y")]
+
+
+@st.composite
+def near_pairs(draw):
+    """Two raw term tables (zero coefficients allowed) that differ by
+    shifts near ``ZERO_TOL``, dropped monomials and one-sided tiny
+    terms; sometimes a coefficient is a LinForm."""
+    left = {m: draw(_EQ_COEFFS) for m in draw(st.sets(st.sampled_from(_EQ_MONOS)))}
+    right = {}
+    for mono, coeff in left.items():
+        action = draw(st.sampled_from(["keep", "shift", "drop"]))
+        if action == "keep":
+            right[mono] = coeff
+        elif action == "shift":
+            right[mono] = coeff + draw(st.sampled_from(_DELTAS))
+    for mono in draw(st.sets(st.sampled_from(_EQ_MONOS))):
+        right.setdefault(mono, draw(st.sampled_from(_DELTAS)))
+    for table in (left, right):
+        if table and draw(st.integers(0, 4)) == 0:
+            mono = draw(st.sampled_from(sorted(table)))
+            table[mono] = LinForm(float(table[mono]), draw(st.sampled_from([{}, {"a": 1.0}])))
+    return Polynomial._raw(left), Polynomial._raw(right)
+
+
+@given(near_pairs())
+@settings(max_examples=400)
+def test_eq_is_difference_within_zero_tol(pair):
+    p, q = pair
+    assert (p == q) == (p - q).is_zero(ZERO_TOL)
+    assert (q == p) == (q - p).is_zero(ZERO_TOL)
+
+
+def test_numeric_eq_builds_no_difference(monkeypatch):
+    x = Polynomial.variable("x")
+    p, q = x + 1.0, x + (1.0 + ZERO_TOL / 2)
+
+    def no_sub(self, other):
+        raise AssertionError("numeric equality subtracted")
+
+    monkeypatch.setattr(Polynomial, "__sub__", no_sub)
+    assert p == q and p == Polynomial._raw({**q._terms, Monomial.variable("y"): -0.0})
+    assert not p == x + 2
 
 
 @given(polys, polys)
