@@ -10,7 +10,7 @@ property UB >= mean >= LB is asserted on every row.
 
 import pytest
 
-from repro.experiments.table4 import bench_rows
+from repro.experiments.table4 import build_table4
 from repro.programs import TABLE3_BENCHMARKS, get_benchmark
 
 #: Simulation-light subset: the full set is covered by the experiments
@@ -24,7 +24,10 @@ def test_table4_rows(benchmark, name, repro_runs):
     bench = get_benchmark(name)
 
     rows = benchmark.pedantic(
-        bench_rows, args=(bench,), kwargs={"runs": repro_runs, "seed": 0}, rounds=1, iterations=1
+        build_table4,
+        kwargs={"runs": repro_runs, "seed": 0, "benchmarks": [bench]},
+        rounds=1,
+        iterations=1,
     )
     assert len(rows) == len(bench.all_inits())
     for row in rows:

@@ -7,8 +7,7 @@ the re-synthesized bounds (the paper's Modified Bitcoin Mining rows).
 
 import pytest
 
-from repro.experiments.table4 import bench_rows
-from repro.experiments.table5 import probabilistic_variant
+from repro.experiments.table5 import build_table5, probabilistic_variant
 from repro.programs import get_benchmark
 
 NONDET = ["bitcoin_mining", "bitcoin_pool"]
@@ -27,9 +26,8 @@ def test_modified_bitcoin_rows(benchmark, name, repro_runs):
     small_bench = dataclasses.replace(bench, init=small, extra_inits=[])
 
     rows = benchmark.pedantic(
-        bench_rows,
-        args=(small_bench,),
-        kwargs={"runs": repro_runs, "seed": 0},
+        build_table5,
+        kwargs={"runs": repro_runs, "seed": 0, "benchmarks": [small_bench]},
         rounds=1,
         iterations=1,
     )

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from ..api.options import AnalysisOptions
 
@@ -33,6 +33,7 @@ __all__ = [
     "REPORT_SCHEMA",
     "load_spec",
     "requests_from_spec",
+    "suite_requests",
 ]
 
 #: Canonical report schema.  v6 added ``invariant_domain`` (the abstract
@@ -61,9 +62,17 @@ def _copy_json(value: Any) -> Any:
     return value
 
 
-#: Suites a spec task may name.  ``table5`` is the Table 3 set with
-#: nondeterminism replaced by a fair coin (the paper's Table 5 setup).
-_SUITES = ("table2", "table3", "table5", "table6", "all")
+#: Suites a spec task may name, each with the registry categories it
+#: spans.  ``table5`` is the Table 3 set with nondeterminism replaced by
+#: a fair coin (the paper's Table 5 setup); ``all`` is the registry in
+#: ``all_benchmarks()`` order.
+_SUITES = {
+    "table2": ("table2",),
+    "table3": ("table3",),
+    "table5": ("table3",),
+    "table6": ("table6",),
+    "all": ("table2", "table3", "table6"),
+}
 
 
 @dataclass(frozen=True)
@@ -283,9 +292,9 @@ def requests_from_spec(spec: Union[List[Any], Mapping[str, Any]]) -> List[Analys
     """Expand a parsed spec (list of tasks, or ``{defaults, tasks}``).
 
     Per-task settings win over ``defaults``.  A task with a ``suite``
-    key expands to one request per benchmark of that suite; with
-    ``"all_inits": true`` it further expands over the benchmark's
-    Table 4 valuations.
+    key expands by :func:`suite_requests`, the rule the table drivers
+    use too; ``"all_inits": true`` expands it further over each
+    benchmark's Table 4 valuations.
     """
     if isinstance(spec, Mapping):
         defaults = dict(spec.get("defaults") or {})
@@ -313,44 +322,61 @@ def requests_from_spec(spec: Union[List[Any], Mapping[str, Any]]) -> List[Analys
             requests.append(AnalysisRequest.from_dict(merged))
             continue
         if suite not in _SUITES:
-            raise ValueError(f"task #{index}: unknown suite {suite!r}; known: {_SUITES}")
+            raise ValueError(f"task #{index}: unknown suite {suite!r}; known: {tuple(_SUITES)}")
         if "benchmark" in merged or "source" in merged:
             raise ValueError(
                 f"task #{index}: 'suite' conflicts with an explicit 'benchmark'/'source'"
             )
-        requests.extend(_expand_suite(suite, merged, all_inits))
+        requests.extend(suite_requests(suite, merged, all_inits))
     return requests
 
 
-def _expand_suite(
-    suite: str, overrides: Mapping[str, Any], all_inits: bool
+def suite_requests(
+    suite: str,
+    settings: Optional[Mapping[str, Any]] = None,
+    all_inits: bool = False,
+    benchmarks: Optional[Sequence[Any]] = None,
 ) -> List[AnalysisRequest]:
+    """The one suite rule: the requests of ``suite`` under ``settings``.
+
+    Per benchmark, ``all_inits`` expands over its Table 4 valuations,
+    sorted; ``table5`` sets ``nondet_prob`` 0.5 on a nondeterministic
+    program unless the settings set it; ``simulate_runs`` is dropped
+    where the program cannot be simulated (nondeterministic, not
+    coin-flipped, no ``simulate_nondet``), and where it stays an unset
+    ``simulate_max_steps`` is the benchmark's ``max_sim_steps``.
+    ``benchmarks`` replaces the suite's members by these
+    :class:`repro.programs.Benchmark` objects (ad-hoc ones too), which
+    bring their own annotations (:meth:`AnalysisRequest.for_benchmark`).
+    """
     from ..programs import benchmarks_by_category
 
-    if suite == "all":
-        benches = (
-            benchmarks_by_category("table2")
-            + benchmarks_by_category("table3")
-            + benchmarks_by_category("table6")
-        )
-    elif suite == "table5":
-        benches = benchmarks_by_category("table3")
-    else:
-        benches = benchmarks_by_category(suite)
-
+    named = benchmarks is None
+    if named:
+        benchmarks = [
+            bench for category in _SUITES[suite] for bench in benchmarks_by_category(category)
+        ]
     requests: List[AnalysisRequest] = []
-    for bench in benches:
-        inits: List[Optional[Dict[str, float]]]
-        if all_inits:
-            inits = sorted(bench.all_inits(), key=lambda v: sorted(v.items()))
-        else:
-            inits = [None]
+    for bench in benchmarks:
+        base = dict(settings or {})
+        if suite == "table5" and bench.has_nondeterminism:
+            base.setdefault("nondet_prob", 0.5)
+        simulable = (
+            bench.simulation_supported
+            or base.get("nondet_prob") is not None
+            or base.get("simulate_nondet")
+        )
+        if not simulable:
+            base.pop("simulate_runs", None)
+        elif base.get("simulate_runs") is not None:
+            base.setdefault("simulate_max_steps", bench.max_sim_steps)
+        inits = sorted(bench.all_inits(), key=lambda v: sorted(v.items())) if all_inits else [None]
         for init in inits:
-            payload = dict(overrides)
-            payload["benchmark"] = bench.name
+            payload = dict(base)
             if init is not None:
                 payload.setdefault("init", dict(init))
-            if suite == "table5" and bench.has_nondeterminism:
-                payload.setdefault("nondet_prob", 0.5)
-            requests.append(AnalysisRequest.from_dict(payload))
+            if named:
+                requests.append(AnalysisRequest.from_dict({**payload, "benchmark": bench.name}))
+            else:
+                requests.append(AnalysisRequest.for_benchmark(bench, **payload))
     return requests

@@ -16,9 +16,9 @@ Usage::
     python -m repro lint FILE|SPEC.json [--init x=100] [--invariant LABEL:COND ...]
                                         [--json] [--strict]
     python -m repro lint --benchmark NAME [--json] [--strict]
-    python -m repro bench NAME [--init x=100] [--degree D|auto]
-                               [--max-multiplicands K] [--cache-dir DIR]
-    python -m repro bench --all [--jobs N]
+    python -m repro bench NAME|--all [--init x=100] [--degree D|auto]
+                                     [--max-degree D] [--max-multiplicands K]
+                                     [--timeout S] [--jobs N] [--cache-dir DIR]
     python -m repro batch SPEC.json [--jobs N] [--timeout S] [--output OUT.json]
                                     [--no-cache] [--cache-dir DIR]
     python -m repro serve [--host H] [--port P] [--jobs N]
@@ -36,6 +36,11 @@ comment annotations::
 
     # @invariant 1: x >= 0
     # @invariant 4: x >= 0 and 1 - y >= 0
+
+``repro bench NAME`` is ``repro batch`` over the spec ``{"benchmark":
+NAME}`` (``--all``: ``{"suite": "all"}``) with its flags as defaults,
+caching only with ``--cache-dir``; a NAME adds the benchmark's title,
+the symbolic bounds and the paper's bounds to the report table.
 
 User-input errors (malformed ``--init``/``--invariant``/``--degree``
 values, unreadable files, bad spec JSON) print a one-line ``error:``
@@ -56,7 +61,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from .api import AnalysisOptions, Analyzer
-from .batch import AnalysisReport, load_spec
+from .batch import AnalysisReport, load_spec, requests_from_spec
 from .errors import ReproError
 from .programs import all_benchmarks, get_benchmark
 from .semantics import build_cfg, simulate
@@ -391,14 +396,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _report_table(reports: List[AnalysisReport]) -> str:
-    from .experiments.common import fmt, render_table
+    from .experiments.common import fmt, fmt_init, render_table
 
     rows = []
     for report in reports:
         rows.append(
             [
                 report.name,
-                ", ".join(f"{k}={v:g}" for k, v in report.init.items() if v),
+                fmt_init(report.init),
                 report.status,
                 str(report.degree) if report.degree is not None else "-",
                 fmt(report.upper_value),
@@ -424,60 +429,53 @@ def _print_report_diagnostics(reports: List[AnalysisReport]) -> None:
             print(f"error [{report.name}]: {report.error}", file=sys.stderr)
 
 
+def _run_reports(requests, jobs: int, cache, progress=None) -> List[AnalysisReport]:
+    """Run ``requests`` as one batch and print the report table, then
+    each report's warnings and findings and the cache tally (stderr)."""
+    with Analyzer(cache=cache, jobs=jobs) as analyzer:
+        reports = analyzer.analyze_batch(requests, progress=progress)
+    print(_report_table(reports))
+    _print_report_diagnostics(reports)
+    _print_cache_summary(cache)
+    return reports
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise CLIError(f"invalid --jobs value {args.jobs}; must be >= 1")
-    degree = _parse_degree(args.degree) if args.degree is not None else None
-    init = _parse_cli_valuation(args.init) or None
-
-    options = AnalysisOptions(
-        degree=degree,
-        max_degree=args.max_degree,
-        max_multiplicands=args.max_multiplicands,
-        invariant_domain=args.invariant_domain,
-        init=init,
-        timeout_s=args.timeout,
-    )
-    cache = _make_cache(args, default_on=False)
-
-    if args.all:
-        if args.name is not None:
-            raise CLIError("give either a benchmark NAME or --all, not both")
-        with Analyzer(options, cache=cache, jobs=args.jobs) as analyzer:
-            reports = analyzer.analyze_batch(
-                [analyzer.request(bench.name) for bench in all_benchmarks()]
-            )
-        print(_report_table(reports))
-        _print_report_diagnostics(reports)
-        _print_cache_summary(cache)
-        return 0 if all(r.ok for r in reports) else 1
-
-    if args.name is None:
-        raise CLIError("missing benchmark NAME (or use --all)")
-    try:
-        bench = get_benchmark(args.name)
-    except KeyError as exc:
-        raise CLIError(str(exc.args[0] if exc.args else exc)) from None
-
-    if degree == "auto" or args.timeout is not None or cache is not None:
-        # The report path owns degree escalation, per-task budgets and
-        # the result cache; route through it so those flags behave
-        # exactly as in `repro batch`.
-        report = Analyzer(options, cache=cache).analyze(bench.name)
+    if args.all == (args.name is not None):
+        raise CLIError("give either a benchmark NAME or --all")
+    defaults = {
+        "degree": _parse_degree(args.degree) if args.degree is not None else None,
+        "max_degree": args.max_degree,
+        "max_multiplicands": args.max_multiplicands,
+        "invariant_domain": args.invariant_domain,
+        "init": _parse_cli_valuation(args.init) or None,
+        "timeout_s": args.timeout,
+    }
+    bench = None
+    if args.name is not None:
+        try:
+            bench = get_benchmark(args.name)
+        except KeyError as exc:
+            raise CLIError(str(exc.args[0] if exc.args else exc)) from None
+    task = {"suite": "all"} if args.all else {"benchmark": args.name}
+    requests = requests_from_spec({"defaults": defaults, "tasks": [task]})
+    if bench is not None:
         print(f"# {bench.title}")
-        print(_report_table([report]))
-        _print_report_diagnostics([report])
-        _print_cache_summary(cache)
-        return 0 if report.ok else 1
-
-    result = Analyzer(options).synthesize(bench)
-    print(f"# {bench.title}")
-    print(result.summary())
-    if bench.paper_upper:
-        print(f"paper upper: {bench.paper_upper}")
-    if bench.paper_lower:
-        print(f"paper lower: {bench.paper_lower}")
-    return 0
+    reports = _run_reports(requests, args.jobs, _make_cache(args, default_on=False))
+    if bench is not None:
+        (report,) = reports
+        skipped = report.lower_skipped and f"skipped ({report.lower_skipped})"
+        for label, text in (
+            ("upper", report.upper_bound),
+            ("lower", report.lower_bound or skipped),
+            ("paper upper", bench.paper_upper),
+            ("paper lower", bench.paper_lower),
+        ):
+            if text:
+                print(f"{label}: {text}")
+    return 0 if all(r.ok for r in reports) else 1
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
@@ -526,12 +524,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         if not args.quiet:
             print(f"[{report.status:>7s}] {report.name} ({report.runtime:.3f}s)", file=sys.stderr)
 
-    cache = _make_cache(args, default_on=True)
-    with Analyzer(cache=cache, jobs=args.jobs) as analyzer:
-        reports = analyzer.analyze_batch(requests, progress=_progress)
-    print(_report_table(reports))
-    _print_report_diagnostics(reports)
-    _print_cache_summary(cache)
+    reports = _run_reports(requests, args.jobs, _make_cache(args, default_on=True), _progress)
 
     if args.output:
         payload = {

@@ -8,35 +8,53 @@
 * ``python -m repro.experiments.figures`` — Figures 15-24 (bound/simulation curves)
 * ``python -m repro.experiments.table_tails`` — Azuma tail bounds vs. empirical
   interpreter tail frequencies (new workload, not in the paper)
+
+Tables 2-6 are each a suite of :mod:`repro.batch` plus a renderer.
+A driver builds its requests by :func:`repro.batch.suite_requests`,
+the rule ``repro batch`` expands ``{"suite": ...}`` tasks by (members,
+valuation order, the Table 5 coin flip, simulation settings), runs
+them as one batch on an :class:`repro.api.Analyzer` session
+(``analyzer=``; every driver but ``figures`` takes ``--jobs N``) and
+renders the reports.  So ``{"suite": "table3", "all_inits": true}``
+with ``simulate_runs`` and ``simulate_seed`` defaults is exactly Table
+4's request list.  The figures and the tail table simulate over their
+own grids.
 """
 
-from .common import BoundsRow, ascii_plot, fmt, fmt_poly, render_table
-from .figures import FigureSeries, build_all_figures, build_figure
-from .table2 import Table2Row, build_table2
-from .table3 import Table3Row, build_table3
-from .table4 import build_table4
-from .table5 import build_table5, probabilistic_variant
-from .table6 import build_table6
-from .table_tails import TailCheck, TailRow, build_table_tails
+from importlib import import_module
 
-__all__ = [
-    "BoundsRow",
-    "FigureSeries",
-    "Table2Row",
-    "Table3Row",
-    "TailCheck",
-    "TailRow",
-    "ascii_plot",
-    "build_all_figures",
-    "build_figure",
-    "build_table2",
-    "build_table3",
-    "build_table4",
-    "build_table5",
-    "build_table6",
-    "build_table_tails",
-    "fmt",
-    "fmt_poly",
-    "probabilistic_variant",
-    "render_table",
-]
+#: Public name -> the driver module defining it.  Served lazily (PEP
+#: 562): ``repro bench`` and ``repro batch`` render with
+#: :mod:`.common` alone and should not import every driver and its
+#: dependencies, and ``python -m repro.experiments.tableN`` must not
+#: find its module already imported by this package.
+_EXPORTS = {
+    "BoundsRow": "common",
+    "FigureSeries": "figures",
+    "Table2Row": "table2",
+    "Table3Row": "table3",
+    "TailCheck": "table_tails",
+    "TailRow": "table_tails",
+    "ascii_plot": "common",
+    "build_all_figures": "figures",
+    "build_figure": "figures",
+    "build_table2": "table2",
+    "build_table3": "table3",
+    "build_table4": "table4",
+    "build_table5": "table5",
+    "build_table6": "table6",
+    "build_table_tails": "table_tails",
+    "fmt": "common",
+    "fmt_poly": "common",
+    "probabilistic_variant": "table5",
+    "render_table": "common",
+}
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+__all__ = list(_EXPORTS)

@@ -1,11 +1,16 @@
 """Shared infrastructure for the experiment harness.
 
-Formatting helpers, an ASCII plotter for the Appendix F figures, and the
-per-benchmark record types the table modules share.
+Each table driver is a suite plus a renderer: :func:`suite_reports`
+runs a suite's requests (built by the one suite rule,
+:func:`repro.batch.suite_requests`) on an analyzer session, and
+the helpers here render them.  Also formatting helpers, an ASCII
+plotter for the Appendix F figures, and the per-benchmark record types
+the table modules share.
 """
 
 from __future__ import annotations
 
+import argparse
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -13,13 +18,17 @@ from typing import List, Optional, Sequence
 
 __all__ = [
     "fmt",
+    "fmt_init",
     "fmt_poly",
     "render_table",
+    "render_bounds",
     "ascii_plot",
     "BoundsRow",
     "add_driver_args",
     "driver_analyzer",
-    "driver_cache",
+    "driver_cli",
+    "bounds_rows",
+    "suite_reports",
     "table_analyzer",
 ]
 
@@ -35,46 +44,108 @@ def add_driver_args(parser) -> None:
     )
 
 
-def driver_cache(args):
-    """The result cache a driver ``__main__`` should pass to the engine.
+def driver_analyzer(args):
+    """The :class:`repro.api.Analyzer` session a driver ``__main__``
+    should run its tables on.
 
     Caching is on by default so a warm re-run of a table short-circuits
     straight to stored bounds; ``--no-cache`` recomputes everything.
     """
-    if getattr(args, "no_cache", False):
-        return None
+    from ..api import Analyzer
     from ..cache import ResultCache
 
-    return ResultCache(getattr(args, "cache_dir", None))
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    return Analyzer(cache=cache, jobs=args.jobs)
 
 
-def driver_analyzer(args):
-    """The :class:`repro.api.Analyzer` session a driver ``__main__``
-    should run its tables on (cache + pool from the CLI)."""
-    from ..api import Analyzer
+def driver_cli(main, description: str, simulate: bool = False) -> None:
+    """Parse a table driver's flags, then print ``main(analyzer=...)``.
 
-    return Analyzer(cache=driver_cache(args), jobs=getattr(args, "jobs", 1))
+    ``simulate`` adds ``--runs``/``--seed``, passed on to ``main``.
+    """
+    parser = argparse.ArgumentParser(description=description)
+    if simulate:
+        parser.add_argument("--runs", type=int, default=1000, help="simulated runs per valuation")
+        parser.add_argument("--seed", type=int, default=0)
+    add_driver_args(parser)
+    args = parser.parse_args()
+    settings = {"runs": args.runs, "seed": args.seed} if simulate else {}
+    with driver_analyzer(args) as analyzer:
+        print(main(analyzer=analyzer, **settings))
 
 
 @contextmanager
-def table_analyzer(analyzer, jobs: int = 1, cache=None):
-    """The session a ``build_tableN`` call should use.
-
-    Yields ``analyzer`` untouched when one is passed; otherwise builds
-    an ephemeral :class:`repro.api.Analyzer` from the legacy
-    ``jobs``/``cache`` arguments and closes it (releasing its worker
-    pool) when the table is done.
-    """
+def table_analyzer(analyzer=None):
+    """``analyzer``, or an ephemeral default session that is closed
+    (its worker pool released) when the table is done."""
     if analyzer is not None:
         yield analyzer
         return
     from ..api import Analyzer
 
-    ephemeral = Analyzer(cache=cache, jobs=jobs)
-    try:
+    with Analyzer() as ephemeral:
         yield ephemeral
-    finally:
-        ephemeral.close()
+
+
+def suite_reports(suite: str, analyzer=None, benchmarks=None, all_inits=False, **settings) -> list:
+    """Run the requests of ``suite`` (:func:`repro.batch.suite_requests`,
+    the rule ``repro batch`` expands suite tasks by) as one batch on
+    the session; reports come back in suite order."""
+    from ..batch import suite_requests
+
+    requests = suite_requests(suite, settings, all_inits=all_inits, benchmarks=benchmarks)
+    with table_analyzer(analyzer) as session:
+        return session.analyze_batch(requests)
+
+
+def bounds_rows(
+    suite: str, runs: int, seed: int, benchmarks=None, analyzer=None
+) -> List["BoundsRow"]:
+    """The rows of a bounds + simulation table (Tables 4-6): ``suite``
+    at every Table 4 valuation, ``runs`` seeded simulations each."""
+    reports = suite_reports(
+        suite, analyzer, benchmarks, all_inits=True, simulate_runs=runs, simulate_seed=seed
+    )
+    return [
+        BoundsRow(
+            benchmark=r.name,
+            init=dict(r.init),
+            upper_value=r.upper_value,
+            upper_str=r.upper_bound or "-",
+            # Synthesis-only elapsed time (never simulation), matching
+            # what the paper's T(s) columns measure.
+            upper_time=next(
+                t for t in (r.upper_runtime, r.analysis_runtime, r.runtime) if t is not None
+            ),
+            lower_value=r.lower_value,
+            lower_str=r.lower_bound or "-",
+            lower_time=r.lower_runtime,
+            sim_mean=r.sim_mean,
+            sim_std=r.sim_std,
+        )
+        for r in reports
+    ]
+
+
+def render_bounds(title: str, rows: Sequence["BoundsRow"], timed: bool = False) -> str:
+    """A bounds + simulation table; ``timed`` adds the synthesis
+    ``T(s)`` column after each bound (Table 4)."""
+    timing = ["T(s)"] if timed else []
+    headers = ["program", "v0", "PUCS", *timing, "PLCS", *timing, "sim mean", "sim std"]
+    text_rows = [
+        [
+            r.benchmark,
+            fmt_init(r.init),
+            fmt(r.upper_value),
+            *([fmt(r.upper_time, 3)] if timed else []),
+            fmt(r.lower_value),
+            *([fmt(r.lower_time, 3)] if timed else []),
+            fmt(r.sim_mean),
+            fmt(r.sim_std),
+        ]
+        for r in rows
+    ]
+    return f"{title}\n" + render_table(headers, text_rows)
 
 
 def fmt(value: Optional[float], digits: int = 4) -> str:
@@ -87,6 +158,12 @@ def fmt(value: Optional[float], digits: int = 4) -> str:
     if abs(value) >= 1e4 or abs(value) < 1e-3:
         return f"{value:.{digits - 2}e}"
     return f"{value:.{digits}g}"
+
+
+def fmt_init(init) -> str:
+    """An initial valuation as the tables' ``v0`` column shows it (zero
+    entries omitted)."""
+    return ", ".join(f"{k}={v:g}" for k, v in init.items() if v)
 
 
 def fmt_poly(poly, ndigits: int = 5) -> str:

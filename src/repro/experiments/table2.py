@@ -7,25 +7,25 @@ For each of the fifteen Absynth-style benchmarks this prints
 * the PUCS upper bound and PLCS lower bound of the paper's method,
 * the bounds the paper reports, for side-by-side comparison.
 
-PUCS/PLCS synthesis runs through the batch engine (``jobs > 1`` fans
-the benchmarks across worker processes; bounds are identical for every
-``jobs`` value).  The [74]-style baseline column is computed in-driver:
-it is a single cheap LP per program and needs the local CFG objects.
+PUCS/PLCS synthesis is the ``table2`` suite of :mod:`repro.batch`, run
+as one batch on the analyzer session (``--jobs N`` fans the benchmarks
+across worker processes; bounds are identical for every ``N``).  The
+[74]-style baseline column is computed in-driver: it is a single cheap
+LP per program and needs the local CFG objects.
 
 Run as ``python -m repro.experiments.table2 [--jobs N]``.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import List, Optional
 
 from ..baseline import baseline_upper_bound
-from ..batch import AnalysisReport, AnalysisRequest
+from ..batch import AnalysisReport
 from ..errors import SynthesisError, UnsupportedProgramError
 from ..programs import TABLE2_BENCHMARKS, Benchmark
-from .common import add_driver_args, driver_analyzer, fmt_poly, render_table, table_analyzer
+from .common import driver_cli, fmt_poly, render_table, suite_reports
 
 __all__ = ["Table2Row", "build_table2", "main"]
 
@@ -58,7 +58,7 @@ def _row(bench: Benchmark, report: AnalysisReport) -> Table2Row:
         else ("0" if bench.paper_lower == "0" else None),
         our_upper_value=report.upper_value,
         our_lower_value=report.lower_value,
-        paper_74=bench.paper_upper and None,  # placeholder, set below
+        paper_74=PAPER_74_UPPER.get(bench.name),
         paper_upper=bench.paper_upper,
         paper_lower=bench.paper_lower,
     )
@@ -84,20 +84,13 @@ PAPER_74_UPPER = {
 }
 
 
-def build_table2(jobs: int = 1, cache=None, analyzer=None) -> List[Table2Row]:
-    requests = [AnalysisRequest(benchmark=bench.name) for bench in TABLE2_BENCHMARKS]
-    with table_analyzer(analyzer, jobs=jobs, cache=cache) as session:
-        reports = session.analyze_batch(requests)
-    rows = []
-    for bench, report in zip(TABLE2_BENCHMARKS, reports):
-        row = _row(bench, report)
-        row.paper_74 = PAPER_74_UPPER.get(bench.name)
-        rows.append(row)
-    return rows
+def build_table2(analyzer=None) -> List[Table2Row]:
+    reports = suite_reports("table2", analyzer, TABLE2_BENCHMARKS)
+    return [_row(bench, report) for bench, report in zip(TABLE2_BENCHMARKS, reports)]
 
 
-def main(jobs: int = 1, cache=None, analyzer=None) -> str:
-    rows = build_table2(jobs=jobs, cache=cache, analyzer=analyzer)
+def main(analyzer=None) -> str:
+    rows = build_table2(analyzer=analyzer)
     text_rows = [
         [
             r.benchmark,
@@ -124,8 +117,4 @@ def main(jobs: int = 1, cache=None, analyzer=None) -> str:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_driver_args(parser)
-    args = parser.parse_args()
-    with driver_analyzer(args) as _analyzer:
-        print(main(analyzer=_analyzer))
+    driver_cli(main, __doc__)

@@ -1,22 +1,20 @@
 """Table 3: symbolic PUCS/PLCS bounds and runtimes on the new benchmarks.
 
-Analyses run through the batch engine (:mod:`repro.batch`); pass
-``jobs > 1`` to fan the benchmarks across worker processes.  The bounds
-are identical for every ``jobs`` value — synthesis is deterministic —
-only the wall clock changes.
+The rows are the ``table3`` suite of :mod:`repro.batch`, run as one
+batch on the analyzer session; ``--jobs N`` fans the benchmarks across
+worker processes.  The bounds are identical for every ``N`` —
+synthesis is deterministic — only the wall clock changes.
 
 Run as ``python -m repro.experiments.table3 [--jobs N]``.
 """
 
 from __future__ import annotations
 
-import argparse
 from dataclasses import dataclass
 from typing import List, Optional
 
-from ..batch import AnalysisRequest
 from ..programs import TABLE3_BENCHMARKS, Benchmark
-from .common import add_driver_args, driver_analyzer, fmt, render_table, table_analyzer
+from .common import driver_cli, fmt, fmt_init, render_table, suite_reports
 
 __all__ = ["Table3Row", "build_table3", "main"]
 
@@ -34,13 +32,9 @@ class Table3Row:
     paper_lower: Optional[str]
 
 
-def build_table3(
-    benchmarks: Optional[List[Benchmark]] = None, jobs: int = 1, cache=None, analyzer=None
-) -> List[Table3Row]:
+def build_table3(benchmarks: Optional[List[Benchmark]] = None, analyzer=None) -> List[Table3Row]:
     benches = list(benchmarks or TABLE3_BENCHMARKS)
-    requests = [AnalysisRequest(benchmark=bench.name) for bench in benches]
-    with table_analyzer(analyzer, jobs=jobs, cache=cache) as session:
-        reports = session.analyze_batch(requests)
+    reports = suite_reports("table3", analyzer, benches)
     rows = []
     for bench, report in zip(benches, reports):
         rows.append(
@@ -59,12 +53,12 @@ def build_table3(
     return rows
 
 
-def main(jobs: int = 1, cache=None, analyzer=None) -> str:
-    rows = build_table3(jobs=jobs, cache=cache, analyzer=analyzer)
+def main(analyzer=None) -> str:
+    rows = build_table3(analyzer=analyzer)
     text_rows = [
         [
             r.benchmark,
-            ", ".join(f"{k}={v:g}" for k, v in r.init.items() if v),
+            fmt_init(r.init),
             r.upper or "-",
             r.lower or "-",
             fmt(r.runtime, 3) + "s",
@@ -80,8 +74,4 @@ def main(jobs: int = 1, cache=None, analyzer=None) -> str:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    add_driver_args(parser)
-    args = parser.parse_args()
-    with driver_analyzer(args) as _analyzer:
-        print(main(analyzer=_analyzer))
+    driver_cli(main, __doc__)

@@ -7,136 +7,37 @@ nondeterminism (the two Bitcoin examples) have no simulation column —
 Monte-Carlo needs a policy; Table 5 handles them by replacing ``if *``
 with a coin flip.
 
-All work goes through the batch engine; ``jobs > 1`` parallelizes the
-(benchmark, valuation) grid without changing any reported bound.
+The grid is the ``table3`` suite of :mod:`repro.batch` over all
+valuations, run as one batch; ``--jobs N`` parallelizes it without
+changing any reported bound.
 
 Run as ``python -m repro.experiments.table4 [--runs N] [--jobs N]``.
 """
 
 from __future__ import annotations
 
-import argparse
 from typing import List, Optional
 
-from ..batch import AnalysisReport, AnalysisRequest, run_batch
-from ..programs import TABLE3_BENCHMARKS, Benchmark
-from .common import (
-    BoundsRow,
-    add_driver_args,
-    driver_analyzer,
-    fmt,
-    render_table,
-    table_analyzer,
-)
+from ..programs import Benchmark
+from .common import BoundsRow, bounds_rows, driver_cli, render_bounds
 
-__all__ = ["bench_requests", "bench_rows", "build_table4", "main", "rows_from_reports"]
-
-
-def bench_requests(
-    bench: Benchmark,
-    runs: int = 1000,
-    seed: int = 0,
-    simulate_nondet: bool = False,
-    nondet_prob: Optional[float] = None,
-) -> List[AnalysisRequest]:
-    """One request per initial valuation of ``bench`` (the Table 4 grid).
-
-    ``nondet_prob`` applies the Table 5 coin-flip transformation, which
-    also makes the nondeterministic benchmarks simulable.
-    """
-    simulable = bench.simulation_supported or nondet_prob is not None or simulate_nondet
-    return [
-        AnalysisRequest.for_benchmark(
-            bench,
-            init=init,
-            nondet_prob=nondet_prob,
-            simulate_nondet=simulate_nondet,
-            simulate_runs=runs if simulable else None,
-            simulate_seed=seed,
-            simulate_max_steps=bench.max_sim_steps,
-        )
-        for init in sorted(bench.all_inits(), key=lambda v: sorted(v.items()))
-    ]
-
-
-def rows_from_reports(reports: List[AnalysisReport]) -> List[BoundsRow]:
-    """Project engine reports onto the table's row records."""
-    rows = []
-    for report in reports:
-        row = BoundsRow(benchmark=report.name, init=dict(report.init))
-        row.upper_value = report.upper_value
-        row.upper_time = report.upper_runtime
-        if report.upper_bound is not None:
-            row.upper_str = report.upper_bound
-        row.lower_value = report.lower_value
-        row.lower_time = report.lower_runtime
-        if report.lower_bound is not None:
-            row.lower_str = report.lower_bound
-        if row.upper_time is None:
-            # Synthesis-only elapsed time (never simulation), matching
-            # what the paper's T(s) columns measure.
-            row.upper_time = (
-                report.analysis_runtime if report.analysis_runtime is not None else report.runtime
-            )
-        row.sim_mean = report.sim_mean
-        row.sim_std = report.sim_std
-        rows.append(row)
-    return rows
-
-
-def bench_rows(
-    bench: Benchmark,
-    runs: int = 1000,
-    seed: int = 0,
-    simulate_nondet: bool = False,
-) -> List[BoundsRow]:
-    """Bounds + simulation rows for every initial valuation of ``bench``."""
-    requests = bench_requests(bench, runs=runs, seed=seed, simulate_nondet=simulate_nondet)
-    return rows_from_reports(run_batch(requests))
+__all__ = ["build_table4", "main"]
 
 
 def build_table4(
     runs: int = 1000,
     seed: int = 0,
     benchmarks: Optional[List[Benchmark]] = None,
-    jobs: int = 1,
-    cache=None,
     analyzer=None,
 ) -> List[BoundsRow]:
-    requests: List[AnalysisRequest] = []
-    for bench in benchmarks or TABLE3_BENCHMARKS:
-        requests.extend(bench_requests(bench, runs=runs, seed=seed))
-    with table_analyzer(analyzer, jobs=jobs, cache=cache) as session:
-        return rows_from_reports(session.analyze_batch(requests))
+    return bounds_rows("table3", runs, seed, benchmarks, analyzer)
 
 
-def main(runs: int = 1000, seed: int = 0, jobs: int = 1, cache=None, analyzer=None) -> str:
-    rows = build_table4(runs=runs, seed=seed, jobs=jobs, cache=cache, analyzer=analyzer)
-    text_rows = [
-        [
-            r.benchmark,
-            ", ".join(f"{k}={v:g}" for k, v in r.init.items() if v),
-            fmt(r.upper_value),
-            fmt(r.upper_time, 3),
-            fmt(r.lower_value),
-            fmt(r.lower_time, 3),
-            fmt(r.sim_mean),
-            fmt(r.sim_std),
-        ]
-        for r in rows
-    ]
-    headers = ["program", "v0", "PUCS", "T(s)", "PLCS", "T(s)", "sim mean", "sim std"]
-    return (
-        f"Table 4: numeric bounds and simulation ({runs} runs per valuation)\n"
-        + render_table(headers, text_rows)
-    )
+def main(runs: int = 1000, seed: int = 0, analyzer=None) -> str:
+    rows = build_table4(runs=runs, seed=seed, analyzer=analyzer)
+    title = f"Table 4: numeric bounds and simulation ({runs} runs per valuation)"
+    return render_bounds(title, rows, timed=True)
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--runs", type=int, default=1000, help="simulated runs per valuation")
-    parser.add_argument("--seed", type=int, default=0)
-    add_driver_args(parser)
-    args = parser.parse_args()
-    with driver_analyzer(args) as _analyzer:
-        print(main(runs=args.runs, seed=args.seed, analyzer=_analyzer))
+    driver_cli(main, __doc__, simulate=True)

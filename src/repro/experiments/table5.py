@@ -4,80 +4,36 @@ The paper's Table 5 re-runs the experiment suite after replacing every
 demonic ``if *`` with a fair coin flip, which makes the two Bitcoin
 programs simulable.  The replacement preserves label numbering (a
 nondeterministic label becomes a probabilistic one in place), so the
-invariants carry over unchanged; the batch engine applies it per task
-via the request's ``nondet_prob`` field and we reuse the Table 4 row
-machinery.
+invariants carry over unchanged.  The grid is the ``table5`` suite of
+:mod:`repro.batch`, whose requests carry the flip as ``nondet_prob``.
 
 Run as ``python -m repro.experiments.table5 [--runs N] [--jobs N]``.
 """
 
 from __future__ import annotations
 
-import argparse
 from typing import List, Optional
 
-from ..batch import AnalysisRequest
-from ..programs import TABLE3_BENCHMARKS, Benchmark, probabilistic_variant
-from .common import (
-    BoundsRow,
-    add_driver_args,
-    driver_analyzer,
-    fmt,
-    render_table,
-    table_analyzer,
-)
-from .table4 import bench_requests, rows_from_reports
+from ..programs import Benchmark, probabilistic_variant
+from .common import BoundsRow, bounds_rows, driver_cli, render_bounds
 
 __all__ = ["probabilistic_variant", "build_table5", "main"]
-
-
-def _table5_requests(
-    runs: int, seed: int, benchmarks: Optional[List[Benchmark]]
-) -> List[AnalysisRequest]:
-    requests: List[AnalysisRequest] = []
-    for bench in benchmarks or TABLE3_BENCHMARKS:
-        prob = 0.5 if bench.has_nondeterminism else None
-        requests.extend(bench_requests(bench, runs=runs, seed=seed, nondet_prob=prob))
-    return requests
 
 
 def build_table5(
     runs: int = 1000,
     seed: int = 0,
     benchmarks: Optional[List[Benchmark]] = None,
-    jobs: int = 1,
-    cache=None,
     analyzer=None,
 ) -> List[BoundsRow]:
-    with table_analyzer(analyzer, jobs=jobs, cache=cache) as session:
-        return rows_from_reports(session.analyze_batch(_table5_requests(runs, seed, benchmarks)))
+    return bounds_rows("table5", runs, seed, benchmarks, analyzer)
 
 
-def main(runs: int = 1000, seed: int = 0, jobs: int = 1, cache=None, analyzer=None) -> str:
-    rows = build_table5(runs=runs, seed=seed, jobs=jobs, cache=cache, analyzer=analyzer)
-    text_rows = [
-        [
-            r.benchmark,
-            ", ".join(f"{k}={v:g}" for k, v in r.init.items() if v),
-            fmt(r.upper_value),
-            fmt(r.lower_value),
-            fmt(r.sim_mean),
-            fmt(r.sim_std),
-        ]
-        for r in rows
-    ]
-    headers = ["program", "v0", "PUCS", "PLCS", "sim mean", "sim std"]
-    return (
-        f"Table 5: nondeterminism replaced with prob(0.5) ({runs} runs per valuation)\n"
-        + render_table(headers, text_rows)
-    )
+def main(runs: int = 1000, seed: int = 0, analyzer=None) -> str:
+    rows = build_table5(runs=runs, seed=seed, analyzer=analyzer)
+    title = f"Table 5: nondeterminism replaced with prob(0.5) ({runs} runs per valuation)"
+    return render_bounds(title, rows)
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--runs", type=int, default=1000, help="simulated runs per valuation")
-    parser.add_argument("--seed", type=int, default=0)
-    add_driver_args(parser)
-    args = parser.parse_args()
-    with driver_analyzer(args) as _analyzer:
-        print(main(runs=args.runs, seed=args.seed, analyzer=_analyzer))
+    driver_cli(main, __doc__, simulate=True)

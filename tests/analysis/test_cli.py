@@ -81,8 +81,25 @@ class TestCommands:
         assert "paper upper" in out
 
     def test_bench_with_init_override(self, capsys):
-        assert main(["bench", "random_walk", "--init", "x=4,n=20,y=0"]) == 0
-        assert "-40" in capsys.readouterr().out
+        # One path and one renderer whatever the flags: the same bounds,
+        # paper lines and table (bar the wall-clock `time` column).
+        outputs = []
+        for flags in ([], ["--timeout", "100"], ["--degree", "auto"]):
+            assert main(["bench", "random_walk", "--init", "x=4,n=20,y=0", *flags]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            # Lines 1-3 are the report table; `time` is its last column.
+            lines[1:4] = [line.rsplit(None, 1)[0] for line in lines[1:4]]
+            outputs.append(lines)
+        first = outputs[0]
+        assert first[0] == "# Random Walk (Figure 11)"
+        assert "-40" in first[3].split()
+        assert first[4:] == [
+            "upper: 2.5*x - 2.5*n",
+            "lower: 2.5*x - 2.5*n - 2.5",
+            "paper upper: 2.5*x - 2.5*n",
+            "paper lower: 2.5*x - 2.5*n - 2.5",
+        ]
+        assert outputs[1] == first and outputs[2] == first
 
     def test_list(self, capsys):
         assert main(["list"]) == 0

@@ -112,6 +112,26 @@ class TestSpecExpansion:
         assert by_name["bitcoin_mining"].nondet_prob == 0.5
         assert by_name["simple_loop"].nondet_prob is None
 
+    def test_suite_simulation_rule(self):
+        def expand(suite, **task):
+            task = {"suite": suite, "all_inits": True, "simulate_runs": 1000, **task}
+            return requests_from_spec({"tasks": [task]})
+
+        table3 = expand("table3")
+        assert len(table3) == 30
+        bitcoin = [r for r in table3 if r.benchmark.startswith("bitcoin_")]
+        assert len(bitcoin) == 6
+        assert all(r.simulate_runs is None for r in bitcoin)
+        queuing = [r for r in table3 if r.benchmark == "queuing_network"]
+        assert len(queuing) == 3
+        assert all(r.simulate_runs == 1000 for r in queuing)
+        assert all(r.simulate_max_steps == 10_000_000 for r in queuing)
+        capped = expand("table3", simulate_max_steps=5000)
+        assert all(r.simulate_max_steps == 5000 for r in capped if r.simulate_runs)
+        flipped = [r for r in expand("table5") if r.benchmark.startswith("bitcoin_")]
+        assert len(flipped) == 6
+        assert all(r.simulate_runs == 1000 and r.nondet_prob == 0.5 for r in flipped)
+
     def test_all_inits_expansion(self):
         bench = get_benchmark("bitcoin_mining")
         requests = requests_from_spec(

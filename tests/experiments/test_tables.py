@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.api import Analyzer
+from repro.batch import AnalysisReport, requests_from_spec
 from repro.experiments import (
     build_figure,
     build_table2,
@@ -87,6 +89,30 @@ class TestTable5:
         assert result.upper.value == pytest.approx(1.4875 - 1.4875 * 100, rel=1e-6)
 
 
+class TestSuiteRequests:
+    """The table4/5 drivers run exactly the requests of the matching
+    ``repro batch`` suite spec."""
+
+    @pytest.mark.parametrize(
+        "suite, build", [("table3", build_table4), ("table5", build_table5)], ids=["t4", "t5"]
+    )
+    def test_driver_requests_equal_spec_suite(self, monkeypatch, suite, build):
+        seen = []
+
+        def fake_batch(self, requests, **kwargs):
+            seen.extend(requests)
+            return [AnalysisReport(name=r.display_name, status="ok") for r in requests]
+
+        monkeypatch.setattr(Analyzer, "analyze_batch", fake_batch)
+        build(runs=1000, seed=0)
+        spec = {
+            "defaults": {"simulate_runs": 1000, "simulate_seed": 0},
+            "tasks": [{"suite": suite, "all_inits": True}],
+        }
+        assert seen == requests_from_spec(spec)
+        assert len(seen) == 30
+
+
 class TestFigures:
     def test_series_bracketing(self):
         series = build_figure(get_benchmark("random_walk"), points=5, runs=120)
@@ -123,14 +149,16 @@ class TestJobsParity:
     def test_table3_parallel_matches_sequential(self):
         benches = [get_benchmark(n) for n in ("simple_loop", "random_walk", "bitcoin_mining")]
         seq = build_table3(benches)
-        par = build_table3(benches, jobs=2)
+        with Analyzer(jobs=2) as analyzer:
+            par = build_table3(benches, analyzer=analyzer)
         key = lambda r: (r.benchmark, r.upper, r.lower, r.upper_value, r.lower_value)
         assert [key(r) for r in par] == [key(r) for r in seq]
 
     def test_table5_parallel_matches_sequential(self):
         benches = [get_benchmark("bitcoin_mining"), get_benchmark("simple_loop")]
         seq = build_table5(runs=25, benchmarks=benches)
-        par = build_table5(runs=25, benchmarks=benches, jobs=2)
+        with Analyzer(jobs=2) as analyzer:
+            par = build_table5(runs=25, benchmarks=benches, analyzer=analyzer)
         key = lambda r: (r.benchmark, r.upper_value, r.lower_value, r.sim_mean, r.sim_std)
         assert [key(r) for r in par] == [key(r) for r in seq]
 
