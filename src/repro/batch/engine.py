@@ -185,6 +185,12 @@ def execute_request(request: AnalysisRequest, attempt: int = 1) -> AnalysisRepor
                             f"{stats.truncated_mean:g}); raise simulate_max_steps "
                             "to cover them"
                         )
+                    # Cut at or before the tail horizon n, the runs estimate
+                    # the event the bound covers: P[cost >= E + t, T <= n].
+                    tail = report.tail
+                    if tail is not None and request.simulate_max_steps <= tail["horizon"]:
+                        for probe in tail["probes"]:
+                            probe["freq"] = stats.tail_frequency(tail["expected"] + probe["t"])
     except CheckError as exc:
         report.status = "rejected"
         report.diagnostics = [d.to_dict() for d in exc.diagnostics]

@@ -15,6 +15,7 @@ Tasks may also name a whole suite::
     {"suite": "table2"}                      # every Table 2 benchmark
     {"suite": "table5", "all_inits": true}   # Table 5 variants, all v0
     {"suite": "table6"}                      # the extension families
+    {"suite": "tails", "tails": true}        # the tail table's programs
 
 :func:`requests_from_spec` expands suites into concrete requests.
 """
@@ -65,13 +66,18 @@ def _copy_json(value: Any) -> Any:
 #: Suites a spec task may name, each with the registry categories it
 #: spans.  ``table5`` is the Table 3 set with nondeterminism replaced by
 #: a fair coin (the paper's Table 5 setup); ``all`` is the registry in
-#: ``all_benchmarks()`` order.
+#: ``all_benchmarks()`` order.  ``tails`` names its benchmarks instead:
+#: the tail table's simulable programs whose degree-1 certificates have
+#: a constant step-difference bound (bitcoin_mining coin-flipped).
 _SUITES = {
     "table2": ("table2",),
     "table3": ("table3",),
     "table5": ("table3",),
     "table6": ("table6",),
     "all": ("table2", "table3", "table6"),
+    "tails": (
+        "rdwalk", "ber", "bin", "prdwalk", "sprdwalk", "C4B_t13", "random_walk", "bitcoin_mining",
+    ),
 }
 
 
@@ -195,7 +201,9 @@ class AnalysisReport:
     #: Azuma–Hoeffding concentration bound derived from the upper
     #: certificate (``repro.analysis.TailBound.to_dict()`` shape:
     #: ``method``/``c``/``horizon``/``expected``/``degree``/``refit``/
-    #: ``probes``); ``None`` when not requested or unavailable.
+    #: ``probes``); ``None`` when not requested or unavailable.  When the
+    #: request also simulated, truncated at or before the horizon, each
+    #: probe carries its empirical frequency ``freq`` next to ``bound``.
     tail: Optional[Dict[str, Any]] = None
     # -- v4 fields (``repro-report/v4``) --------------------------------
     #: Executions this task consumed, crash-requeued attempts included.
@@ -340,26 +348,29 @@ def suite_requests(
     """The one suite rule: the requests of ``suite`` under ``settings``.
 
     Per benchmark, ``all_inits`` expands over its Table 4 valuations,
-    sorted; ``table5`` sets ``nondet_prob`` 0.5 on a nondeterministic
-    program unless the settings set it; ``simulate_runs`` is dropped
-    where the program cannot be simulated (nondeterministic, not
-    coin-flipped, no ``simulate_nondet``), and where it stays an unset
-    ``simulate_max_steps`` is the benchmark's ``max_sim_steps``.
+    sorted; ``table5`` and ``tails`` set ``nondet_prob`` 0.5 on a
+    nondeterministic program unless the settings set it;
+    ``simulate_runs`` is dropped where the program cannot be simulated
+    (nondeterministic, not coin-flipped, no ``simulate_nondet``), and
+    where it stays an unset ``simulate_max_steps`` is the benchmark's
+    ``max_sim_steps``.
     ``benchmarks`` replaces the suite's members by these
     :class:`repro.programs.Benchmark` objects (ad-hoc ones too), which
     bring their own annotations (:meth:`AnalysisRequest.for_benchmark`).
     """
-    from ..programs import benchmarks_by_category
+    from ..programs import benchmarks_by_category, get_benchmark
 
     named = benchmarks is None
-    if named:
+    if suite == "tails" and named:
+        benchmarks = [get_benchmark(name) for name in _SUITES[suite]]
+    elif named:
         benchmarks = [
             bench for category in _SUITES[suite] for bench in benchmarks_by_category(category)
         ]
     requests: List[AnalysisRequest] = []
     for bench in benchmarks:
         base = dict(settings or {})
-        if suite == "table5" and bench.has_nondeterminism:
+        if suite in ("table5", "tails") and bench.has_nondeterminism:
             base.setdefault("nondet_prob", 0.5)
         simulable = (
             bench.simulation_supported

@@ -308,6 +308,10 @@ def request_fingerprint(request: "AnalysisRequest") -> Dict[str, Any]:
     tails = None
     if request.tails:
         tails = {"horizon": request.tail_horizon, "probes": request.tail_probes}
+        if simulate is not None:
+            # Such reports carry empirical tail frequencies (``freq``);
+            # entries stored before they did must not be served.
+            simulate["tail_freq"] = True
 
     return {
         "salt": cache_salt(),

@@ -9,16 +9,16 @@
 * ``python -m repro.experiments.table_tails`` — Azuma tail bounds vs. empirical
   interpreter tail frequencies (new workload, not in the paper)
 
-Tables 2-6 are each a suite of :mod:`repro.batch` plus a renderer.
-A driver builds its requests by :func:`repro.batch.suite_requests`,
+Every driver is a list of :mod:`repro.batch` requests plus a renderer,
+run as one batch on an :class:`repro.api.Analyzer` session
+(``analyzer=``; ``--jobs N`` from the command line).  Tables 2-6 and
+the tail table build their requests by :func:`repro.batch.suite_requests`,
 the rule ``repro batch`` expands ``{"suite": ...}`` tasks by (members,
-valuation order, the Table 5 coin flip, simulation settings), runs
-them as one batch on an :class:`repro.api.Analyzer` session
-(``analyzer=``; every driver but ``figures`` takes ``--jobs N``) and
-renders the reports.  So ``{"suite": "table3", "all_inits": true}``
-with ``simulate_runs`` and ``simulate_seed`` defaults is exactly Table
-4's request list.  The figures and the tail table simulate over their
-own grids.
+valuation order, the coin flip, simulation settings).  So
+``{"suite": "table3", "all_inits": true}`` with ``simulate_runs`` and
+``simulate_seed`` defaults is exactly Table 4's request list, and
+``{"suite": "tails"}`` the tail table's.  The figures take one request
+per sweep point (a pair for a nondeterministic program).
 """
 
 from importlib import import_module

@@ -1,18 +1,18 @@
 """Shared infrastructure for the experiment harness.
 
-Each table driver is a suite plus a renderer: :func:`suite_reports`
+Each driver is a list of requests plus a renderer: :func:`suite_reports`
 runs a suite's requests (built by the one suite rule,
 :func:`repro.batch.suite_requests`) on an analyzer session, and
-the helpers here render them.  Also formatting helpers, an ASCII
-plotter for the Appendix F figures, and the per-benchmark record types
-the table modules share.
+the helpers here render them; :func:`driver_cli` defines every
+driver's flags.  Also formatting helpers, an ASCII plotter for the
+Appendix F figures, and the per-benchmark record types the table
+modules share.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -25,17 +25,38 @@ __all__ = [
     "ascii_plot",
     "BoundsRow",
     "add_driver_args",
-    "driver_analyzer",
+    "batch_reports",
     "driver_cli",
     "bounds_rows",
     "suite_reports",
-    "table_analyzer",
 ]
 
 
+def _at_least(least: int):
+    """An argparse ``type``: an int ``>= least``, else a usage error
+    naming the flag (exit status 2, no traceback)."""
+
+    def parse(text: str) -> int:
+        if not text.lstrip("-").isdigit() or int(text) < least:
+            raise argparse.ArgumentTypeError(f"expected an int >= {least}, got {text!r}")
+        return int(text)
+
+    return parse
+
+
+#: The settings flags a driver may take, each defined once here:
+#: name -> (least value, help).
+_SETTING_FLAGS = {
+    "points": (2, "sweep points per figure"),
+    "runs": (1, "simulated runs per valuation"),
+    "horizon": (1, "tail step horizon n (simulations are truncated there)"),
+    "seed": (None, "simulation seed"),
+}
+
+
 def add_driver_args(parser) -> None:
-    """Engine flags every table driver shares (``--jobs`` and caching)."""
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    """Engine flags every driver shares (``--jobs`` and caching)."""
+    parser.add_argument("--jobs", type=_at_least(1), default=1, help="worker processes")
     parser.add_argument(
         "--no-cache", action="store_true", help="disable the content-addressed result cache"
     )
@@ -44,58 +65,54 @@ def add_driver_args(parser) -> None:
     )
 
 
-def driver_analyzer(args):
-    """The :class:`repro.api.Analyzer` session a driver ``__main__``
-    should run its tables on.
+def driver_cli(main, description: str, argv=None, **defaults) -> int:
+    """Parse a driver's flags, print ``main(analyzer=..., **settings)``
+    and return the exit status.
 
-    Caching is on by default so a warm re-run of a table short-circuits
-    straight to stored bounds; ``--no-cache`` recomputes everything.
+    ``defaults`` names the settings flags the driver takes (of
+    ``points``, ``runs``, ``horizon`` and ``seed``) with their default
+    values; the parsed values are passed on to ``main``.  ``main``
+    returns the text to print, or ``(text, ok)``, where a false ``ok``
+    makes the status 1.  Results are cached unless ``--no-cache``, so a
+    warm re-run short-circuits to stored reports.
     """
     from ..api import Analyzer
     from ..cache import ResultCache
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    return Analyzer(cache=cache, jobs=args.jobs)
-
-
-def driver_cli(main, description: str, simulate: bool = False) -> None:
-    """Parse a table driver's flags, then print ``main(analyzer=...)``.
-
-    ``simulate`` adds ``--runs``/``--seed``, passed on to ``main``.
-    """
     parser = argparse.ArgumentParser(description=description)
-    if simulate:
-        parser.add_argument("--runs", type=int, default=1000, help="simulated runs per valuation")
-        parser.add_argument("--seed", type=int, default=0)
+    for name, default in defaults.items():
+        least, help_text = _SETTING_FLAGS[name]
+        kind = int if least is None else _at_least(least)
+        parser.add_argument(f"--{name}", type=kind, default=default, help=help_text)
     add_driver_args(parser)
-    args = parser.parse_args()
-    settings = {"runs": args.runs, "seed": args.seed} if simulate else {}
-    with driver_analyzer(args) as analyzer:
-        print(main(analyzer=analyzer, **settings))
+    args = parser.parse_args(argv)
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    with Analyzer(cache=cache, jobs=args.jobs) as analyzer:
+        result = main(analyzer=analyzer, **{name: getattr(args, name) for name in defaults})
+    text, ok = result if isinstance(result, tuple) else (result, True)
+    print(text)
+    return 0 if ok else 1
 
 
-@contextmanager
-def table_analyzer(analyzer=None):
-    """``analyzer``, or an ephemeral default session that is closed
-    (its worker pool released) when the table is done."""
+def batch_reports(requests, analyzer=None) -> list:
+    """Run ``requests`` as one batch on ``analyzer``, or on an ephemeral
+    default session closed (its worker pool released) afterwards."""
     if analyzer is not None:
-        yield analyzer
-        return
+        return analyzer.analyze_batch(requests)
     from ..api import Analyzer
 
-    with Analyzer() as ephemeral:
-        yield ephemeral
+    with Analyzer() as session:
+        return session.analyze_batch(requests)
 
 
 def suite_reports(suite: str, analyzer=None, benchmarks=None, all_inits=False, **settings) -> list:
     """Run the requests of ``suite`` (:func:`repro.batch.suite_requests`,
-    the rule ``repro batch`` expands suite tasks by) as one batch on
-    the session; reports come back in suite order."""
+    the rule ``repro batch`` expands suite tasks by) as one batch;
+    reports come back in suite order."""
     from ..batch import suite_requests
 
     requests = suite_requests(suite, settings, all_inits=all_inits, benchmarks=benchmarks)
-    with table_analyzer(analyzer) as session:
-        return session.analyze_batch(requests)
+    return batch_reports(requests, analyzer)
 
 
 def bounds_rows(

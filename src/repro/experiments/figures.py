@@ -6,23 +6,24 @@ initial valuations.  This module regenerates those series and renders
 them as ASCII plots (plus the raw numbers, which the test-suite checks
 for the bracketing property UB >= mean >= LB).
 
-Programs with nondeterminism are swept in their ``prob(0.5)`` variants
-(as in the paper's second simulation experiment), so a simulation series
-exists for every figure.
+Every sweep point is a request, all run as one batch.  A program with
+nondeterminism takes a request pair per point: one bounds it as written,
+the other simulates its ``prob(0.5)`` variant (as in the paper's second
+simulation experiment), so every figure has a simulation series.
 
-Run as ``python -m repro.experiments.figures [--runs N] [--points K]``.
+Run as ``python -m repro.experiments.figures [--points K] [--runs N]
+[--seed S] [--jobs N]``.
 """
 
 from __future__ import annotations
 
-import argparse
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
+from ..batch import AnalysisRequest
 from ..programs import TABLE3_BENCHMARKS, Benchmark
-from ..semantics import simulate
-from .common import ascii_plot, fmt, render_table
-from .table5 import probabilistic_variant
+from .common import ascii_plot, batch_reports, driver_cli, fmt, render_table
 
 __all__ = ["FigureSeries", "build_figure", "build_all_figures", "main"]
 
@@ -73,60 +74,67 @@ class FigureSeries:
         return bad
 
 
-def build_figure(
-    bench: Benchmark,
-    points: int = 20,
-    runs: int = 200,
-    seed: int = 0,
-) -> FigureSeries:
-    """Sweep the benchmark's figure variable and collect the series.
-
-    Bounds are re-synthesized at every sweep point (each initial
-    valuation is its own anchor ``v*``, matching how the paper's plots
-    were produced); the simulation uses the ``prob(0.5)`` variant when
-    the program is nondeterministic.
-    """
+def _sweep_requests(bench: Benchmark, points: int, runs: int, seed: int):
+    """The sweep points of ``bench``'s figure (each its own anchor
+    ``v*``, as in the paper's plots) and their requests in order: one
+    per point, or a bounding one then a simulating one."""
     if bench.sweep_var is None or bench.sweep_range is None:
         raise ValueError(f"benchmark {bench.name} has no figure sweep configured")
-    sim_bench = probabilistic_variant(bench)
     lo, hi = bench.sweep_range
     xs = [lo + (hi - lo) * i / (points - 1) for i in range(points)]
-
-    upper: List[Optional[float]] = []
-    lower: List[Optional[float]] = []
-    sim_mean: List[Optional[float]] = []
-    sim_stderr: List[Optional[float]] = []
-    from ..api import AnalysisOptions
-
+    simulation = {"simulate_runs": runs, "simulate_seed": seed}
+    simulation["simulate_max_steps"] = bench.max_sim_steps
+    if bench.has_nondeterminism:
+        simulation["nondet_prob"] = 0.5
+    requests = []
     for x in xs:
-        init: Dict[str, float] = dict(bench.init)
-        init[bench.sweep_var] = x
-        result = bench.analyze(AnalysisOptions(init=init))
-        upper.append(result.upper.value if result.upper else None)
-        lower.append(result.lower.value if result.lower else None)
-        stats = simulate(
-            sim_bench.cfg, init, runs=runs, seed=seed, max_steps=bench.max_sim_steps
-        )
-        sim_mean.append(stats.mean)
-        sim_stderr.append(stats.stderr())
+        init = {**bench.init, bench.sweep_var: x}
+        if bench.has_nondeterminism:
+            requests.append(AnalysisRequest.for_benchmark(bench, init=init))
+        requests.append(AnalysisRequest.for_benchmark(bench, init=init, **simulation))
+    return xs, requests
+
+
+def _series(bench: Benchmark, xs: List[float], runs: int, reports) -> FigureSeries:
+    step = 2 if bench.has_nondeterminism else 1
+    bounds, sims = reports[::step], reports[step - 1 :: step]
     return FigureSeries(
         benchmark=bench.name,
         figure_number=FIGURE_NUMBERS.get(bench.name, 0),
         sweep_var=bench.sweep_var,
         xs=xs,
-        upper=upper,
-        lower=lower,
-        sim_mean=sim_mean,
-        sim_stderr=sim_stderr,
+        upper=[r.upper_value for r in bounds],
+        lower=[r.lower_value for r in bounds],
+        sim_mean=[r.sim_mean for r in sims],
+        sim_stderr=[_stderr(r, runs) for r in sims],
     )
 
 
+def _stderr(report, runs: int) -> Optional[float]:
+    """``SimulationStats.stderr()`` of ``report``'s simulation."""
+    if report.sim_std is None:
+        return None
+    terminated = runs - report.sim_truncated
+    return report.sim_std / math.sqrt(terminated) if terminated > 1 else math.inf
+
+
+def build_figure(
+    bench: Benchmark, points: int = 20, runs: int = 200, seed: int = 0, analyzer=None
+) -> FigureSeries:
+    """Sweep the benchmark's figure variable and collect the series."""
+    return build_all_figures(points, runs, seed, [bench], analyzer)[0]
+
+
 def build_all_figures(
-    points: int = 20, runs: int = 200, seed: int = 0, benchmarks: Optional[List[Benchmark]] = None
+    points: int = 20, runs: int = 200, seed: int = 0, benchmarks=None, analyzer=None
 ) -> List[FigureSeries]:
+    """The series of every figure, all sweep points run as one batch."""
+    benchmarks = benchmarks or TABLE3_BENCHMARKS
+    sweeps = [_sweep_requests(bench, points, runs, seed) for bench in benchmarks]
+    reports = iter(batch_reports([r for _, requests in sweeps for r in requests], analyzer))
     return [
-        build_figure(bench, points=points, runs=runs, seed=seed)
-        for bench in (benchmarks or TABLE3_BENCHMARKS)
+        _series(bench, xs, runs, [next(reports) for _ in requests])
+        for bench, (xs, requests) in zip(benchmarks, sweeps)
     ]
 
 
@@ -146,18 +154,13 @@ def render_figure(series: FigureSeries) -> str:
     return f"{plot}\n\n{table}"
 
 
-def main(points: int = 20, runs: int = 200, seed: int = 0) -> str:
+def main(points: int = 20, runs: int = 200, seed: int = 0, analyzer=None) -> str:
     chunks = []
-    for series in build_all_figures(points=points, runs=runs, seed=seed):
+    for series in build_all_figures(points=points, runs=runs, seed=seed, analyzer=analyzer):
         chunks.append(render_figure(series))
         chunks.append("")
     return "\n".join(chunks)
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--points", type=int, default=20)
-    parser.add_argument("--runs", type=int, default=200)
-    parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    print(main(points=args.points, runs=args.runs, seed=args.seed))
+    driver_cli(main, __doc__, points=20, runs=200, seed=0)

@@ -36,4 +36,4 @@ def main(runs: int = 1000, seed: int = 0, analyzer=None) -> str:
 
 
 if __name__ == "__main__":
-    driver_cli(main, __doc__, simulate=True)
+    driver_cli(main, __doc__, runs=1000, seed=0)

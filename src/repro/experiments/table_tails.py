@@ -10,38 +10,25 @@ truncated at the same horizon.  Every probe must satisfy
 certificate fails loudly here, exactly like the Monte-Carlo bracket
 checks do for the expected-cost bounds.
 
+The programs are the ``tails`` suite of :mod:`repro.batch`; each request
+derives the bound and simulates at its horizon, and the engine reports
+the empirical frequency next to each probe (``tail.probes[i].freq``).
+
 Run as ``python -m repro.experiments.table_tails [--runs N]
-[--horizon N] [--seed S]``; the exit status is 1 when a bound is
-violated or none could be validated.
+[--horizon N] [--seed S] [--jobs N]``; the exit status is 1 when a bound
+is violated or none could be validated.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from ..api import AnalysisOptions
-from ..programs import get_benchmark, probabilistic_variant
-from ..semantics import simulate
-from .common import add_driver_args, driver_analyzer, fmt, render_table, table_analyzer
+from ..programs import Benchmark
+from .common import driver_cli, fmt, render_table, suite_reports
 
-__all__ = ["TAIL_SUITE", "TailCheck", "TailRow", "build_table_tails", "main"]
-
-#: (benchmark name, nondet_prob) pairs: Table 2 representatives plus
-#: Table 5 coin-flip variants.  Chosen for having degree-1 certificates
-#: with a constant step-difference bound *and* being simulable.
-TAIL_SUITE: List[Tuple[str, Optional[float]]] = [
-    ("rdwalk", None),
-    ("ber", None),
-    ("bin", None),
-    ("prdwalk", None),
-    ("sprdwalk", None),
-    ("C4B_t13", None),
-    ("random_walk", None),
-    ("bitcoin_mining", 0.5),
-]
+__all__ = ["TailCheck", "TailRow", "build_table_tails", "main"]
 
 
 @dataclass
@@ -83,7 +70,7 @@ def build_table_tails(
     runs: int = 2000,
     horizon: int = 2000,
     seed: int = 0,
-    suite: Optional[List[Tuple[str, Optional[float]]]] = None,
+    benchmarks: Optional[List[Benchmark]] = None,
     analyzer=None,
 ) -> List[TailRow]:
     """Derive and empirically validate tail bounds over the suite.
@@ -93,38 +80,31 @@ def build_table_tails(
     ``cost >= E + t`` among runs that terminate within the horizon
     estimates exactly the probability the bound dominates.
     """
+    reports = suite_reports(
+        "tails",
+        analyzer,
+        benchmarks,
+        tails=True,
+        tail_horizon=horizon,
+        simulate_runs=runs,
+        simulate_seed=seed,
+        simulate_max_steps=horizon,
+    )
     rows: List[TailRow] = []
-    with table_analyzer(analyzer) as session:
-        for name, prob in suite if suite is not None else TAIL_SUITE:
-            bench = get_benchmark(name)
-            if prob is not None:
-                bench = probabilistic_variant(bench, prob=prob)
-            init = dict(bench.init)
-            row = TailRow(benchmark=bench.name, init=init)
-            result = session.synthesize(
-                bench, AnalysisOptions(tails=True, tail_horizon=horizon)
+    for report in reports:
+        row = TailRow(benchmark=report.name, init=dict(report.init))
+        tail = report.tail
+        if tail is None:
+            row.unavailable = report.error or next(
+                (w for w in report.warnings if "tail bound unavailable" in w),
+                "tail bound unavailable",
             )
-            if result.tail is None:
-                row.unavailable = next(
-                    (w for w in result.warnings if "tail bound unavailable" in w),
-                    "tail bound unavailable",
-                )
-                rows.append(row)
-                continue
-            tail = result.tail
-            row.expected = tail.expected
-            row.c = tail.c
-            row.horizon = tail.horizon
-            row.refit = tail.refit
-            stats = simulate(bench.cfg, init, runs=runs, seed=seed, max_steps=horizon)
-            row.runs = stats.runs
-            row.truncated = stats.truncated
-            for probe in tail.probes:
-                exceeding = sum(1 for cost in stats.costs if cost >= tail.expected + probe.t)
-                row.checks.append(
-                    TailCheck(t=probe.t, bound=probe.bound, freq=exceeding / runs)
-                )
-            rows.append(row)
+        else:
+            row.expected, row.c = tail["expected"], tail["c"]
+            row.horizon, row.refit = tail["horizon"], tail["refit"]
+            row.runs, row.truncated = runs, report.sim_truncated
+            row.checks = [TailCheck(p["t"], p["bound"], p["freq"]) for p in tail["probes"]]
+        rows.append(row)
     return rows
 
 
@@ -134,24 +114,13 @@ def _render(rows: List[TailRow], runs: int, horizon: int) -> Tuple[str, bool]:
     text_rows = []
     for row in rows:
         if row.unavailable is not None:
-            text_rows.append(
-                [row.benchmark, "-", "-", "-", "unavailable", row.unavailable[:48]]
-            )
+            text_rows.append([row.benchmark, "-", "-", "-", "unavailable", row.unavailable[:48]])
             continue
         checks = "  ".join(
-            f"P[>E+{check.t:.0f}] {check.freq:.4f}<={check.bound:.4f}"
-            for check in row.checks
+            f"P[>E+{check.t:.0f}] {check.freq:.4f}<={check.bound:.4f}" for check in row.checks
         )
-        text_rows.append(
-            [
-                row.benchmark,
-                fmt(row.expected),
-                fmt(row.c),
-                str(row.horizon),
-                "ok" if row.sound else "VIOLATED",
-                checks,
-            ]
-        )
+        numbers = [fmt(row.expected), fmt(row.c), str(row.horizon)]
+        text_rows.append([row.benchmark, *numbers, "ok" if row.sound else "VIOLATED", checks])
     headers = ["program", "E", "c", "n", "sound", "empirical tail vs bound"]
     available = [row for row in rows if row.unavailable is None]
     violated = sum(1 for row in available if not row.sound)
@@ -162,10 +131,8 @@ def _render(rows: List[TailRow], runs: int, horizon: int) -> Tuple[str, bool]:
         # tail LP across the whole suite must fail loudly.
         footer = "\nno tail bounds available - nothing validated"
     else:
-        footer = (
-            f"\nall empirical tails within bounds "
-            f"({len(available)}/{len(rows)} rows validated)"
-        )
+        validated = f"{len(available)}/{len(rows)} rows validated"
+        footer = f"\nall empirical tails within bounds ({validated})"
     text = (
         f"Tail bounds: Azuma-Hoeffding vs {runs} simulated runs (horizon {horizon})\n"
         + render_table(headers, text_rows)
@@ -174,9 +141,7 @@ def _render(rows: List[TailRow], runs: int, horizon: int) -> Tuple[str, bool]:
     return text, bool(available) and not violated
 
 
-def main(
-    runs: int = 2000, horizon: int = 2000, seed: int = 0, analyzer=None
-) -> str:
+def main(runs: int = 2000, horizon: int = 2000, seed: int = 0, analyzer=None) -> str:
     rows = build_table_tails(runs=runs, horizon=horizon, seed=seed, analyzer=analyzer)
     return _render(rows, runs, horizon)[0]
 
@@ -184,19 +149,12 @@ def main(
 def cli(argv: Optional[List[str]] = None) -> int:
     """Print the table; exit status 1 when a bound is violated or none
     could be validated, 0 otherwise."""
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--runs", type=int, default=2000, help="simulated runs per benchmark")
-    parser.add_argument("--horizon", type=int, default=2000, help="step horizon n")
-    parser.add_argument("--seed", type=int, default=0)
-    add_driver_args(parser)
-    args = parser.parse_args(argv)
-    with driver_analyzer(args) as analyzer:
-        rows = build_table_tails(
-            runs=args.runs, horizon=args.horizon, seed=args.seed, analyzer=analyzer
-        )
-    text, ok = _render(rows, args.runs, args.horizon)
-    print(text)
-    return 0 if ok else 1
+
+    def validated(runs, horizon, seed, analyzer):
+        rows = build_table_tails(runs=runs, horizon=horizon, seed=seed, analyzer=analyzer)
+        return _render(rows, runs, horizon)
+
+    return driver_cli(validated, __doc__, argv, runs=2000, horizon=2000, seed=0)
 
 
 if __name__ == "__main__":

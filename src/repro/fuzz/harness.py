@@ -320,7 +320,7 @@ class Harness:
 
         runs = stats.runs
         for t, bound in claims.tail:
-            freq = sum(1 for cost in stats.costs if cost >= claims.tail_expected + t) / runs
+            freq = stats.tail_frequency(claims.tail_expected + t)
             slack = (
                 MEAN_SIGMAS * math.sqrt(max(bound * (1.0 - bound), 0.0) / runs)
                 + 1.0 / runs

@@ -67,7 +67,10 @@ def benchmarks_by_category(category: str) -> List[Benchmark]:
 #: (benchmark name, prob) -> variant Benchmark.  ``probabilistic_variant``
 #: re-parses the program; per-process memoisation keeps repeated inits of
 #: the same Table 5 variant on the cached CFG, like the registry benches.
+#: Bounded: ``prob`` comes from request bodies, and each entry keeps a
+#: parsed program, its CFG and the CFG's template memos alive.
 _VARIANT_CACHE: Dict[Tuple[str, float], Benchmark] = {}
+_VARIANT_CACHE_MAX = 256
 
 
 def resolve(
@@ -122,6 +125,8 @@ def resolve(
     if prob is not None and bench.has_nondeterminism:
         bench = _VARIANT_CACHE.get(memo_key) or probabilistic_variant(bench, prob=prob)
         if memo_key is not None:
+            if len(_VARIANT_CACHE) >= _VARIANT_CACHE_MAX:
+                _VARIANT_CACHE.clear()
             _VARIANT_CACHE[memo_key] = bench
     init = dict(options.init) if options.init is not None else dict(bench.init)
     # Both filled-in values come from the benchmark; setting them on a

@@ -8,8 +8,6 @@ server):
     A bounded in-flight gate.  ``try_acquire`` never blocks: a
     saturated service answers *immediately* with 429 + ``Retry-After``
     instead of stacking handler threads until something else breaks.
-    The controller also exposes ``wait_idle`` for the graceful-drain
-    path ("finish what you admitted, within the deadline").
 
 :class:`SingleFlight`
     Request coalescing keyed by cache fingerprint.  When N identical
@@ -46,11 +44,11 @@ class AdmissionController:
         self.retry_after_s = retry_after_s
         self._inflight = 0
         self._rejected = 0
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
 
     def try_acquire(self) -> bool:
         """Claim a slot if one is free; never blocks."""
-        with self._cond:
+        with self._lock:
             if self._inflight >= self.limit:
                 self._rejected += 1
                 return False
@@ -58,32 +56,21 @@ class AdmissionController:
             return True
 
     def release(self) -> None:
-        with self._cond:
+        with self._lock:
             if self._inflight <= 0:  # pragma: no cover - defensive
                 raise RuntimeError("release() without a matching try_acquire()")
             self._inflight -= 1
-            self._cond.notify_all()
 
     @property
     def inflight(self) -> int:
-        with self._cond:
+        with self._lock:
             return self._inflight
 
     @property
     def rejected(self) -> int:
         """Total requests shed with 429 since startup."""
-        with self._cond:
+        with self._lock:
             return self._rejected
-
-    def wait_idle(self, timeout: Optional[float] = None) -> bool:
-        """Block until every admitted request released, or ``timeout``.
-
-        Returns ``True`` if the gate drained, ``False`` on deadline —
-        the drain path uses this to decide between a clean exit and a
-        "gave up waiting" message.
-        """
-        with self._cond:
-            return self._cond.wait_for(lambda: self._inflight == 0, timeout=timeout)
 
 
 @dataclass

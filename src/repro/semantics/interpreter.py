@@ -102,6 +102,12 @@ class SimulationStats:
             return float("inf")
         return self.std / math.sqrt(self.terminated_runs)
 
+    def tail_frequency(self, threshold: float) -> float:
+        """Share of *all* runs that terminated with ``cost >= threshold``
+        (truncated runs count as not exceeding): it estimates
+        ``P[cost >= threshold, T <= max_steps]``."""
+        return sum(1 for cost in self.costs if cost >= threshold) / self.runs
+
     def confidence_interval(self, z: float = 2.576) -> Tuple[float, float]:
         """Normal-approximation CI for the mean (default 99%)."""
         half = z * self.stderr()

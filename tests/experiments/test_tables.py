@@ -112,6 +112,52 @@ class TestSuiteRequests:
         assert seen == requests_from_spec(spec)
         assert len(seen) == 30
 
+    def test_tail_driver_requests_equal_spec_suite(self, monkeypatch):
+        seen = []
+
+        def fake_batch(self, requests, **kwargs):
+            seen.extend(requests)
+            return [AnalysisReport(name=r.display_name, status="ok") for r in requests]
+
+        monkeypatch.setattr(Analyzer, "analyze_batch", fake_batch)
+        table_tails.build_table_tails(runs=300, horizon=1200, seed=7)
+        spec = {
+            "defaults": {
+                "tails": True,
+                "tail_horizon": 1200,
+                "simulate_runs": 300,
+                "simulate_seed": 7,
+                "simulate_max_steps": 1200,
+            },
+            "tasks": [{"suite": "tails"}],
+        }
+        assert seen == requests_from_spec(spec)
+        assert len(seen) == 8
+        assert [r.nondet_prob for r in seen] == [None] * 7 + [0.5]
+
+    def test_nondeterministic_figure_points_are_request_pairs(self, monkeypatch):
+        """Each sweep point bounds the program as written and simulates
+        its coin-flip variant; a probabilistic program needs one
+        request per point."""
+        from repro.experiments.figures import build_all_figures
+
+        seen = []
+
+        def fake_batch(self, requests, **kwargs):
+            seen.extend(requests)
+            return [AnalysisReport(name=r.display_name, status="ok") for r in requests]
+
+        monkeypatch.setattr(Analyzer, "analyze_batch", fake_batch)
+        benches = [get_benchmark("bitcoin_mining"), get_benchmark("random_walk")]
+        series = build_all_figures(points=3, runs=50, benchmarks=benches)
+        assert [len(s.xs) for s in series] == [3, 3]
+        assert len(seen) == 3 * 2 + 3
+        bounds, sims = seen[0:6:2], seen[1:6:2]
+        assert all(r.simulate_runs is None and r.nondet_prob is None for r in bounds)
+        assert all(r.simulate_runs == 50 and r.nondet_prob == 0.5 for r in sims)
+        assert [r.init for r in bounds] == [r.init for r in sims]
+        assert all(r.simulate_runs == 50 and r.nondet_prob is None for r in seen[6:])
+
 
 class TestFigures:
     def test_series_bracketing(self):
@@ -154,6 +200,23 @@ class TestJobsParity:
         key = lambda r: (r.benchmark, r.upper, r.lower, r.upper_value, r.lower_value)
         assert [key(r) for r in par] == [key(r) for r in seq]
 
+    def test_figures_parallel_match_sequential(self):
+        from repro.experiments.figures import build_all_figures
+
+        benches = [get_benchmark("bitcoin_mining"), get_benchmark("random_walk")]
+        seq = build_all_figures(points=3, runs=30, benchmarks=benches)
+        with Analyzer(jobs=2) as analyzer:
+            par = build_all_figures(points=3, runs=30, benchmarks=benches, analyzer=analyzer)
+        assert par == seq
+        assert all(mean is not None for s in seq for mean in s.sim_mean)
+
+    def test_tail_table_parallel_matches_sequential(self):
+        seq = table_tails.build_table_tails(runs=200, horizon=800)
+        with Analyzer(jobs=2) as analyzer:
+            par = table_tails.build_table_tails(runs=200, horizon=800, analyzer=analyzer)
+        assert par == seq
+        assert all(row.checks and row.sound for row in seq)
+
     def test_table5_parallel_matches_sequential(self):
         benches = [get_benchmark("bitcoin_mining"), get_benchmark("simple_loop")]
         seq = build_table5(runs=25, benchmarks=benches)
@@ -182,8 +245,8 @@ class TestTableTails:
     def test_rows_are_sound_and_complete(self):
         from repro.experiments import build_table_tails
 
-        suite = [("rdwalk", None), ("bitcoin_mining", 0.5)]
-        rows = build_table_tails(runs=200, horizon=800, seed=0, suite=suite)
+        benches = [get_benchmark("rdwalk"), get_benchmark("bitcoin_mining")]
+        rows = build_table_tails(runs=200, horizon=800, seed=0, benchmarks=benches)
         assert [row.benchmark for row in rows] == ["rdwalk", "bitcoin_mining_prob"]
         for row in rows:
             assert row.unavailable is None, row.unavailable
@@ -196,7 +259,7 @@ class TestTableTails:
     def test_unavailable_benchmark_reports_reason(self):
         from repro.experiments import build_table_tails
 
-        rows = build_table_tails(runs=10, horizon=100, suite=[("pol04", None)])
+        rows = build_table_tails(runs=10, horizon=100, benchmarks=[get_benchmark("pol04")])
         (row,) = rows
         assert row.unavailable is not None
         assert "tail bound unavailable" in row.unavailable
@@ -230,3 +293,58 @@ class TestTableTails:
         monkeypatch.setattr(table_tails, "build_table_tails", lambda **kwargs: [row])
         assert table_tails.cli(["--runs", "1", "--no-cache"]) == 0
         assert "all empirical tails within bounds (1/1" in capsys.readouterr().out
+
+
+class TestDriverFlags:
+    """Every driver's flags are defined, and checked, in one place."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--runs", "0"], "--runs"),
+            (["--points", "1"], "--points"),
+            (["--horizon", "0"], "--horizon"),
+            (["--jobs", "0"], "--jobs"),
+            (["--runs", "many"], "--runs"),
+        ],
+        ids=["runs", "points", "horizon", "jobs", "not-an-int"],
+    )
+    def test_values_below_the_minimum_are_usage_errors(self, capsys, argv, flag):
+        from repro.experiments.common import driver_cli
+
+        def never(**settings):
+            raise AssertionError("main ran despite a bad flag")
+
+        with pytest.raises(SystemExit) as info:
+            driver_cli(never, "d", argv, points=20, runs=200, horizon=2000, seed=0)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected an int >=" in err
+
+    def test_tail_table_rejects_zero_runs(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            table_tails.cli(["--runs", "0"])
+        assert info.value.code == 2
+        assert "argument --runs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "module, argv",
+        [("figures", ["--points", "1"]), ("table4", ["--runs", "0"])],
+        ids=["figures", "table4"],
+    )
+    def test_driver_modules_exit_2_without_traceback(self, module, argv):
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        result = subprocess.run(
+            [sys.executable, "-m", f"repro.experiments.{module}", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert result.returncode == 2
+        assert f"argument {argv[0]}" in result.stderr
+        assert "Traceback" not in result.stderr

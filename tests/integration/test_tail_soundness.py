@@ -51,8 +51,7 @@ def test_empirical_tail_frequencies_respect_bound(name, prob, init):
     # The guarantee covers runs that terminate within the horizon;
     # truncated runs fall outside the event and count as non-exceeding.
     for probe in tail.probes:
-        exceeding = sum(1 for cost in stats.costs if cost >= tail.expected + probe.t)
-        freq = exceeding / RUNS
+        freq = stats.tail_frequency(tail.expected + probe.t)
         assert freq <= probe.bound, (
             f"{name}: empirical P[cost >= {tail.expected:g} + {probe.t:g}] = {freq} "
             f"exceeds the Azuma bound {probe.bound}"
@@ -61,8 +60,7 @@ def test_empirical_tail_frequencies_respect_bound(name, prob, init):
     scale = tail.c * (HORIZON ** 0.5)
     for alpha in (0.25, 0.75, 1.5, 2.5, 4.0):
         t = alpha * scale
-        exceeding = sum(1 for cost in stats.costs if cost >= tail.expected + t)
-        assert exceeding / RUNS <= tail.bound_at(t)
+        assert stats.tail_frequency(tail.expected + t) <= tail.bound_at(t)
 
 
 def test_tail_bound_survives_report_round_trip():
@@ -101,3 +99,49 @@ def test_warm_cache_reports_tail_byte_identically(tmp_path):
     bare = AnalysisRequest(benchmark="rdwalk")
     assert request_key(bare) != request_key(request)
     assert request_key(AnalysisRequest(benchmark="rdwalk", tails=True)) != request_key(request)
+
+
+def test_engine_reports_each_probes_empirical_frequency():
+    """A request that derives tails and simulates at the horizon carries,
+    next to each probe, the frequency ``SimulationStats.tail_frequency``
+    defines; simulated past the horizon it carries none, since the
+    frequency would then estimate another event."""
+    from dataclasses import replace
+
+    from repro.batch import AnalysisRequest
+    from repro.batch.engine import execute_request
+
+    init = {"x": 40, "n": 40}
+    request = AnalysisRequest(
+        benchmark="rdwalk",
+        init=init,
+        tails=True,
+        tail_horizon=HORIZON,
+        simulate_runs=500,
+        simulate_seed=SEED,
+        simulate_max_steps=HORIZON,
+    )
+    report = execute_request(request)
+    assert report.ok and report.tail is not None
+    stats = simulate(get_benchmark("rdwalk").cfg, init, runs=500, seed=SEED, max_steps=HORIZON)
+    tail = report.tail
+    assert [p["freq"] for p in tail["probes"]] == [
+        stats.tail_frequency(tail["expected"] + p["t"]) for p in tail["probes"]
+    ]
+    beyond = execute_request(replace(request, simulate_max_steps=HORIZON + 1))
+    assert beyond.tail is not None
+    assert all("freq" not in p for p in beyond.tail["probes"])
+
+
+def test_only_requests_that_simulate_and_derive_tails_are_rekeyed():
+    """Reports of such requests gained ``freq``; their keys carry a
+    marker, so entries stored without it are never served.  No other
+    request's fingerprint changes."""
+    from repro.batch import AnalysisRequest
+    from repro.cache import request_fingerprint
+
+    both = AnalysisRequest(benchmark="rdwalk", tails=True, simulate_runs=10)
+    assert request_fingerprint(both)["simulate"]["tail_freq"] is True
+    simulate_only = request_fingerprint(AnalysisRequest(benchmark="rdwalk", simulate_runs=10))
+    assert "tail_freq" not in simulate_only["simulate"]
+    assert request_fingerprint(AnalysisRequest(benchmark="rdwalk", tails=True))["simulate"] is None

@@ -183,6 +183,21 @@ class TestRegistry:
         assert not get_benchmark("simple_loop").has_nondeterminism
         assert not get_benchmark("bitcoin_mining").simulation_supported
 
+    def test_variant_memo_is_bounded(self):
+        """Coin-flip variants are memoised per (name, prob), but ``prob``
+        comes from request bodies: distinct values must not grow the
+        memo without limit, and a repeated pair must still hit."""
+        from repro.batch import AnalysisRequest
+        from repro.programs import registry, resolve
+
+        for i in range(10_000):
+            resolve(AnalysisRequest(benchmark="bitcoin_mining", nondet_prob=i / 10_000))
+            assert len(registry._VARIANT_CACHE) <= registry._VARIANT_CACHE_MAX
+        request = AnalysisRequest(benchmark="bitcoin_mining", nondet_prob=0.5)
+        first, _, _ = resolve(request)
+        again, _, _ = resolve(request)
+        assert again is first and first.name == "bitcoin_mining_prob"
+
     def test_all_inits_deduplicated(self):
         bench = get_benchmark("bitcoin_mining")
         inits = bench.all_inits()

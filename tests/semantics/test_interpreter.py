@@ -219,6 +219,16 @@ class TestTruncation:
         # three CFG steps).
         assert all(cost <= 75 for cost in stats.truncated_costs)
 
+    def test_tail_frequency_counts_truncated_runs_as_not_exceeding(self):
+        """The share of *all* runs that terminated at or above the
+        threshold: a truncated run's partial cost never counts."""
+        cfg = make("var x; while x >= 1 do x := x + (1, -1) : (0.25, 0.75); tick(1) od")
+        stats = simulate(cfg, {"x": 10}, runs=200, seed=3, max_steps=75)
+        assert max(stats.truncated_costs) >= 20
+        exceeding = sum(1 for cost in stats.costs if cost >= 20)
+        assert stats.tail_frequency(20) == exceeding / 200
+        assert stats.tail_frequency(float("-inf")) == stats.termination_rate
+
 
 class TestHistoryGating:
     """Regression tests: per-step valuation snapshots are only recorded
