@@ -45,12 +45,8 @@ def main() -> None:
     print()
 
     # Table 5: resolve ties with a fair coin instead -> simulable.
-    variant = repro.replace_nondet(bench.program, prob=0.5)
-    cfg = repro.build_cfg(variant)
-    prob_result = repro.analyze(
-        variant, init={"x": 100}, invariants=bench.invariant_map(), degree=1
-    )
-    stats = repro.simulate(cfg, {"x": 100}, runs=2000, seed=0)
+    prob_result = repro.analyze(bench, init={"x": 100}, nondet_prob=0.5, degree=1)
+    stats = repro.simulate(prob_result.cfg, {"x": 100}, runs=2000, seed=0)
     print("--- nondeterminism replaced by prob(0.5) (Table 5) ---")
     print(f"upper bound    : {prob_result.upper.value:.2f}")
     print(f"lower bound    : {prob_result.lower.value:.2f}")

@@ -24,6 +24,14 @@ Quickstart::
         od
     ''', init={"x": 100}, invariants={1: "x >= 0"})
     print(result.summary())
+
+:func:`analyze` and :func:`analyze_runtime` take ``(program, options=None,
+**overrides)`` like :class:`Analyzer`'s methods: ``program`` is a
+registry benchmark name (``repro.analyze("rdwalk")``), source text or a
+parsed :class:`Program` (``analyze`` also takes a benchmark object),
+``options`` an :class:`AnalysisOptions` record and each override one of
+its fields by name.  The static lint pass has one front door,
+:func:`repro.check.check_request`.
 """
 
 from .analysis import (

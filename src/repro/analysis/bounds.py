@@ -1,43 +1,47 @@
-"""High-level cost-analysis facade.
+"""The pipeline of the paper on one resolved request.
 
-:func:`analyze` runs the complete pipeline of the paper on a program:
+The one input is the triple :func:`repro.programs.resolve` returns —
+``(bench, init, settings)``: the benchmark (program, CFG and
+annotations), the initial valuation ``v*`` and the
+:class:`~repro.api.AnalysisOptions` record with ``degree`` and ``mode``
+filled in.  :func:`analyze_ladder` runs the steps:
 
-1. parse (if given source text) and build the CFG;
-2. assemble invariants: user annotations, optionally strengthened by
-   the automatic invariant generator, and lint them when asked;
-3. classify the soundness regime (Section 6.2 vs 6.3) from the side
+1. assemble invariants: the benchmark's annotations, linted when asked
+   and strengthened by the automatic invariant generator
+   (:func:`assemble_invariants`, shared with
+   ``Analyzer.derive_invariants``);
+2. classify the soundness regime (Section 6.2 vs 6.3) from the side
    conditions;
-4. optionally certify concentration with a ranking supermartingale;
-5. synthesize the PUCS upper bound and, when the regime admits one,
-   the PLCS lower bound.
+3. optionally certify concentration with a ranking supermartingale;
+4. per degree of the plan, synthesize the PUCS upper bound and, when
+   the regime admits one, the PLCS lower bound, stopping at the first
+   degree that yields every requested bound;
+5. optionally derive the Azuma–Hoeffding tail bound.
 
-Steps 1-4 do not depend on the template degree.  :func:`analyze_ladder`
-runs them once and then step 5 per degree of a plan, stopping at the
-first degree that yields every requested bound; :func:`analyze` is its
-one-degree case, and ``Benchmark.analyze`` drives it from an
-:class:`~repro.api.AnalysisOptions` record for the batch engine and
-``Analyzer.synthesize``.  :func:`assemble_invariants` is step 2 on its
-own, shared with ``Analyzer.derive_invariants``.
+Steps 1-3 do not depend on the template degree and run once.
+:func:`analyze` is the front door for a program given by name, source
+text or object, in :class:`~repro.api.Analyzer`'s ``(program,
+options=None, **overrides)`` convention.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple, Union
 
 if TYPE_CHECKING:  # runtime imports would be circular; these are lazy below
     from ..api.options import AnalysisOptions
     from ..check.diagnostics import CheckResult, Diagnostic
+    from ..programs import Benchmark
     from .tails import TailBound
 
 from ..core.conditions import AnalysisMode, classify
 from ..core.synthesis import BoundResult, synthesize
 from ..errors import InfeasibleError, SynthesisError, UnboundedError
 from ..invariants import InvariantMap
-from ..invariants.generator import INVARIANT_DOMAINS, strengthen_invariants
-from ..semantics.cfg import CFG, build_cfg
+from ..invariants.generator import strengthen_invariants
+from ..semantics.cfg import CFG
 from ..syntax.ast import Program
-from ..syntax.parser import parse_program
 from ..termination import RankingCertificate, certify_concentration
 
 __all__ = [
@@ -109,107 +113,46 @@ class CostAnalysisResult:
             lines.append(f"warning: {warning}")
         return "\n".join(lines)
 
-    def complete_for(self, compute_lower: bool) -> bool:
-        """Did the analysis produce everything that was asked for?
+    def complete_for(self, settings: "AnalysisOptions") -> bool:
+        """Did the analysis produce everything ``settings`` asked for?
 
         The degree ladder (:func:`analyze_ladder`) stops at the first
         degree meeting this rule: an upper bound must exist, and — when
-        a lower bound was requested and the regime admits one — a lower
+        ``settings.compute_lower`` and the regime admits one — a lower
         bound too.
         """
         if self.upper is None:
             return False
-        if compute_lower and self.mode.lower and self.lower is None:
+        if settings.compute_lower and self.mode.lower and self.lower is None:
             return False
         return True
 
 
 def analyze(
-    program: Union[str, Program],
-    init: Mapping[str, float],
-    invariants: Optional[Union[InvariantMap, Mapping[int, object]]] = None,
-    degree: int = 2,
-    auto_invariants: bool = True,
+    program: Union[str, Program, "Benchmark"],
+    options: Optional["AnalysisOptions"] = None,
+    *,
     check_concentration: bool = False,
-    compute_lower: bool = True,
-    max_multiplicands: Optional[int] = None,
-    mode: str = "auto",
-    invariant_domain: str = "interval",
-    tails: bool = False,
-    tail_horizon: Optional[int] = None,
-    tail_probes: Optional[List[float]] = None,
-    check: str = "off",
+    **overrides: Any,
 ) -> CostAnalysisResult:
     """Run the full expected-cost analysis on ``program``.
 
-    Parameters
-    ----------
-    program:
-        Source text or a parsed :class:`Program`.
-    init:
-        The initial valuation ``v*`` the bounds are optimized for.
-    invariants:
-        Optional per-label annotations (an :class:`InvariantMap` or a
-        ``{label: condition-string}`` mapping, cf. Figure 9).
-    degree:
-        Template degree ``d``.
-    auto_invariants:
-        Strengthen annotations with automatically generated interval
-        invariants (on by default; the paper uses StInG similarly).
-    check_concentration:
-        Also synthesize a ranking supermartingale witnessing the
-        concentration side condition of Theorems 6.10/6.12.
-    compute_lower:
-        Attempt the PLCS lower bound when the regime admits one.
-    mode:
-        ``"auto"`` classifies the soundness regime from the side
-        conditions; ``"signed"`` forces the Section 6.2 regime (upper
-        and lower bounds, no nonnegativity requirement on ``h``) and
-        ``"nonnegative"`` forces the Section 6.3 regime (upper bound
-        with nonnegative ``h``).  Forcing a regime whose side
-        conditions fail is recorded as a warning, not an error — this
-        mirrors how the paper's experiments treat e.g. the nested-loop
-        benchmark.
-    invariant_domain:
-        The abstract domain of the automatic invariant generator:
-        ``"interval"`` (default; per-variable boxes) or ``"octagon"``
-        (relational ``+-x +-y <= c`` constraints).  Under the octagon
-        domain the inferred relational rows are also *conjoined* into
-        hand-annotated labels (they are sound by construction, so the
-        merge only strengthens Gamma), and the lint pass gains the
-        REP013/REP014 relational annotation checks.
-    tails:
-        Also derive an Azuma–Hoeffding concentration bound
-        ``P[cost >= E + t, T <= n] <= exp(-t^2/(2 c^2 n))`` from the
-        upper certificate (:mod:`repro.analysis.tails`).  ``tail_horizon``
-        is the step horizon ``n`` (default 1e6, the interpreter's
-        truncation default) and ``tail_probes`` the offsets ``t`` to
-        pre-evaluate.  Unavailability (no constant difference bound at
-        any tried degree) is a warning, not an error.
-    check:
-        Run the static lint pass (:mod:`repro.check`) first.  ``"off"``
-        (default) skips it; ``"warn"`` attaches the findings to
-        ``result.diagnostics`` and proceeds; ``"strict"`` additionally
-        raises :class:`~repro.errors.CheckError` on any error-severity
-        finding *before* any LP work.  Only user-supplied invariants
-        are validated — the auto-generated interval invariants are
-        consistent with the abstract states by construction.
+    ``program`` is a registry benchmark name, source text, a
+    :class:`~repro.programs.Benchmark` or a parsed :class:`Program`;
+    ``options`` is an :class:`~repro.api.AnalysisOptions` record (the
+    defaults when ``None``) and ``overrides`` set its fields by name —
+    :meth:`repro.api.Analyzer.synthesize`'s convention, which this
+    calls::
+
+        analyze(source, init={"x": 100}, invariants={1: "x >= 0"}, degree="auto")
+
+    ``check_concentration`` also synthesizes a ranking supermartingale
+    witnessing the concentration side condition of Theorems 6.10/6.12.
     """
-    return analyze_ladder(
-        program,
-        init,
-        [degree],
-        invariants,
-        auto_invariants=auto_invariants,
-        check_concentration=check_concentration,
-        compute_lower=compute_lower,
-        max_multiplicands=max_multiplicands,
-        mode=mode,
-        invariant_domain=invariant_domain,
-        tails=tails,
-        tail_horizon=tail_horizon,
-        tail_probes=tail_probes,
-        check=check,
+    from ..api.analyzer import Analyzer
+
+    return Analyzer(options).synthesize(
+        program, check_concentration=check_concentration, **overrides
     )
 
 
@@ -229,60 +172,35 @@ def degree_plan(settings: "AnalysisOptions", default: Optional[int] = None) -> l
 
 
 def analyze_ladder(
-    program: Union[str, Program],
+    bench: "Benchmark",
     init: Mapping[str, float],
-    degrees: Sequence[int],
-    invariants: Optional[Union[InvariantMap, Mapping[int, object]]] = None,
+    settings: "AnalysisOptions",
     *,
-    auto_invariants: bool = True,
     check_concentration: bool = False,
-    compute_lower: bool = True,
-    max_multiplicands: Optional[int] = None,
-    mode: str = "auto",
-    invariant_domain: str = "interval",
-    tails: bool = False,
-    tail_horizon: Optional[int] = None,
-    tail_probes: Optional[List[float]] = None,
-    check: str = "off",
-    cfg: Optional[CFG] = None,
 ) -> CostAnalysisResult:
-    """The degree ladder: the degree-independent prefix once, then
-    synthesis per degree.
+    """The degree ladder on a resolved request: the degree-independent
+    prefix once, then synthesis per degree.
 
-    The prefix builds the CFG (unless the caller passes ``cfg``, the
-    CFG of ``program`` it already has), assembles user plus automatic
-    invariants, lints when ``check`` asks, classifies the regime and
-    certifies concentration.  The ``degrees`` are then tried in order,
-    stopping at the first whose result is
-    :meth:`~CostAnalysisResult.complete_for` the request; the tail
-    bound is derived once, on that result, reusing the rungs' upper
-    bounds for a refit, and ``degrees_tried`` records the rungs run.
-    The other parameters are :func:`analyze`'s.
+    ``(bench, init, settings)`` is what :func:`repro.programs.resolve`
+    returns.  The prefix takes the benchmark's CFG, assembles user plus
+    automatic invariants (:func:`assemble_invariants`, which lints when
+    ``settings.check`` asks), classifies the regime — forced by
+    ``settings.mode`` when it is not ``"auto"``, with a warning, not an
+    error, when the forced regime's side conditions fail — and
+    certifies concentration when ``check_concentration``.  The degrees of
+    :func:`degree_plan` are then tried in order, stopping at the first
+    whose result is :meth:`~CostAnalysisResult.complete_for` the
+    request; the tail bound is derived once, on that result, reusing
+    the rungs' upper bounds for a refit, and ``degrees_tried`` records
+    the rungs run.  An ``"auto"`` plan that runs out of degrees before
+    every requested bound exists says so in a warning.
     """
-    if check not in ("off", "warn", "strict"):
-        raise ValueError("check must be 'off', 'warn' or 'strict'")
-    if invariant_domain not in INVARIANT_DOMAINS:
-        raise ValueError(
-            f"invariant_domain must be one of {INVARIANT_DOMAINS}, got {invariant_domain!r}"
-        )
-    if isinstance(program, str):
-        program = parse_program(program)
-    if cfg is None:
-        cfg = build_cfg(program)
-    inv, check_result = assemble_invariants(
-        cfg,
-        init,
-        invariants,
-        auto_invariants=auto_invariants,
-        invariant_domain=invariant_domain,
-        check=check,
-    )
+    cfg = bench.cfg
+    inv, check_result = assemble_invariants(bench, init, settings)
 
-    if mode not in ("auto", "signed", "nonnegative"):
-        raise ValueError("mode must be 'auto', 'signed' or 'nonnegative'")
     detected = classify(cfg, inv)
     forced_warnings: List[str] = []
-    if mode == "signed":
+    if settings.mode == "signed":
         if detected.name != "signed-bounded-update":
             forced_warnings.append(
                 f"forced signed regime but side conditions detect {detected.name!r}; "
@@ -295,7 +213,7 @@ def analyze_ladder(
             require_nonnegative_template=False,
             reports=detected.reports,
         )
-    elif mode == "nonnegative":
+    elif settings.mode == "nonnegative":
         if not detected.reports["nonnegative_costs"]:
             forced_warnings.append(
                 "forced nonnegative regime but some costs may be negative; "
@@ -309,7 +227,7 @@ def analyze_ladder(
             reports=detected.reports,
         )
     mode_info = detected
-    base = CostAnalysisResult(program=program, cfg=cfg, invariants=inv, mode=mode_info)
+    base = CostAnalysisResult(program=bench.program, cfg=cfg, invariants=inv, mode=mode_info)
     base.warnings.extend(forced_warnings)
     if check_result is not None:
         base.diagnostics = list(check_result.diagnostics)
@@ -331,64 +249,47 @@ def analyze_ladder(
 
     result: Optional[CostAnalysisResult] = None
     uppers: Dict[int, Optional[BoundResult]] = {}
-    for degree in degrees:
-        result = _synthesize_at(base, init, degree, compute_lower, max_multiplicands)
+    for degree in degree_plan(settings):
+        result = _synthesize_at(base, init, degree, settings)
         uppers[degree] = result.upper
-        if result.complete_for(compute_lower):
+        if result.complete_for(settings):
             break
     assert result is not None, "the degree plan is empty"
     result.degrees_tried = list(uppers)
 
-    if tails:
-        attach_tail_bound(
-            result,
-            horizon=tail_horizon,
-            probes=tail_probes,
-            max_multiplicands=max_multiplicands,
-            uppers=uppers,
+    if settings.tails:
+        attach_tail_bound(result, settings, uppers)
+    if settings.degree == "auto" and not result.complete_for(settings):
+        result.warnings.append(
+            f"degree escalation exhausted at d={settings.max_degree} "
+            "without a feasible bound for every requested side"
         )
     return result
 
 
 def assemble_invariants(
-    cfg: CFG,
-    init: Mapping[str, float],
-    invariants: Optional[Union[InvariantMap, Mapping[int, object]]] = None,
-    *,
-    auto_invariants: bool = True,
-    invariant_domain: str = "interval",
-    check: str = "off",
+    bench: "Benchmark", init: Mapping[str, float], settings: "AnalysisOptions"
 ) -> Tuple[InvariantMap, Optional["CheckResult"]]:
     """The invariant map synthesis runs under, and the lint result.
 
-    Copies (or parses) the user's annotations, lints them when
-    ``check`` asks — against the *user's* invariants, before generated
+    Takes the benchmark's annotations at ``init``, lints them when
+    ``settings.check`` asks — the *user's* invariants, before generated
     ones are mixed in; ``"strict"`` raises
     :class:`~repro.errors.CheckError` on an error-severity finding —
-    and then strengthens them with the invariants generated in
-    ``invariant_domain`` (:func:`strengthen_invariants`), reusing the
-    fixpoint the lint pass already ran.
+    and then, when ``settings.auto_invariants``, strengthens them with
+    the invariants generated in ``settings.invariant_domain``
+    (:func:`strengthen_invariants`), reusing the fixpoint the lint pass
+    already ran.
     """
-    if isinstance(invariants, InvariantMap):
-        # Copy before strengthening below: the caller's map may be
-        # cached/shared and must not observe our additions.
-        inv = invariants.copy()
-    elif invariants is not None:
-        inv = InvariantMap.from_strings(cfg, dict(invariants))
-    else:
-        inv = InvariantMap.trivial()
+    cfg = bench.cfg
+    inv = bench.invariant_map(init)
 
     check_result = None
-    if check != "off":
+    if settings.check != "off":
         from ..check import check_cfg
 
-        check_result = check_cfg(
-            cfg,
-            init,
-            inv if invariants is not None else None,
-            invariant_domain=invariant_domain,
-        )
-        if check == "strict" and not check_result.ok:
+        check_result = check_cfg(cfg, init, inv, settings)
+        if settings.check == "strict" and not check_result.ok:
             from ..errors import CheckError
 
             codes = ", ".join(sorted({d.code for d in check_result.errors}))
@@ -404,9 +305,9 @@ def assemble_invariants(
 
         raise SemanticsError(f"initial valuation mentions unknown variables: {sorted(unknown_vars)}")
 
-    if auto_invariants:
+    if settings.auto_invariants:
         fixpoint = check_result.fixpoint if check_result is not None else None
-        strengthen_invariants(inv, cfg, init, invariant_domain, fixpoint)
+        strengthen_invariants(inv, cfg, init, settings.invariant_domain, fixpoint)
     return inv, check_result
 
 
@@ -414,13 +315,13 @@ def _synthesize_at(
     base: CostAnalysisResult,
     init: Mapping[str, float],
     degree: int,
-    compute_lower: bool,
-    max_multiplicands: Optional[int],
+    settings: "AnalysisOptions",
 ) -> CostAnalysisResult:
     """One rung: ``base`` (the prefix's result) plus the degree-``degree``
     PUCS bound and, when requested and admitted, the PLCS bound."""
     result = replace(base, warnings=list(base.warnings))
     mode_info = base.mode
+    max_multiplicands = settings.max_multiplicands
     try:
         result.upper = synthesize(
             base.cfg,
@@ -435,7 +336,7 @@ def _synthesize_at(
     except SynthesisError as exc:
         result.warnings.append(f"no degree-{degree} upper bound: {exc}")
 
-    if compute_lower:
+    if settings.compute_lower:
         if mode_info.lower:
             try:
                 result.lower = synthesize(
@@ -463,12 +364,11 @@ def _synthesize_at(
 
 def attach_tail_bound(
     result: CostAnalysisResult,
-    horizon: Optional[int] = None,
-    probes: Optional[List[float]] = None,
-    max_multiplicands: Optional[int] = None,
+    settings: "AnalysisOptions",
     uppers: Optional[Mapping[int, Optional[BoundResult]]] = None,
 ) -> None:
-    """Derive the Azuma–Hoeffding tail bound and attach it to ``result``.
+    """Derive the Azuma–Hoeffding tail bound at ``settings.tail_horizon``
+    and ``settings.tail_probes`` and attach it to ``result``.
 
     Unavailability (no upper certificate, or no constant
     step-difference bound at any tried degree) becomes a warning, not
@@ -485,9 +385,9 @@ def attach_tail_bound(
     try:
         result.tail = derive_tail_bound(
             result,
-            horizon=horizon,
-            probes=probes,
-            max_multiplicands=max_multiplicands,
+            horizon=settings.tail_horizon,
+            probes=settings.tail_probes,
+            max_multiplicands=settings.max_multiplicands,
             uppers=uppers,
         )
     except (InfeasibleError, UnboundedError, SynthesisError) as exc:

@@ -11,12 +11,15 @@ polynomial upper *and lower* bounds on expected runtimes.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Optional, Union
 
 from ..polynomials import Polynomial
 from ..syntax.ast import If, NondetIf, ProbIf, Program, Seq, Skip, Stmt, Tick, While
 from ..syntax.parser import parse_program
 from .bounds import CostAnalysisResult, analyze
+
+if TYPE_CHECKING:
+    from ..api.options import AnalysisOptions
 
 __all__ = ["instrument_runtime", "analyze_runtime"]
 
@@ -69,19 +72,19 @@ def instrument_runtime(program: Program) -> Program:
 
 def analyze_runtime(
     program: Union[str, Program],
-    init: Mapping[str, float],
-    invariants: Optional[Mapping[int, object]] = None,
-    degree: int = 2,
-    mode: str = "auto",
+    options: Optional["AnalysisOptions"] = None,
+    **overrides: Any,
 ) -> CostAnalysisResult:
-    """Polynomial bounds on the expected number of loop iterations.
+    """Polynomial bounds on the expected number of loop iterations of
+    ``program`` (source text or a parsed :class:`Program`).
 
-    Note the instrumentation changes label numbering (each loop gains a
-    tick label), so invariants — if supplied — must refer to the
+    :func:`~repro.analysis.bounds.analyze` on the instrumented program,
+    in its ``(program, options=None, **overrides)`` convention.  Note
+    the instrumentation changes label numbering (each loop gains a tick
+    label), so ``invariants`` — if supplied — must refer to the
     *instrumented* program's labels; with none supplied the automatic
     interval generator is used.
     """
     if isinstance(program, str):
         program = parse_program(program)
-    instrumented = instrument_runtime(program)
-    return analyze(instrumented, init=init, invariants=invariants, degree=degree, mode=mode)
+    return analyze(instrument_runtime(program), options, **overrides)

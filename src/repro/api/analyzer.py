@@ -31,10 +31,11 @@ from __future__ import annotations
 
 import re
 import threading
+from dataclasses import replace
 from pathlib import Path
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Union
 
-from ..analysis.bounds import CostAnalysisResult, assemble_invariants
+from ..analysis.bounds import CostAnalysisResult, analyze_ladder, assemble_invariants
 from ..batch.engine import _cached_execute, run_batch
 from ..batch.spec import AnalysisReport, AnalysisRequest
 from ..invariants import InvariantMap
@@ -330,16 +331,11 @@ class Analyzer:
         ``options.invariant_domain``, by the same
         :func:`~repro.analysis.bounds.assemble_invariants` the degree
         ladder runs: interval invariants fill unannotated labels only,
-        while octagon invariants also conjoin into annotated ones.
+        while octagon invariants also conjoin into annotated ones.  The
+        lint pass does not run here, whatever ``options.check`` says.
         """
         bench, init, settings = self._resolve(program, options, overrides)
-        inv, _ = assemble_invariants(
-            bench.cfg,
-            init,
-            bench.invariant_map(init),
-            auto_invariants=settings.auto_invariants,
-            invariant_domain=settings.invariant_domain,
-        )
+        inv, _ = assemble_invariants(bench, init, replace(settings, check="off"))
         return inv
 
     def synthesize(
@@ -361,8 +357,8 @@ class Analyzer:
         *as parsed* (no pretty-print round trip, so exact float
         literals survive).
         """
-        bench, _, settings = self._resolve(program, options, overrides)
-        return bench.analyze(settings, check_concentration=check_concentration)
+        bench, init, settings = self._resolve(program, options, overrides)
+        return analyze_ladder(bench, init, settings, check_concentration=check_concentration)
 
     def __repr__(self) -> str:
         cache = getattr(self._cache, "root", None)

@@ -143,8 +143,10 @@ class AnalysisOptions:
         # (JSON object keys arrive as strings) before validating.
         if self.invariants is not None:
             try:
+                if not isinstance(self.invariants, _MappingABC):
+                    raise TypeError(self.invariants)
                 coerced = {int(label): str(cond) for label, cond in self.invariants.items()}
-            except (AttributeError, TypeError, ValueError):
+            except (TypeError, ValueError):
                 raise ValueError(
                     f"invariants must map integer labels to conditions, got {self.invariants!r}"
                 ) from None

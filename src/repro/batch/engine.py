@@ -16,8 +16,9 @@ output, only the wall clock.
 Adaptive degree escalation (``degree="auto"``) mirrors how the paper's
 evaluation picks template degrees: try d = 1, 2, ... ``max_degree`` and
 keep the first degree at which the requested bounds are feasible
-(``Benchmark.analyze``, shared with the staged API, after
-:func:`repro.programs.resolve`, the one request-resolution rule).
+(:func:`repro.analysis.bounds.analyze_ladder`, shared with the staged
+API, on the triple :func:`repro.programs.resolve` returns — the one
+request-resolution rule, run once per request).
 
 The analysis itself is deterministic (LP synthesis; Monte-Carlo columns
 are seeded), which is what makes sequential/parallel equivalence exact —
@@ -37,7 +38,7 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.bounds import CostAnalysisResult
+from ..analysis.bounds import CostAnalysisResult, analyze_ladder
 from ..core.lp import SOLVER_ID
 from ..deadline import DeadlineExceeded, deadline_scope
 from ..errors import CheckError, ReproError
@@ -145,7 +146,7 @@ def execute_request(request: AnalysisRequest, attempt: int = 1) -> AnalysisRepor
             # The degree ladder lints first when asked: in strict mode an
             # error-severity finding rejects the task before any
             # template/LP work.
-            result = bench.analyze(settings)
+            result = analyze_ladder(bench, init, settings)
             report.analysis_runtime = time.perf_counter() - start
             report.degrees_tried = list(result.degrees_tried)
             report.degree = result.degrees_tried[-1]

@@ -16,8 +16,9 @@ Layout:
 * :mod:`~repro.check.diagnostics` — ``Diagnostic`` records with stable
   ``REP0xx`` codes (catalogued in ``docs/checks.md``);
 * :mod:`~repro.check.rules` — the lint rules;
-* :mod:`~repro.check.runner` — entry points for programs, benchmarks
-  and batch requests.
+* :mod:`~repro.check.runner` — :func:`check_request`, the front door
+  (a request, or options applied to a Benchmark or Program), and
+  :func:`check_cfg`, the kernel it shares with the degree ladder.
 
 Import-order note: ``repro.invariants.generator`` imports
 :mod:`.interp`, so this package must keep :mod:`.interp` importable
@@ -29,7 +30,7 @@ from .diagnostics import CODES, SEVERITIES, CheckResult, Diagnostic, sort_diagno
 from .interp import AbstractAnalysis, Interval, analyze_cfg
 from .octagon import Octagon, OctagonAnalysis, analyze_cfg_octagon
 from .rules import run_rules
-from .runner import check_benchmark, check_cfg, check_program, check_request
+from .runner import check_cfg, check_request
 
 __all__ = [
     "AbstractAnalysis",
@@ -42,9 +43,7 @@ __all__ = [
     "SEVERITIES",
     "analyze_cfg",
     "analyze_cfg_octagon",
-    "check_benchmark",
     "check_cfg",
-    "check_program",
     "check_request",
     "run_rules",
     "sort_diagnostics",

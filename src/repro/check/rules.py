@@ -226,20 +226,22 @@ def _rule_unbounded_support(cfg: CFG, out: List[Diagnostic]) -> None:
             )
 
 
-def _rule_nondet_cap(cfg: CFG, nondet_cap: int, out: List[Diagnostic]) -> None:
+def _rule_nondet_cap(cfg: CFG, out: List[Diagnostic]) -> None:
     """REP007: nondet label count exceeds the PLCS enumeration cap.
 
     Pre-reports (from the static label count, before any template or LP
     work) what synthesis would only discover after assembly: lower-bound
     policy enumeration falls back to the all-then policy.
     """
+    from ..core.synthesis import _MAX_NONDET_ENUMERATION
+
     count = len(cfg.nondet_labels())
-    if count > nondet_cap:
+    if count > _MAX_NONDET_ENUMERATION:
         out.append(
             Diagnostic.of(
                 "REP007",
                 f"{count} nondeterministic labels exceed the PLCS policy enumeration "
-                f"cap of {nondet_cap}; lower-bound synthesis will fall back to the "
+                f"cap of {_MAX_NONDET_ENUMERATION}; lower-bound synthesis will fall back to the "
                 "all-then policy and may be suboptimal",
             )
         )
@@ -468,7 +470,6 @@ def run_rules(
     analysis: AbstractAnalysis,
     init: Mapping[str, float],
     invariants: Optional[InvariantMap] = None,
-    nondet_cap: Optional[int] = None,
     octagon: Optional["OctagonAnalysis"] = None,
 ) -> List[Diagnostic]:
     """Run every lint rule; returns diagnostics in reading order.
@@ -478,10 +479,6 @@ def run_rules(
     relational annotation checks; the default interval-only pass is
     byte-identical to previous releases.
     """
-    if nondet_cap is None:
-        from ..core.synthesis import _MAX_NONDET_ENUMERATION
-
-        nondet_cap = _MAX_NONDET_ENUMERATION
     out: List[Diagnostic] = []
     _rule_init_vars(cfg, init, out)
     _rule_uninitialized_reads(cfg, init, out)
@@ -489,7 +486,7 @@ def run_rules(
     _rule_dead_branches(cfg, analysis, out)
     _rule_dead_ticks(cfg, analysis, out)
     _rule_unbounded_support(cfg, out)
-    _rule_nondet_cap(cfg, nondet_cap, out)
+    _rule_nondet_cap(cfg, out)
     _rule_static_loops(cfg, analysis, out)
     _rule_unused_vars(cfg, out)
     _rule_invariants(cfg, analysis, init, invariants, out)

@@ -61,7 +61,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Tuple, Union
 
 from .api import AnalysisOptions, Analyzer
-from .batch import AnalysisReport, load_spec, requests_from_spec
+from .batch import AnalysisReport, AnalysisRequest, load_spec, requests_from_spec
 from .errors import ReproError
 from .programs import all_benchmarks, get_benchmark
 from .semantics import build_cfg, simulate
@@ -165,12 +165,16 @@ def _parse_degree(text: str) -> Union[int, str]:
     return degree
 
 
-def _read_program(path: str):
+def _read_source(path: str) -> str:
     try:
         with open(path) as handle:
-            source = handle.read()
+            return handle.read()
     except OSError as exc:
         raise CLIError(f"cannot read {path!r}: {exc.strerror or exc}") from None
+
+
+def _read_program(path: str):
+    source = _read_source(path)
     return source, parse_program(source, name=path)
 
 
@@ -295,71 +299,56 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lint_spec_results(path: str):
-    """Lint every task of a batch spec; yields (task name, CheckResult)."""
+def _lint_requests(args: argparse.Namespace) -> List[AnalysisRequest]:
+    """The requests a lint target stands for: ``--benchmark NAME``, a
+    program file with its ``# @invariant`` annotations (``--init``,
+    ``--invariant`` and ``--invariant-domain`` apply to both), or every
+    task of a batch spec, as the spec sets it."""
+    options = AnalysisOptions(
+        init=_parse_cli_valuation(args.init) or None, invariant_domain=args.invariant_domain
+    )
+    if args.benchmark is not None:
+        if args.target is not None:
+            raise CLIError("give either a FILE/SPEC.json or --benchmark NAME, not both")
+        try:
+            get_benchmark(args.benchmark)
+        except KeyError as exc:
+            raise CLIError(str(exc.args[0] if exc.args else exc)) from None
+        return [options.to_request(benchmark=args.benchmark)]
+    if args.target is None:
+        raise CLIError("missing lint target: FILE, SPEC.json, or --benchmark NAME")
+    if args.target.endswith(".json"):
+        if args.invariant:
+            raise CLIError("--invariant applies to program files, not batch specs")
+        try:
+            requests = load_spec(args.target)
+        except OSError as exc:
+            raise CLIError(f"cannot read {args.target!r}: {exc.strerror or exc}") from None
+        except json.JSONDecodeError as exc:
+            raise CLIError(f"invalid JSON in {args.target!r}: {exc}") from None
+        except ValueError as exc:
+            raise CLIError(f"invalid spec {args.target!r}: {exc}") from None
+        if not requests:
+            raise CLIError(f"spec {args.target!r} contains no tasks")
+        return requests
+    source = _read_source(args.target)
+    invariants = extract_invariant_annotations(source)
+    for spec in args.invariant or []:
+        label_id, cond = _parse_invariant_spec(spec)
+        invariants[label_id] = cond
+    return [options.merge(invariants=invariants).to_request(source=source, name=args.target)]
+
+
+def _cmd_lint(args: argparse.Namespace) -> int:
     from .check import check_request
 
-    try:
-        requests = load_spec(path)
-    except OSError as exc:
-        raise CLIError(f"cannot read {path!r}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CLIError(f"invalid JSON in {path!r}: {exc}") from None
-    except ValueError as exc:
-        raise CLIError(f"invalid spec {path!r}: {exc}") from None
-    if not requests:
-        raise CLIError(f"spec {path!r} contains no tasks")
     results = []
-    for request in requests:
+    for request in _lint_requests(args):
         name = request.display_name
         try:
             results.append((name, check_request(request)))
         except (KeyError, ValueError) as exc:
             raise CLIError(f"invalid task {name!r}: {exc}") from None
-    return results
-
-
-def _cmd_lint(args: argparse.Namespace) -> int:
-    from .check import check_benchmark, check_program
-
-    init = _parse_cli_valuation(args.init) or None
-
-    if args.benchmark is not None:
-        if args.target is not None:
-            raise CLIError("give either a FILE/SPEC.json or --benchmark NAME, not both")
-        try:
-            bench = get_benchmark(args.benchmark)
-        except KeyError as exc:
-            raise CLIError(str(exc.args[0] if exc.args else exc)) from None
-        results = [
-            (
-                bench.name,
-                check_benchmark(bench, init=init, invariant_domain=args.invariant_domain),
-            )
-        ]
-    elif args.target is None:
-        raise CLIError("missing lint target: FILE, SPEC.json, or --benchmark NAME")
-    elif args.target.endswith(".json"):
-        if args.invariant:
-            raise CLIError("--invariant applies to program files, not batch specs")
-        results = _lint_spec_results(args.target)
-    else:
-        source, program = _read_program(args.target)
-        invariants = extract_invariant_annotations(source)
-        for spec in args.invariant or []:
-            label_id, cond = _parse_invariant_spec(spec)
-            invariants[label_id] = cond
-        results = [
-            (
-                args.target,
-                check_program(
-                    program,
-                    init=init,
-                    invariants=invariants or None,
-                    invariant_domain=args.invariant_domain,
-                ),
-            )
-        ]
 
     errors = sum(len(res.errors) for _, res in results)
     warnings = sum(len(res.warnings) for _, res in results)

@@ -192,18 +192,15 @@ class Harness:
         defect: Optional[str] = None,
         invariant_domain: str = "octagon",
     ):
+        from ..api import AnalysisOptions, Analyzer
+
         if defect is not None and defect not in DEFECTS:
             raise ValueError(f"unknown defect {defect!r}; known: {', '.join(sorted(DEFECTS))}")
-        if invariant_domain not in ("interval", "octagon"):
-            raise ValueError(
-                f"invariant_domain must be 'interval' or 'octagon', got {invariant_domain!r}"
-            )
         self.config = config or GenConfig()
         self.defect = defect
-        self.invariant_domain = invariant_domain
+        # Validated by the settings record before any seed runs.
+        self.invariant_domain = AnalysisOptions(invariant_domain=invariant_domain).invariant_domain
         if analyzer is None:
-            from ..api import Analyzer
-
             analyzer = Analyzer()
         self.analyzer = analyzer
 

@@ -9,11 +9,11 @@ to Handelman's theorem (Theorem 7.1).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Mapping, Sequence
+from typing import Iterable, Iterator, List, Mapping
 
 from ..errors import InvariantError, NonLinearError
 from ..polynomials import Polynomial
-from ..syntax.ast import Atom, BoolExpr
+from ..syntax.ast import BoolExpr
 
 __all__ = ["Polyhedron", "Region"]
 
@@ -65,10 +65,6 @@ class Polyhedron:
             )
         return cls(atom.relaxed().poly for atom in disjuncts[0])
 
-    @classmethod
-    def from_atoms(cls, atoms: Sequence[Atom]) -> "Polyhedron":
-        return cls(atom.relaxed().poly for atom in atoms)
-
     # -- inspection -----------------------------------------------------
 
     @property
@@ -100,9 +96,6 @@ class Polyhedron:
     def conjoin(self, other: "Polyhedron") -> "Polyhedron":
         """Intersection of two polyhedra."""
         return Polyhedron(self._constraints + other.constraints)
-
-    def with_constraints(self, extra: Iterable[Polynomial]) -> "Polyhedron":
-        return Polyhedron(self._constraints + list(extra))
 
     def __repr__(self) -> str:
         if not self._constraints:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..analysis.bounds import CostAnalysisResult, analyze_ladder, degree_plan
+from ..analysis.bounds import CostAnalysisResult, analyze_ladder
 from ..invariants import InvariantMap
 from ..semantics.cfg import CFG, build_cfg
 from ..syntax import pretty, replace_nondet
@@ -35,7 +35,8 @@ class Benchmark:
     invariants: Dict[int, str]
     init: Dict[str, float]
     degree: int = 2
-    #: "auto" | "signed" | "nonnegative" — matches ``analyze(mode=...)``.
+    #: "auto" | "signed" | "nonnegative" — the ``mode`` an unset
+    #: ``AnalysisOptions.mode`` resolves to.
     mode: str = "auto"
     category: str = "table3"  # "table2" or "table3"
     #: Extra initial valuations for the Table 4 sweep.
@@ -114,15 +115,11 @@ class Benchmark:
 
     def analyze(self, options=None, *, check_concentration: bool = False) -> CostAnalysisResult:
         """Run the pipeline on this benchmark under a
-        :class:`repro.api.AnalysisOptions` (``None``: the defaults).
-
-        Resolves by :func:`~repro.programs.resolve` (unset degree, mode
-        and init fall back to the benchmark's own; ``nondet_prob``
-        applies the coin flip), then runs the degree ladder
-        :func:`~repro.analysis.bounds.analyze_ladder` on the settings —
-        the one path of the batch engine and ``Analyzer.synthesize``
-        too.  An ``"auto"`` plan that runs out of degrees before every
-        requested bound exists says so in a warning.  Simulation and
+        :class:`repro.api.AnalysisOptions` (``None``: the defaults):
+        :func:`~repro.programs.resolve` (unset degree, mode and init fall
+        back to the benchmark's own; ``nondet_prob`` applies the coin
+        flip), then the degree ladder
+        :func:`~repro.analysis.bounds.analyze_ladder`.  Simulation and
         timeout settings are engine-level concerns — use
         :meth:`repro.api.Analyzer.analyze` for those.
         """
@@ -130,29 +127,7 @@ class Benchmark:
         from .registry import resolve
 
         bench, init, settings = resolve(options if options is not None else AnalysisOptions(), self)
-        result = analyze_ladder(
-            bench.program,
-            init,
-            degree_plan(settings),
-            bench.invariant_map(init),
-            auto_invariants=settings.auto_invariants,
-            check_concentration=check_concentration,
-            compute_lower=settings.compute_lower,
-            max_multiplicands=settings.max_multiplicands,
-            mode=settings.mode,
-            invariant_domain=settings.invariant_domain,
-            tails=settings.tails,
-            tail_horizon=settings.tail_horizon,
-            tail_probes=list(settings.tail_probes) if settings.tail_probes else None,
-            check=settings.check,
-            cfg=bench.cfg,
-        )
-        if settings.degree == "auto" and not result.complete_for(settings.compute_lower):
-            result.warnings.append(
-                f"degree escalation exhausted at d={settings.max_degree} "
-                "without a feasible bound for every requested side"
-            )
-        return result
+        return analyze_ladder(bench, init, settings, check_concentration=check_concentration)
 
     def __repr__(self) -> str:
         return f"Benchmark({self.name!r}, category={self.category!r}, degree={self.degree})"

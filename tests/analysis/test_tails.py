@@ -18,13 +18,7 @@ from repro.syntax import parse_program
 
 def _rdwalk_result(**kwargs):
     bench = get_benchmark("rdwalk")
-    return analyze(
-        bench.program,
-        init=dict(bench.init),
-        invariants=bench.invariant_map(bench.init),
-        degree=1,
-        **kwargs,
-    )
+    return analyze(bench, degree=1, **kwargs)
 
 
 class TestStepDifferenceCases:
@@ -144,9 +138,7 @@ class TestAnalyzeWiring:
     def test_quadratic_certificate_refits_to_degree_one(self):
         bench = get_benchmark("rdwalk")
         result = analyze(
-            bench.program,
-            init=dict(bench.init),
-            invariants=bench.invariant_map(bench.init),
+            bench,
             degree=2,
             tails=True,
             tail_horizon=1000,
@@ -163,9 +155,7 @@ class TestAnalyzeWiring:
     def test_unavailable_tail_is_a_warning_not_an_error(self):
         bench = get_benchmark("pol04")  # quadratic cost: no constant c
         result = analyze(
-            bench.program,
-            init=dict(bench.init),
-            invariants=bench.invariant_map(bench.init),
+            bench,
             degree=2,
             tails=True,
         )

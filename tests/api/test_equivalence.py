@@ -18,15 +18,16 @@ import sys
 
 import pytest
 
+import repro
 from repro import parse_program
-from repro.analysis import bounds
 from repro.api import AnalysisOptions, Analyzer
 from repro.batch import AnalysisRequest, requests_from_spec, run_batch
 from repro.cache import ResultCache, request_key
 from repro.check import check_request
 from repro.check.interp import analyze_cfg
 from repro.check.octagon import analyze_cfg_octagon
-from repro.programs import all_benchmarks, get_benchmark
+from repro.programs import all_benchmarks, get_benchmark, resolve
+from repro.semantics import build_cfg
 
 #: (suite, bench_name, extra request fields) — one cheap representative
 #: per table workload, coin-flip transformation included for table5.
@@ -176,12 +177,9 @@ class TestStagedVsEngine:
         # simple_loop escalates to degree 2 under the octagon domain;
         # the octagon fixpoint must not be rerun per rung, and the
         # ladder reuses the registry benchmark's cached CFG.
+        get_benchmark("simple_loop").cfg  # built before the counting starts
         octagon_runs = _count_runs(monkeypatch, analyze_cfg_octagon)
-        cfg_builds = []
-        original_build = bounds.build_cfg
-        monkeypatch.setattr(
-            bounds, "build_cfg", lambda program: cfg_builds.append(1) or original_build(program)
-        )
+        cfg_builds = _count_runs(monkeypatch, build_cfg)
         options = AnalysisOptions(degree="auto", invariant_domain="octagon", check="off")
         if front_end == "engine":
             report = Analyzer(options).analyze("simple_loop")
@@ -193,6 +191,17 @@ class TestStagedVsEngine:
         assert degrees == [1, 2]
         assert len(octagon_runs) == 1
         assert len(cfg_builds) == 0
+
+    def test_each_engine_request_resolves_once(self, monkeypatch):
+        calls = _count_runs(monkeypatch, resolve)
+        requests = [
+            AnalysisRequest(benchmark="ber", degree="auto"),
+            AnalysisRequest(benchmark="bitcoin_mining", nondet_prob=0.5, check="warn"),
+            AnalysisRequest(source=COUNTDOWN, init={"x": 20}, invariants={1: "x >= 0"}),
+        ]
+        reports = run_batch(requests)
+        assert [r.status for r in reports] == ["ok"] * len(requests)
+        assert len(calls) == len(requests)
 
     def test_tail_refit_reuses_the_degree_1_rung(self, monkeypatch):
         # bitcoin_pool settles at degree 2, whose certificate has no
@@ -246,6 +255,16 @@ class TestOneResolutionRule:
         report = az.analyze(program, check="warn", **options)
         assert report.status == "ok", report.error
         result = az.synthesize(program, check="warn", **options)
+        assert result.degrees_tried == report.degrees_tried
+        assert (result.upper.value if result.upper else None) == report.upper_value
+        assert (result.lower.value if result.lower else None) == report.lower_value
+        assert result.lower_skipped == report.lower_skipped
+        assert result.warnings == report.warnings
+        assert [d.code for d in result.diagnostics] == [d["code"] for d in report.diagnostics]
+
+    def test_facade_values_match_the_report(self, program, options):
+        report = Analyzer().analyze(program, check="warn", **options)
+        result = repro.analyze(program, check="warn", **options)
         assert result.degrees_tried == report.degrees_tried
         assert (result.upper.value if result.upper else None) == report.upper_value
         assert (result.lower.value if result.lower else None) == report.lower_value

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.check import Octagon, analyze_cfg_octagon, check_program
+from repro.api import Analyzer
+from repro.check import Octagon, analyze_cfg_octagon
 from repro.programs import get_benchmark
 from repro.semantics import build_cfg
 from repro.semantics.interpreter import run
@@ -258,7 +259,7 @@ class TestAnnotationRules:
     )
 
     def _codes(self, invariants, domain="octagon"):
-        result = check_program(
+        result = Analyzer().lint(
             self.SOURCE, init={"x": 10.0}, invariants=invariants, invariant_domain=domain
         )
         return result.codes()

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.check import check_benchmark, check_program
+from repro.api import AnalysisOptions, Analyzer
+from repro.check import check_request
 from repro.programs import all_benchmarks
+
+#: Lints source text as a one-program request would.
+lint = Analyzer().lint
 
 
 def _only(result, code):
@@ -15,7 +19,7 @@ def _only(result, code):
 
 class TestSeededDefects:
     def test_rep001_undeclared_init_var(self):
-        result = check_program("var x;\nx := 1;\ntick(x)\n", init={"z": 5.0})
+        result = lint("var x;\nx := 1;\ntick(x)\n", init={"z": 5.0})
         (diag,) = _only(result, "REP001")
         assert diag.severity == "error"
         assert "'z'" in diag.message or "z" in diag.message
@@ -23,7 +27,7 @@ class TestSeededDefects:
         assert set(result.codes()) == {"REP001"}
 
     def test_rep002_read_before_assignment(self):
-        result = check_program("var x, y;\nx := y + 1;\ntick(x)\n")
+        result = lint("var x, y;\nx := y + 1;\ntick(x)\n")
         (diag,) = _only(result, "REP002")
         assert diag.severity == "warning"
         assert "'y'" in diag.message
@@ -31,7 +35,7 @@ class TestSeededDefects:
         assert set(result.codes()) == {"REP002"}
 
     def test_rep002_silenced_by_init(self):
-        result = check_program("var x, y;\nx := y + 1;\ntick(x)\n", init={"y": 3.0})
+        result = lint("var x, y;\nx := y + 1;\ntick(x)\n", init={"y": 3.0})
         assert "REP002" not in set(result.codes())
 
     def test_rep003_rep004_dead_then_branch(self):
@@ -45,7 +49,7 @@ class TestSeededDefects:
             "fi;\n"
             "tick(x)\n"
         )
-        result = check_program(source)
+        result = lint(source)
         (dead_stmt,) = _only(result, "REP003")
         assert dead_stmt.severity == "warning"
         assert dead_stmt.line == 4  # the tick(5) inside the dead branch
@@ -56,7 +60,7 @@ class TestSeededDefects:
         assert set(result.codes()) == {"REP003", "REP004"}
 
     def test_rep005_zero_cost_tick(self):
-        result = check_program("var x;\nx := 0;\ntick(x)\n")
+        result = lint("var x;\nx := 0;\ntick(x)\n")
         (diag,) = _only(result, "REP005")
         assert diag.severity == "warning"
         assert (diag.line, diag.column) == (3, 1)
@@ -72,7 +76,7 @@ class TestSeededDefects:
             "  tick(1)\n"
             "od\n"
         )
-        result = check_program(source)
+        result = lint(source)
         (diag,) = _only(result, "REP006")
         assert diag.severity == "warning"
         assert "'r'" in diag.message and "unbounded" in diag.message
@@ -82,16 +86,16 @@ class TestSeededDefects:
         body = "".join(
             "if * then x := x + 1 else skip fi;\n" for _ in range(7)
         )
-        result = check_program(f"var x;\nx := 0;\n{body}tick(x)\n")
+        result = lint(f"var x;\nx := 0;\n{body}tick(x)\n")
         (diag,) = _only(result, "REP007")
         assert diag.severity == "warning"
         assert "7 nondeterministic labels" in diag.message
         # Six labels stay under the enumeration cap: no finding.
         body6 = "".join("if * then x := x + 1 else skip fi;\n" for _ in range(6))
-        assert "REP007" not in check_program(f"var x;\nx := 0;\n{body6}tick(x)\n").codes()
+        assert "REP007" not in lint(f"var x;\nx := 0;\n{body6}tick(x)\n").codes()
 
     def test_rep008_divergent_loop(self):
-        result = check_program(
+        result = lint(
             "var x;\nwhile x <= 0 do\n  tick(1)\nod\n", init={"x": 0.0}
         )
         (diag,) = _only(result, "REP008")
@@ -100,7 +104,7 @@ class TestSeededDefects:
         assert diag.label == 1
 
     def test_rep009_unused_variable(self):
-        result = check_program("var x, y;\nx := 1;\ntick(x)\n")
+        result = lint("var x, y;\nx := 1;\ntick(x)\n")
         (diag,) = _only(result, "REP009")
         assert diag.severity == "warning"
         assert "'y'" in diag.message
@@ -108,7 +112,7 @@ class TestSeededDefects:
 
     def test_rep009_unused_sampling_variable(self):
         source = "var x;\nsample r ~ uniform(0, 1);\nx := 1;\ntick(x)\n"
-        result = check_program(source)
+        result = lint(source)
         (diag,) = _only(result, "REP009")
         assert "'r'" in diag.message
         # The dead sampling variable must NOT also trip the unbounded-
@@ -119,7 +123,7 @@ class TestSeededDefects:
 
     def test_rep010_entry_invariant_excludes_init(self):
         # At entry (label 1, before the first assignment) x is 0.
-        result = check_program(self.LOOP, invariants={1: "x >= 100"})
+        result = lint(self.LOOP, invariants={1: "x >= 100"})
         (diag,) = _only(result, "REP010")
         assert diag.severity == "error"
         assert diag.label == 1
@@ -128,19 +132,19 @@ class TestSeededDefects:
     def test_rep010_invariant_disjoint_from_fixpoint(self):
         # At the loop head x is confined to [0, 5] by the abstract
         # fixpoint; "x >= 100" excludes the whole box.
-        result = check_program(self.LOOP, invariants={2: "x >= 100"})
+        result = lint(self.LOOP, invariants={2: "x >= 100"})
         (diag,) = _only(result, "REP010")
         assert diag.severity == "error"
         assert diag.label == 2
         assert "excludes every reachable state" in diag.message
 
     def test_rep010_sound_invariant_is_silent(self):
-        result = check_program(self.LOOP, invariants={2: "x >= 0"})
+        result = lint(self.LOOP, invariants={2: "x >= 0"})
         assert "REP010" not in result.codes()
 
     def test_rep011_degenerate_probability(self):
         source = "var x;\nx := 1;\nif prob(1.0) then\n  tick(x)\nelse\n  skip\nfi\n"
-        result = check_program(source)
+        result = lint(source)
         (diag,) = _only(result, "REP011")
         assert diag.severity == "warning"
         assert "p=1" in diag.message
@@ -148,14 +152,14 @@ class TestSeededDefects:
 
     def test_rep012_entry_guard_false(self):
         source = "var x;\nwhile x >= 1 do\n  x := x - 1;\n  tick(1)\nod\n"
-        result = check_program(source, init={"x": 0.0})
+        result = lint(source, init={"x": 0.0})
         (diag,) = _only(result, "REP012")
         assert diag.severity == "warning"
         assert diag.label == 1
         assert (diag.line, diag.column) == (2, 1)
 
     def test_clean_program_is_clean(self):
-        result = check_program(self.LOOP)
+        result = lint(self.LOOP)
         assert result.clean, [d.format() for d in result.diagnostics]
 
 
@@ -164,7 +168,7 @@ class TestRegistrySweep:
         "bench", all_benchmarks(), ids=lambda bench: bench.name
     )
     def test_benchmark_lints_clean_in_strict(self, bench):
-        result = check_benchmark(bench)
+        result = check_request(AnalysisOptions(), bench)
         assert result.clean, [d.format() for d in result.diagnostics]
 
     @pytest.mark.parametrize(
@@ -172,5 +176,5 @@ class TestRegistrySweep:
     )
     def test_table4_inits_lint_clean(self, bench):
         for init in bench.all_inits():
-            result = check_benchmark(bench, init=init)
+            result = check_request(AnalysisOptions(init=init), bench)
             assert result.clean, (init, [d.format() for d in result.diagnostics])

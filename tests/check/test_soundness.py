@@ -11,7 +11,8 @@ import random
 
 import pytest
 
-from repro.check import analyze_cfg, check_program
+from repro.api import Analyzer
+from repro.check import analyze_cfg
 from repro.programs import get_benchmark
 from repro.semantics import build_cfg
 from repro.semantics.interpreter import run
@@ -78,7 +79,7 @@ def test_unreachable_label_contains_nothing():
         assert not analysis.contains(label_id, {"x": 1.0})
 
 
-def test_check_program_accepts_parsed_ast():
+def test_lint_accepts_parsed_ast():
     program = parse_program(GEOMETRIC_WALK, name="geo")
-    result = check_program(program)
+    result = Analyzer().lint(program)
     assert "REP006" in result.codes()

@@ -10,7 +10,7 @@ closed-form bound values at its anchor.
 import pytest
 
 from repro.api import AnalysisOptions
-from repro.check import check_benchmark
+from repro.check import check_request
 from repro.programs import TABLE6_BENCHMARKS, benchmarks_by_category, get_benchmark
 
 IDS = [bench.name for bench in TABLE6_BENCHMARKS]
@@ -43,7 +43,7 @@ def test_all_families_are_simulable():
 @pytest.mark.parametrize("bench", TABLE6_BENCHMARKS, ids=IDS)
 def test_lints_clean_at_every_init(bench):
     for init in bench.all_inits():
-        result = check_benchmark(bench, init=init)
+        result = check_request(AnalysisOptions(init=init), bench)
         assert result.clean, (init, [d.format() for d in result.diagnostics])
 
 
