@@ -28,10 +28,18 @@ from ..resilience import RetryPolicy
 if TYPE_CHECKING:  # batch.spec subclasses this module's record
     from ..batch.spec import AnalysisRequest
 
-__all__ = ["AnalysisOptions"]
+__all__ = ["AnalysisOptions", "CHECK_MODES", "INVARIANT_DOMAINS", "MODES", "SIMULATE_ENGINES"]
 
 #: Degree ceiling for ``degree="auto"`` escalation unless overridden.
 DEFAULT_MAX_DEGREE = 4
+
+# The allowed values of the choice fields, named once: the record's
+# validation, the CLI's ``choices`` and the public entry points that
+# take one of them (``simulate``, ``generate_invariants``) read these.
+MODES = ("auto", "signed", "nonnegative")
+INVARIANT_DOMAINS = ("interval", "octagon")
+SIMULATE_ENGINES = ("auto", "vectorized", "reference")
+CHECK_MODES = ("off", "warn", "strict")
 
 
 def _is_int(value: Any) -> bool:
@@ -182,27 +190,25 @@ class AnalysisOptions:
             raise _invalid("degree", "a positive int or 'auto'", degree)
         if not (_is_int(self.max_degree) and self.max_degree >= 1):
             raise _invalid("max_degree", "an int >= 1", self.max_degree)
-        if self.mode not in (None, "auto", "signed", "nonnegative"):
-            raise _invalid("mode", "'auto', 'signed' or 'nonnegative'", self.mode)
+        if self.mode is not None and self.mode not in MODES:
+            raise _invalid("mode", f"one of {MODES}", self.mode)
         cap = self.max_multiplicands
         if not (cap is None or _is_int(cap) and cap >= 1):
             raise _invalid("max_multiplicands", "an int >= 1", cap)
-        if self.invariant_domain not in ("interval", "octagon"):
-            raise _invalid("invariant_domain", "'interval' or 'octagon'", self.invariant_domain)
+        if self.invariant_domain not in INVARIANT_DOMAINS:
+            raise _invalid("invariant_domain", f"one of {INVARIANT_DOMAINS}", self.invariant_domain)
         prob = self.nondet_prob
         if not (prob is None or _is_number(prob) and 0.0 <= prob <= 1.0):
             raise _invalid("nondet_prob", "a number in [0, 1]", prob)
         runs = self.simulate_runs
         if not (runs is None or _is_int(runs) and runs >= 1):
             raise _invalid("simulate_runs", "a positive int", runs)
-        if not _is_int(self.simulate_seed):
-            raise _invalid("simulate_seed", "an int", self.simulate_seed)
+        if not (_is_int(self.simulate_seed) and self.simulate_seed >= 0):
+            raise _invalid("simulate_seed", "an int >= 0", self.simulate_seed)
         if not (_is_int(self.simulate_max_steps) and self.simulate_max_steps >= 1):
             raise _invalid("simulate_max_steps", "an int >= 1", self.simulate_max_steps)
-        if self.simulate_engine not in ("auto", "vectorized", "reference"):
-            raise _invalid(
-                "simulate_engine", "'auto', 'vectorized' or 'reference'", self.simulate_engine
-            )
+        if self.simulate_engine not in SIMULATE_ENGINES:
+            raise _invalid("simulate_engine", f"one of {SIMULATE_ENGINES}", self.simulate_engine)
         timeout = self.timeout_s
         if not (timeout is None or _is_number(timeout) and timeout > 0):
             raise _invalid("timeout_s", "a positive number", timeout)
@@ -212,8 +218,8 @@ class AnalysisOptions:
         probes = self.tail_probes
         if not (probes is None or probes and all(t > 0 for t in probes)):
             raise _invalid("tail_probes", "a non-empty list of positive offsets", probes)
-        if self.check not in ("off", "warn", "strict"):
-            raise _invalid("check", "'off', 'warn' or 'strict'", self.check)
+        if self.check not in CHECK_MODES:
+            raise _invalid("check", f"one of {CHECK_MODES}", self.check)
         for name in ("compute_lower", "auto_invariants", "simulate_nondet", "tails"):
             if not isinstance(getattr(self, name), bool):
                 raise _invalid(name, "a bool", getattr(self, name))

@@ -112,7 +112,7 @@ def _fill_bounds(report: AnalysisReport, result: CostAnalysisResult) -> None:
         report.tail = result.tail.to_dict()
 
 
-def execute_request(request: AnalysisRequest, attempt: int = 1) -> AnalysisReport:
+def execute_request(request: AnalysisRequest, attempt: int = 1, resolved=None) -> AnalysisReport:
     """Run one task in the current process and capture the outcome.
 
     Never raises for analysis-level failures: parse errors, infeasible
@@ -123,6 +123,8 @@ def execute_request(request: AnalysisRequest, attempt: int = 1) -> AnalysisRepor
     ``attempt`` is the 1-based execution count the resilient pool
     passes on crash retries; it feeds the deterministic fault-injection
     hook and nothing else — the analysis itself is attempt-invariant.
+    ``resolved`` is the request's :func:`repro.programs.resolve` triple
+    when the caller already holds it (the cache path does).
     """
     start = time.perf_counter()
     report = AnalysisReport(
@@ -138,7 +140,7 @@ def execute_request(request: AnalysisRequest, attempt: int = 1) -> AnalysisRepor
             # InjectedFaultError that surfaces as a normal error report.
             faults.on_task_attempt(request.display_name, attempt)
             report.solver = SOLVER_ID
-            bench, init, settings = resolve(request)
+            bench, init, settings = resolved if resolved is not None else resolve(request)
             if request.name is None:
                 report.name = bench.name
             report.init = init
@@ -224,23 +226,29 @@ def _cached_execute(
     surfaces as a structured report exactly as in the uncached path);
     ``stored`` reports whether this call persisted a new entry.
     ``key`` is the request's cache key when the caller already holds
-    it; ``None`` derives it here.  Only ``status == "ok"`` reports are
-    persisted — errors and timeouts are environment-dependent and must
-    re-execute.  A cached
-    report is returned verbatim (original runtimes included) so warm
+    it; ``None`` derives it here from the request's resolved triple,
+    which a hit's name restore and a miss's run then reuse: the request
+    is resolved (and an inline source parsed) once.  Only
+    ``status == "ok"`` reports are persisted — errors and timeouts are
+    environment-dependent and must re-execute.  A cached report is
+    returned verbatim (original runtimes included) so warm
     re-runs are byte-identical; only the presentation echoes (``name``,
     ``tag``) are re-derived for the incoming request.
     """
-    if cache is None:
-        return execute_request(request, attempt), None, False
+    resolved = None
+    if cache is not None and key is None:
+        try:
+            resolved = resolve(request)
+        except Exception:
+            pass  # unresolvable: the run reports the failure, uncached
+        else:
+            key = cache.request_key(request, resolved)
     if key is None:
-        key = cache.request_key(request)
-    if key is None:
-        return execute_request(request, attempt), None, False
-    report = cache.lookup_for(key, request)
+        return execute_request(request, attempt, resolved), None, False
+    report = cache.lookup_for(key, request, resolved)
     if report is not None:
         return report, True, False
-    report = execute_request(request, attempt)
+    report = execute_request(request, attempt, resolved)
     stored = report.status == "ok" and cache.store(key, report)
     return report, False, stored
 

@@ -21,7 +21,10 @@ the cache.  Floats are serialized with full ``repr`` precision; the
 pretty-printer's ``%g`` display formatting is deliberately not part of
 the key.  Request fields that only affect presentation or scheduling
 (``name``, ``tag``, ``timeout_s``, ``retry``) are excluded; a cache hit
-re-echoes the presentation ones from the incoming request.
+re-echoes the presentation ones from the incoming request.  The batch
+engine resolves a request once and hands the triple to the key, to a
+hit's name restore and to the run, so a cold inline source is parsed
+once.
 
 Every fingerprint embeds :func:`cache_salt` — the entry-schema version,
 the ``repro`` version and the SciPy version — so a code or solver
@@ -274,24 +277,25 @@ def _canonical_program_text(bench) -> str:
 # ---------------------------------------------------------------------------
 
 
-def request_fingerprint(request: "AnalysisRequest") -> Dict[str, Any]:
+def request_fingerprint(request: "AnalysisRequest", resolved=None) -> Dict[str, Any]:
     """Everything that determines the analysis outcome, canonicalized.
 
-    Resolves the request by :func:`repro.programs.resolve`, as the
-    batch engine does: the registry benchmark (or inline source) after
-    the ``nondet_prob`` transformation, the effective initial
-    valuation, the resolved invariant annotations (including
-    init-dependent ones), the degree plan, the soundness mode and the
-    simulation settings.  Raises for requests that cannot be resolved
-    (unknown benchmark, parse error) — callers treat that as
-    "uncacheable" and fall through to execution, which will surface the
-    same failure as a structured report.
+    Reads the triple :func:`repro.programs.resolve` makes of the
+    request (``resolved``, when the caller already holds it, else
+    resolved here), as the batch engine does: the registry benchmark
+    (or inline source) after the ``nondet_prob`` transformation, the
+    effective initial valuation, the resolved invariant annotations
+    (including init-dependent ones), the degree plan, the soundness
+    mode and the simulation settings.  Raises for requests that cannot
+    be resolved (unknown benchmark, parse error) — callers treat that
+    as "uncacheable" and fall through to execution, which will surface
+    the same failure as a structured report.
     """
     from .analysis.bounds import degree_plan
     from .core.lp import SOLVER_ID
     from .programs import resolve
 
-    bench, init, settings = resolve(request)
+    bench, init, settings = resolved if resolved is not None else resolve(request)
     invariants = {str(label): cond for label, cond in bench.anchored_invariants(init).items()}
 
     # The request validated its settings at construction, so they are
@@ -334,9 +338,11 @@ def request_fingerprint(request: "AnalysisRequest") -> Dict[str, Any]:
     }
 
 
-def request_key(request: "AnalysisRequest") -> str:
+def request_key(request: "AnalysisRequest", resolved=None) -> str:
     """SHA-256 hex digest of the canonical request fingerprint."""
-    payload = json.dumps(request_fingerprint(request), sort_keys=True, separators=(",", ":"))
+    payload = json.dumps(
+        request_fingerprint(request, resolved), sort_keys=True, separators=(",", ":")
+    )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
@@ -387,12 +393,13 @@ class ResultCache:
 
     # -- keys -----------------------------------------------------------
 
-    def request_key(self, request) -> Optional[str]:
-        """Key for ``request``, or ``None`` when it cannot be resolved
+    def request_key(self, request, resolved=None) -> Optional[str]:
+        """Key for ``request`` (``resolved``: its resolved triple, when
+        the caller holds it), or ``None`` when it cannot be resolved
         (unknown benchmark, unparseable source): such requests bypass
         the cache and fail identically through the engine."""
         try:
-            return request_key(request)
+            return request_key(request, resolved)
         except Exception:
             return None
 
@@ -474,29 +481,26 @@ class ResultCache:
             self._stores += 1
         return True
 
-    def lookup_for(self, key: str, request):
+    def lookup_for(self, key: str, request, resolved=None):
         """:meth:`lookup` plus presentation restore — the hit path the
-        engine and :meth:`get` share."""
-        report = self.lookup(key)
-        if report is not None:
-            self._restore_presentation(report, request)
-        return report
-
-    @staticmethod
-    def _restore_presentation(report, request) -> None:
-        """Re-derive the request-echo fields a hit must not inherit.
+        engine and :meth:`get` share.
 
         ``name``/``tag`` are excluded from the key, so the stored report
-        carries whatever the *storing* request displayed; this resets
-        them to what ``execute_request`` would have produced for the
-        incoming request (the resolved benchmark name — coin-flip
-        variant suffix included — when no explicit name was given).
+        carries whatever the *storing* request displayed; a hit resets
+        them to what ``execute_request`` would have produced for
+        ``request`` (the resolved benchmark name — coin-flip variant
+        suffix included — when no explicit name was given, read from
+        ``resolved`` as for :meth:`request_key`).
         """
-        from .programs import resolve
+        report = self.lookup(key)
+        if report is not None:
+            from .programs import resolve
 
-        report.tag = request.tag
-        # The key was derived, so the request resolves.
-        report.name = request.name if request.name is not None else resolve(request)[0].name
+            report.tag, report.name = request.tag, request.name
+            if report.name is None:
+                # The key was derived, so the request resolves.
+                report.name = (resolved or resolve(request))[0].name
+        return report
 
     def get(self, request):
         """Convenience request-level lookup (the engine uses the

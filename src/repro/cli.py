@@ -5,22 +5,26 @@ Usage::
     python -m repro analyze FILE [--init x=100,y=0] [--degree 2|auto]
                                  [--max-degree 4] [--invariant LABEL:COND ...]
                                  [--mode auto|signed|nonnegative]
-                                 [--max-multiplicands K]
+                                 [--max-multiplicands K] [--invariant-domain D]
                                  [--concentration] [--no-lower]
                                  [--tails] [--tail-horizon N] [--tail-probes T1,T2]
     python -m repro simulate FILE --init x=100 [--runs 1000] [--seed 0]
-                                  [--max-steps 1000000]
+                                  [--max-steps 1000000] [--engine E]
     python -m repro cfg FILE
     python -m repro invariants FILE [--init x=100] [--domain interval|octagon]
                                     [--json]
-    python -m repro lint FILE|SPEC.json [--init x=100] [--invariant LABEL:COND ...]
-                                        [--json] [--strict]
-    python -m repro lint --benchmark NAME [--json] [--strict]
+    python -m repro lint FILE [--init x=100] [--invariant LABEL:COND ...]
+                              [--invariant-domain D] [--json] [--strict]
+    python -m repro lint --benchmark NAME [--init x=100] [--invariant-domain D]
+                                          [--json] [--strict]
+    python -m repro lint SPEC.json [--invariant-domain D] [--json] [--strict]
     python -m repro bench NAME|--all [--init x=100] [--degree D|auto]
                                      [--max-degree D] [--max-multiplicands K]
-                                     [--timeout S] [--jobs N] [--cache-dir DIR]
-    python -m repro batch SPEC.json [--jobs N] [--timeout S] [--output OUT.json]
-                                    [--no-cache] [--cache-dir DIR]
+                                     [--invariant-domain D] [--timeout S]
+                                     [--jobs N] [--cache-dir DIR]
+    python -m repro batch SPEC.json [--jobs N] [--timeout S] [--tails]
+                                    [--invariant-domain D] [--retries N]
+                                    [--output OUT.json] [--no-cache] [--cache-dir DIR]
     python -m repro serve [--host H] [--port P] [--jobs N]
                           [--no-cache] [--cache-dir DIR]
     python -m repro cache stats [--cache-dir DIR] [--json]
@@ -42,9 +46,15 @@ NAME}`` (``--all``: ``{"suite": "all"}``) with its flags as defaults,
 caching only with ``--cache-dir``; a NAME adds the benchmark's title,
 the symbolic bounds and the paper's bounds to the report table.
 
-User-input errors (malformed ``--init``/``--invariant``/``--degree``
-values, unreadable files, bad spec JSON) print a one-line ``error:``
-message and exit with status 2; analysis failures exit with status 1.
+Every flag that sets an :class:`AnalysisOptions` field is defined once,
+in ``_FLAGS``; each verb lists the fields it takes, and the record checks
+the values.  A spec's tasks carry their own init, so ``repro lint
+SPEC.json`` rejects ``--init`` (and ``--invariant``), and applies an
+explicit ``--invariant-domain`` to every task, as ``repro batch`` does.
+
+User-input errors (a bad flag value, which the message names, an
+unreadable file, bad spec JSON) print a one-line ``error:`` message and
+exit with status 2; analysis failures exit with status 1.
 ``repro lint`` follows the same contract: 0 when clean, 1 when the
 findings demand attention (any error, or any finding at all under
 ``--strict``), 2 on malformed input.
@@ -57,10 +67,10 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple, Union
 
 from .api import AnalysisOptions, Analyzer
+from .api.options import INVARIANT_DOMAINS, MODES, SIMULATE_ENGINES
 from .batch import AnalysisReport, AnalysisRequest, load_spec, requests_from_spec
 from .errors import ReproError
 from .programs import all_benchmarks, get_benchmark
@@ -102,26 +112,153 @@ def extract_invariant_annotations(source: str) -> Dict[int, str]:
     return {int(label): cond for label, cond in _ANNOTATION_RE.findall(source)}
 
 
-def _parse_cli_valuation(text: Optional[str], flag: str = "--init") -> Dict[str, float]:
-    try:
-        return parse_valuation(text)
-    except ValueError as exc:
-        raise CLIError(f"invalid {flag} value: {exc}") from None
+class _Flag(NamedTuple):
+    """A command-line flag that sets one :class:`AnalysisOptions` field."""
+
+    name: str
+    help: str
+    #: The flag's text -> the field's value; a ``ValueError`` is a bad
+    #: value.  ``None``: the text is the value (a choice flag).
+    parse: Optional[Callable[[Any], Any]] = None
+    #: A switch: the field's value when the flag is given.
+    const: Any = None
+    choices: Optional[Tuple[str, ...]] = None
+    metavar: Optional[str] = None
+    #: Repeatable: ``parse`` gets the list of the flag's texts.
+    repeat: bool = False
 
 
-def _parse_invariant_spec(spec: str) -> Tuple[int, str]:
-    label, sep, cond = spec.partition(":")
-    if not sep or not cond.strip():
-        raise CLIError(
-            f"invalid --invariant value {spec!r}; expected LABEL:COND (e.g. '1: x >= 0')"
-        )
+def _valuation(text: str) -> Optional[Dict[str, float]]:
+    return parse_valuation(text) or None
+
+
+def _degree(text: str) -> Union[int, str]:
     try:
-        label_id = int(label.strip())
+        return int(text)
     except ValueError:
-        raise CLIError(
-            f"invalid --invariant label {label.strip()!r}; must be an integer CFG label"
-        ) from None
-    return label_id, cond.strip()
+        return text  # 'auto', or a bad value the record names
+
+
+def _invariants(specs: List[str]) -> Dict[int, str]:
+    invariants: Dict[int, str] = {}
+    for spec in specs:
+        label, sep, cond = spec.partition(":")
+        if not sep or not cond.strip():
+            raise ValueError(f"{spec!r} is not LABEL:COND (e.g. '1: x >= 0')")
+        try:
+            invariants[int(label.strip())] = cond.strip()
+        except ValueError:
+            raise ValueError(f"label {label.strip()!r} must be an integer CFG label") from None
+    return invariants
+
+
+def _floats(text: str) -> List[float]:
+    return [float(chunk) for chunk in text.split(",") if chunk.strip()]
+
+
+#: Every flag that sets an AnalysisOptions field, defined once: field ->
+#: flag.  A verb lists the fields it takes (:func:`_add_option_flags`);
+#: the record checks the values (:func:`_explicit_fields`).
+_FLAGS = {
+    "init": _Flag("--init", "initial valuation, e.g. x=100,y=0", _valuation),
+    "degree": _Flag(
+        "--degree", "template degree (a positive integer, or 'auto' to escalate)", _degree
+    ),
+    "max_degree": _Flag("--max-degree", "degree ceiling for --degree auto", int),
+    "mode": _Flag("--mode", "soundness regime", choices=MODES),
+    "max_multiplicands": _Flag("--max-multiplicands", "Handelman multiplicand cap K", int),
+    "invariants": _Flag(
+        "--invariant",
+        "per-label invariant annotation (repeatable; program files only)",
+        _invariants,
+        metavar="LABEL:COND",
+        repeat=True,
+    ),
+    "invariant_domain": _Flag(
+        "--invariant-domain",
+        "abstract domain of the automatic invariant generator; 'octagon' adds the "
+        "relational REP013/REP014 lint rules",
+        choices=INVARIANT_DOMAINS,
+    ),
+    "compute_lower": _Flag("--no-lower", "skip the PLCS lower bound", const=False),
+    "tails": _Flag(
+        "--tails",
+        "derive an Azuma-Hoeffding tail bound P[cost >= E + t] from the upper certificate",
+        const=True,
+    ),
+    "tail_horizon": _Flag(
+        "--tail-horizon",
+        "step horizon n of the tail guarantee (default: 1000000)",
+        int,
+        metavar="N",
+    ),
+    "tail_probes": _Flag(
+        "--tail-probes",
+        "comma-separated offsets t to evaluate the tail bound at",
+        _floats,
+        metavar="T1,T2",
+    ),
+    "timeout_s": _Flag("--timeout", "wall-clock budget per task, in seconds", float),
+    "simulate_runs": _Flag("--runs", "simulated runs", int),
+    "simulate_seed": _Flag("--seed", "simulation seed (>= 0)", int),
+    "simulate_max_steps": _Flag("--max-steps", "truncate runs after this many steps", int),
+    "simulate_engine": _Flag(
+        "--engine",
+        "interpreter: 'auto' picks the vectorized NumPy batch stepper for large "
+        "batches and falls back transparently, 'vectorized' and 'reference' force one engine",
+        choices=SIMULATE_ENGINES,
+    ),
+}
+
+
+def _add_option_flags(parser, fields, names=None, defaults=None) -> None:
+    """Give ``parser`` the flags of ``fields``; ``names`` and
+    ``defaults`` map a field to this verb's own flag name or default."""
+    names, defaults = names or {}, defaults or {}
+    option_flags = {}
+    for field in fields:
+        flag = _FLAGS[field]
+        name = option_flags[field] = names.get(field, flag.name)
+        default_note = f" (default: {defaults[field]})" if field in defaults else ""
+        kwargs: Dict[str, Any] = {"default": argparse.SUPPRESS, "help": flag.help + default_note}
+        if flag.const is not None:
+            kwargs.update(action="store_const", const=flag.const)
+        else:
+            action = "append" if flag.repeat else "store"
+            kwargs.update(action=action, choices=flag.choices, metavar=flag.metavar)
+        parser.add_argument(name, **kwargs)
+    parser.set_defaults(option_flags=option_flags, option_defaults=defaults)
+
+
+def _explicit_fields(args: argparse.Namespace) -> Dict[str, Any]:
+    """The AnalysisOptions fields the user set by flag, parsed and each
+    checked by the record: a bad value is an exit-2 line naming its flag."""
+    explicit: Dict[str, Any] = {}
+    for field, flag in args.option_flags.items():
+        dest = flag[2:].replace("-", "_")
+        if dest not in vars(args):
+            continue
+        value = getattr(args, dest)
+        try:
+            if _FLAGS[field].parse is not None:
+                value = _FLAGS[field].parse(value)
+            AnalysisOptions(**{field: value})
+        except ValueError as exc:
+            raise CLIError(f"invalid {flag} value: {exc}") from None
+        explicit[field] = value
+    return explicit
+
+
+def _options(args: argparse.Namespace) -> AnalysisOptions:
+    """The verb's defaults under the flags the user set."""
+    return AnalysisOptions().merge(args.option_defaults, _explicit_fields(args))
+
+
+def _with_annotations(options: AnalysisOptions, source: str) -> AnalysisOptions:
+    """``options`` with a program file's ``# @invariant`` annotations,
+    which its ``--invariant`` flags override label by label."""
+    annotations = extract_invariant_annotations(source)
+    return options.merge(invariants={**annotations, **(options.invariants or {})})
 
 
 def _make_cache(args: argparse.Namespace, default_on: bool):
@@ -153,16 +290,11 @@ def _print_cache_summary(cache) -> None:
     )
 
 
-def _parse_degree(text: str) -> Union[int, str]:
-    if text == "auto":
-        return "auto"
+def _benchmark(name: str):
     try:
-        degree = int(text)
-    except ValueError:
-        raise CLIError(f"invalid --degree value {text!r}; expected a positive integer or 'auto'") from None
-    if degree < 1:
-        raise CLIError(f"invalid --degree value {text!r}; degree must be >= 1")
-    return degree
+        return get_benchmark(name)
+    except KeyError as exc:
+        raise CLIError(str(exc.args[0] if exc.args else exc)) from None
 
 
 def _read_source(path: str) -> str:
@@ -179,50 +311,23 @@ def _read_program(path: str):
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    degree = _parse_degree(args.degree)
-    if args.max_degree < 1:
-        raise CLIError(f"invalid --max-degree value {args.max_degree}; must be >= 1")
-    init = _parse_cli_valuation(args.init)
+    options = _options(args)
     source, program = _read_program(args.file)
-    invariants = extract_invariant_annotations(source)
-    for spec in args.invariant or []:
-        label_id, cond = _parse_invariant_spec(spec)
-        invariants[label_id] = cond
-
-    tail_probes = None
-    if args.tail_probes:
-        try:
-            tail_probes = [float(chunk) for chunk in args.tail_probes.split(",") if chunk.strip()]
-        except ValueError:
-            raise CLIError(
-                f"invalid --tail-probes value {args.tail_probes!r}; expected t1,t2,..."
-            ) from None
-    options = AnalysisOptions(
-        degree=degree,
-        max_degree=args.max_degree,
-        mode=args.mode,
-        compute_lower=not args.no_lower,
-        max_multiplicands=args.max_multiplicands,
-        invariants=invariants or None,
-        invariant_domain=args.invariant_domain,
-        init=init,
-        tails=args.tails,
-        tail_horizon=args.tail_horizon,
-        tail_probes=tail_probes,
-    )
     # The staged facade analyzes the parsed AST directly — exact float
     # literals, no cache/pool — and owns the auto-degree escalation.
     # An exhausted escalation is one of the result's warnings, printed
     # by summary() in the batch engine's wording.
-    result = Analyzer(options).synthesize(program, check_concentration=args.concentration)
-    if degree == "auto":
+    result = Analyzer(_with_annotations(options, source)).synthesize(
+        program, check_concentration=args.concentration
+    )
+    if options.degree == "auto":
         print(f"degree:  {result.degrees_tried[-1]} (auto)")
     print(result.summary())
     return 0 if result.upper is not None else 1
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    init = _parse_cli_valuation(args.init)
+    options = _options(args)
     _, program = _read_program(args.file)
     if program.has_nondeterminism():
         print(
@@ -231,11 +336,13 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 1
-    if args.max_steps < 1:
-        raise CLIError(f"invalid --max-steps value {args.max_steps}; must be >= 1")
-    cfg = build_cfg(program)
     stats = simulate(
-        cfg, init, runs=args.runs, seed=args.seed, max_steps=args.max_steps, engine=args.engine
+        build_cfg(program),
+        options.init or {},
+        runs=options.simulate_runs,
+        seed=options.simulate_seed,
+        max_steps=options.simulate_max_steps,
+        engine=options.simulate_engine,
     )
     print(f"runs:             {stats.runs}")
     print(f"engine:           {stats.engine}")
@@ -250,7 +357,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if stats.truncated:
         print(
             f"warning: {stats.truncated} of {stats.runs} runs were truncated at "
-            f"{args.max_steps} steps and excluded from mean/std; their mean "
+            f"{options.simulate_max_steps} steps and excluded from mean/std; their mean "
             f"partial cost was {stats.truncated_mean:.6g} (raise --max-steps)"
         )
     return 0
@@ -265,10 +372,11 @@ def _cmd_cfg(args: argparse.Namespace) -> int:
 def _cmd_invariants(args: argparse.Namespace) -> int:
     from .invariants import generate_invariants
 
-    init = _parse_cli_valuation(args.init)
+    options = _options(args)
     _, program = _read_program(args.file)
     cfg = build_cfg(program)
-    inferred = generate_invariants(cfg, init, domain=args.domain)
+    domain = options.invariant_domain
+    inferred = generate_invariants(cfg, options.init or {}, domain=domain)
 
     def rows(region):
         return [f"{g} >= 0" for poly in region.disjuncts for g in poly.constraints]
@@ -276,7 +384,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     if args.json:
         payload = {
             "schema": "repro-invariants/v1",
-            "domain": args.domain,
+            "domain": domain,
             "labels": {
                 str(label_id): rows(region)
                 for label_id, region in sorted(inferred.items())
@@ -284,7 +392,7 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, indent=2))
         return 0
-    print(f"domain: {args.domain}")
+    print(f"domain: {domain}")
     for label_id in sorted(cfg.labels):
         if label_id not in inferred:
             print(f"label {label_id}: unreachable")
@@ -299,44 +407,43 @@ def _cmd_invariants(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_spec(path: str) -> List[AnalysisRequest]:
+    try:
+        requests = load_spec(path)
+    except OSError as exc:
+        raise CLIError(f"cannot read {path!r}: {exc.strerror or exc}") from None
+    except json.JSONDecodeError as exc:
+        raise CLIError(f"invalid JSON in {path!r}: {exc}") from None
+    except ValueError as exc:
+        raise CLIError(f"invalid spec {path!r}: {exc}") from None
+    if not requests:
+        raise CLIError(f"spec {path!r} contains no tasks")
+    return requests
+
+
 def _lint_requests(args: argparse.Namespace) -> List[AnalysisRequest]:
     """The requests a lint target stands for: ``--benchmark NAME``, a
-    program file with its ``# @invariant`` annotations (``--init``,
-    ``--invariant`` and ``--invariant-domain`` apply to both), or every
-    task of a batch spec, as the spec sets it."""
-    options = AnalysisOptions(
-        init=_parse_cli_valuation(args.init) or None, invariant_domain=args.invariant_domain
-    )
-    if args.benchmark is not None:
-        if args.target is not None:
-            raise CLIError("give either a FILE/SPEC.json or --benchmark NAME, not both")
-        try:
-            get_benchmark(args.benchmark)
-        except KeyError as exc:
-            raise CLIError(str(exc.args[0] if exc.args else exc)) from None
-        return [options.to_request(benchmark=args.benchmark)]
-    if args.target is None:
+    program file with its ``# @invariant`` annotations and the
+    ``--invariant`` flags, or every task of a batch spec.  ``--init``
+    applies to a name or a file (a spec's tasks carry their own), and an
+    explicit ``--invariant-domain`` to every target."""
+    explicit = _explicit_fields(args)
+    options = AnalysisOptions().merge(explicit)
+    if args.benchmark is None and args.target is None:
         raise CLIError("missing lint target: FILE, SPEC.json, or --benchmark NAME")
-    if args.target.endswith(".json"):
-        if args.invariant:
-            raise CLIError("--invariant applies to program files, not batch specs")
-        try:
-            requests = load_spec(args.target)
-        except OSError as exc:
-            raise CLIError(f"cannot read {args.target!r}: {exc.strerror or exc}") from None
-        except json.JSONDecodeError as exc:
-            raise CLIError(f"invalid JSON in {args.target!r}: {exc}") from None
-        except ValueError as exc:
-            raise CLIError(f"invalid spec {args.target!r}: {exc}") from None
-        if not requests:
-            raise CLIError(f"spec {args.target!r} contains no tasks")
-        return requests
+    if args.benchmark is not None and args.target is not None:
+        raise CLIError("give either a FILE/SPEC.json or --benchmark NAME, not both")
+    is_spec = args.target is not None and args.target.endswith(".json")
+    if "invariants" in explicit and (is_spec or args.benchmark is not None):
+        raise CLIError("--invariant applies to program files only")
+    if "init" in explicit and is_spec:
+        raise CLIError("--init applies to --benchmark and program files, not batch specs")
+    if args.benchmark is not None:
+        return [options.to_request(benchmark=_benchmark(args.benchmark).name)]
+    if is_spec:
+        return [request.merge(explicit) for request in _load_spec(args.target)]
     source = _read_source(args.target)
-    invariants = extract_invariant_annotations(source)
-    for spec in args.invariant or []:
-        label_id, cond = _parse_invariant_spec(spec)
-        invariants[label_id] = cond
-    return [options.merge(invariants=invariants).to_request(source=source, name=args.target)]
+    return [_with_annotations(options, source).to_request(source=source, name=args.target)]
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
@@ -434,20 +541,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise CLIError(f"invalid --jobs value {args.jobs}; must be >= 1")
     if args.all == (args.name is not None):
         raise CLIError("give either a benchmark NAME or --all")
-    defaults = {
-        "degree": _parse_degree(args.degree) if args.degree is not None else None,
-        "max_degree": args.max_degree,
-        "max_multiplicands": args.max_multiplicands,
-        "invariant_domain": args.invariant_domain,
-        "init": _parse_cli_valuation(args.init) or None,
-        "timeout_s": args.timeout,
-    }
-    bench = None
-    if args.name is not None:
-        try:
-            bench = get_benchmark(args.name)
-        except KeyError as exc:
-            raise CLIError(str(exc.args[0] if exc.args else exc)) from None
+    defaults = _explicit_fields(args)
+    bench = _benchmark(args.name) if args.name is not None else None
     task = {"suite": "all"} if args.all else {"benchmark": args.name}
     requests = requests_from_spec({"defaults": defaults, "tasks": [task]})
     if bench is not None:
@@ -470,37 +565,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_batch(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise CLIError(f"invalid --jobs value {args.jobs}; must be >= 1")
-    try:
-        requests = load_spec(args.spec)
-    except OSError as exc:
-        raise CLIError(f"cannot read {args.spec!r}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise CLIError(f"invalid JSON in {args.spec!r}: {exc}") from None
-    except ValueError as exc:
-        raise CLIError(f"invalid spec {args.spec!r}: {exc}") from None
-    if not requests:
-        raise CLIError(f"spec {args.spec!r} contains no tasks")
-    overrides: Dict[str, object] = {}
-    if args.tails:
-        overrides["tails"] = True
-    if args.invariant_domain is not None:
-        overrides["invariant_domain"] = args.invariant_domain
+    overrides = _explicit_fields(args)
     # --timeout and --retries fill in only fields a task leaves unset.
     fallbacks: Dict[str, object] = {}
-    if args.timeout is not None:
-        fallbacks["timeout_s"] = args.timeout
+    if "timeout_s" in overrides:
+        fallbacks["timeout_s"] = overrides.pop("timeout_s")
     if args.retries is not None:
         if args.retries < 0:
             raise CLIError(f"invalid --retries value {args.retries}; must be >= 0")
         # --retries N = N retries after the first run.
         fallbacks["retry"] = {"max_attempts": args.retries + 1}
     requests = [
-        replace(
-            request,
-            **{key: value for key, value in fallbacks.items() if getattr(request, key) is None},
-            **overrides,
+        request.merge(
+            {key: value for key, value in fallbacks.items() if getattr(request, key) is None},
+            overrides,
         )
-        for request in requests
+        for request in _load_spec(args.spec)
     ]
     if args.output:
         # Fail fast on an unwritable report location rather than after
@@ -632,7 +712,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if defect is not None and defect not in DEFECTS:
         raise CLIError(f"unknown --inject-defect {defect!r}; known: {', '.join(sorted(DEFECTS))}")
 
-    harness = Harness(config, defect=defect, invariant_domain=args.invariant_domain)
+    harness = Harness(config, defect=defect, invariant_domain=_options(args).invariant_domain)
     run = harness.run(args.seed, args.count)
 
     corpus_paths: List[str] = []
@@ -691,63 +771,31 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="synthesize PUCS/PLCS bounds for a program file")
     p_analyze.add_argument("file")
-    p_analyze.add_argument("--init", help="initial valuation, e.g. x=100,y=0")
-    p_analyze.add_argument(
-        "--degree", default="2", help="template degree (a positive integer, or 'auto' to escalate)"
-    )
-    p_analyze.add_argument(
-        "--max-degree", type=int, default=4, help="degree ceiling for --degree auto"
-    )
-    p_analyze.add_argument("--mode", choices=["auto", "signed", "nonnegative"], default="auto")
-    p_analyze.add_argument(
-        "--invariant", action="append", metavar="LABEL:COND", help="per-label invariant annotation"
-    )
-    p_analyze.add_argument(
-        "--max-multiplicands", type=int, default=None, help="Handelman multiplicand cap K"
+    _add_option_flags(
+        p_analyze,
+        (
+            "init",
+            "degree",
+            "max_degree",
+            "mode",
+            "invariants",
+            "max_multiplicands",
+            "tails",
+            "tail_horizon",
+            "tail_probes",
+            "invariant_domain",
+            "compute_lower",
+        ),
     )
     p_analyze.add_argument("--concentration", action="store_true", help="also synthesize an RSM")
-    p_analyze.add_argument(
-        "--tails",
-        action="store_true",
-        help="derive an Azuma-Hoeffding tail bound P[cost >= E + t] from the upper certificate",
-    )
-    p_analyze.add_argument(
-        "--tail-horizon",
-        type=int,
-        default=None,
-        metavar="N",
-        help="step horizon n of the tail guarantee (default: 1000000)",
-    )
-    p_analyze.add_argument(
-        "--tail-probes",
-        default=None,
-        metavar="T1,T2",
-        help="comma-separated offsets t to evaluate the tail bound at",
-    )
-    p_analyze.add_argument(
-        "--invariant-domain",
-        choices=("interval", "octagon"),
-        default="interval",
-        help="abstract domain of the automatic invariant generator (default: interval)",
-    )
-    p_analyze.add_argument("--no-lower", action="store_true", help="skip the PLCS lower bound")
     p_analyze.set_defaults(func=_cmd_analyze)
 
     p_sim = sub.add_parser("simulate", help="Monte-Carlo simulation of a program file")
     p_sim.add_argument("file")
-    p_sim.add_argument("--init", help="initial valuation, e.g. x=100")
-    p_sim.add_argument("--runs", type=int, default=1000)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument(
-        "--max-steps", type=int, default=1_000_000, help="truncate runs after this many steps"
-    )
-    p_sim.add_argument(
-        "--engine",
-        choices=("auto", "vectorized", "reference"),
-        default="auto",
-        help="interpreter: 'auto' picks the vectorized NumPy batch stepper "
-        "for large batches and falls back transparently, 'vectorized' and "
-        "'reference' force one engine (default: auto)",
+    _add_option_flags(
+        p_sim,
+        ("init", "simulate_runs", "simulate_seed", "simulate_max_steps", "simulate_engine"),
+        defaults={"simulate_runs": 1000},
     )
     p_sim.set_defaults(func=_cmd_simulate)
 
@@ -759,13 +807,7 @@ def build_parser() -> argparse.ArgumentParser:
         "invariants", help="print the automatically inferred per-label invariants"
     )
     p_inv.add_argument("file")
-    p_inv.add_argument("--init", help="initial valuation, e.g. x=100,y=0")
-    p_inv.add_argument(
-        "--domain",
-        choices=("interval", "octagon"),
-        default="interval",
-        help="abstract domain to infer in (default: interval)",
-    )
+    _add_option_flags(p_inv, ("init", "invariant_domain"), names={"invariant_domain": "--domain"})
     p_inv.add_argument(
         "--json", action="store_true", help="machine-readable repro-invariants/v1 dump"
     )
@@ -782,20 +824,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="program file to lint, or a batch spec (by .json suffix) to lint task by task",
     )
     p_lint.add_argument("--benchmark", default=None, help="lint a registry benchmark by name")
-    p_lint.add_argument("--init", help="initial valuation, e.g. x=100,y=0")
-    p_lint.add_argument(
-        "--invariant",
-        action="append",
-        metavar="LABEL:COND",
-        help="invariant to validate (repeatable; program files only)",
-    )
-    p_lint.add_argument(
-        "--invariant-domain",
-        choices=("interval", "octagon"),
-        default="interval",
-        help="abstract domain of the fixpoint the annotation rules check against; "
-        "'octagon' adds the relational REP013/REP014 rules (default: interval)",
-    )
+    _add_option_flags(p_lint, ("init", "invariants", "invariant_domain"))
     p_lint.add_argument("--json", action="store_true", help="machine-readable findings")
     p_lint.add_argument(
         "--strict", action="store_true", help="exit 1 on any finding, warnings included"
@@ -805,40 +834,22 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="analyze named paper benchmarks")
     p_bench.add_argument("name", nargs="?", help="benchmark name (see 'repro list')")
     p_bench.add_argument("--all", action="store_true", help="run every registered benchmark")
-    p_bench.add_argument("--init", help="override the anchor valuation")
-    p_bench.add_argument(
-        "--degree", default=None, help="override the template degree (integer or 'auto')"
-    )
-    p_bench.add_argument(
-        "--max-degree", type=int, default=4, help="degree ceiling for --degree auto"
-    )
-    p_bench.add_argument(
-        "--max-multiplicands", type=int, default=None, help="Handelman multiplicand cap K"
+    _add_option_flags(
+        p_bench,
+        ("init", "degree", "max_degree", "max_multiplicands", "timeout_s", "invariant_domain"),
     )
     p_bench.add_argument("--jobs", type=int, default=1, help="worker processes (with --all)")
-    p_bench.add_argument("--timeout", type=float, default=None, help="per-benchmark budget (s)")
     p_bench.add_argument(
         "--cache-dir", default=None, help="consult/populate a result cache at this directory"
-    )
-    p_bench.add_argument(
-        "--invariant-domain",
-        choices=("interval", "octagon"),
-        default="interval",
-        help="abstract domain of the automatic invariant generator (default: interval)",
     )
     p_bench.set_defaults(func=_cmd_bench)
 
     p_batch = sub.add_parser("batch", help="run a JSON spec of analysis tasks")
     p_batch.add_argument("spec", help="JSON spec file (see README: 'Batch analysis')")
     p_batch.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p_batch.add_argument(
-        "--timeout", type=float, default=None, help="default per-task budget in seconds"
-    )
-    p_batch.add_argument(
-        "--tails",
-        action="store_true",
-        help="derive an Azuma-Hoeffding tail bound for every task",
-    )
+    # --tails and --invariant-domain apply to every task; --timeout to
+    # the tasks that set none.
+    _add_option_flags(p_batch, ("timeout_s", "tails", "invariant_domain"))
     p_batch.add_argument(
         "--retries",
         type=int,
@@ -852,12 +863,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_batch.add_argument(
         "--cache-dir", default=None, help="result cache directory (default: $REPRO_CACHE_DIR)"
-    )
-    p_batch.add_argument(
-        "--invariant-domain",
-        choices=("interval", "octagon"),
-        default=None,
-        help="force this invariant domain on every task (default: per-task setting)",
     )
     p_batch.set_defaults(func=_cmd_batch)
 
@@ -917,14 +922,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="shrink each violation and write the repro JSON here",
     )
-    p_fuzz.add_argument(
-        "--invariant-domain",
-        choices=("interval", "octagon"),
-        default="octagon",
-        help="invariant domain the analyzer under test runs with; generated "
-        "programs carry no annotations, so the relational default exercises "
-        "the strongest generator (default: octagon)",
-    )
+    # Generated programs carry no annotations, so the relational default
+    # exercises the strongest generator.
+    _add_option_flags(p_fuzz, ("invariant_domain",), defaults={"invariant_domain": "octagon"})
     p_fuzz.add_argument("--json", action="store_true", help="machine-readable repro-fuzz/v1 report")
     p_fuzz.set_defaults(func=_cmd_fuzz)
 
@@ -937,12 +937,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # Engine-level request validation (bad --timeout/--max-degree
-        # values etc.) is user input too: same one-line contract.
+    except (CLIError, ValueError) as exc:
+        # A ValueError that escapes a verb is a value the library
+        # rejected: user input too, with the same one-line contract.
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ReproError as exc:

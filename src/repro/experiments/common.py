@@ -50,7 +50,7 @@ _SETTING_FLAGS = {
     "points": (2, "sweep points per figure"),
     "runs": (1, "simulated runs per valuation"),
     "horizon": (1, "tail step horizon n (simulations are truncated there)"),
-    "seed": (None, "simulation seed"),
+    "seed": (0, "simulation seed"),
 }
 
 
@@ -82,8 +82,7 @@ def driver_cli(main, description: str, argv=None, **defaults) -> int:
     parser = argparse.ArgumentParser(description=description)
     for name, default in defaults.items():
         least, help_text = _SETTING_FLAGS[name]
-        kind = int if least is None else _at_least(least)
-        parser.add_argument(f"--{name}", type=kind, default=default, help=help_text)
+        parser.add_argument(f"--{name}", type=_at_least(least), default=default, help=help_text)
     add_driver_args(parser)
     args = parser.parse_args(argv)
     cache = None if args.no_cache else ResultCache(args.cache_dir)

@@ -2,7 +2,6 @@
 
 from .annotations import InvariantMap
 from .generator import (
-    INVARIANT_DOMAINS,
     Interval,
     generate_interval_invariants,
     generate_invariants,
@@ -11,7 +10,6 @@ from .generator import (
 from .polyhedron import Polyhedron, Region
 
 __all__ = [
-    "INVARIANT_DOMAINS",
     "Interval",
     "InvariantMap",
     "Polyhedron",

@@ -29,17 +29,12 @@ from .annotations import InvariantMap
 from .polyhedron import Polyhedron, Region
 
 __all__ = [
-    "INVARIANT_DOMAINS",
     "Interval",
     "generate_interval_invariants",
     "generate_invariants",
     "generate_octagon_invariants",
     "strengthen_invariants",
 ]
-
-#: The recognised values of the ``invariant_domain`` option.
-INVARIANT_DOMAINS = ("interval", "octagon")
-
 
 def _canonical_rows(rows: List[Polynomial]) -> List[Polynomial]:
     """Deduplicate constraint rows, preserving their canonical order.
@@ -97,6 +92,8 @@ def generate_invariants(
 ) -> InvariantMap:
     """Generate invariants in the requested abstract ``domain``
     (``fixpoint``: that domain's analysis, when already run)."""
+    from ..api.options import INVARIANT_DOMAINS
+
     if domain not in INVARIANT_DOMAINS:
         raise ValueError(
             f"invariant_domain must be one of {INVARIANT_DOMAINS}, got {domain!r}"

@@ -270,12 +270,16 @@ def simulate(
     statistically equivalent but not bitwise equal; each engine on its
     own is bit-reproducible for a fixed seed.
     """
+    from ..api.options import SIMULATE_ENGINES
+
     if runs <= 0:
         raise ValueError("number of runs must be positive")
-    if engine not in ("auto", "vectorized", "reference"):
-        raise ValueError(
-            f"engine must be 'auto', 'vectorized' or 'reference', got {engine!r}"
-        )
+    if seed is not None and seed < 0:
+        # random.Random would take abs(seed), aliasing the streams of
+        # seed and -seed; NumPy's generator rejects it outright.
+        raise ValueError(f"seed must be >= 0, got {seed!r}")
+    if engine not in SIMULATE_ENGINES:
+        raise ValueError(f"engine must be one of {SIMULATE_ENGINES}, got {engine!r}")
     if engine == "vectorized" or (engine == "auto" and runs >= AUTO_MIN_RUNS):
         from .vectorized import simulate_vectorized
 

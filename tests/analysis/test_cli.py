@@ -1,5 +1,7 @@
 """CLI tests."""
 
+import json
+
 import pytest
 
 from repro.cli import extract_invariant_annotations, main, parse_valuation
@@ -456,3 +458,138 @@ class TestNoSolverFlag:
         add_driver_args(parser)
         with pytest.raises(SystemExit):
             parser.parse_args(["--solver", "highs"])
+
+
+def _exit_status(argv):
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse rejects a value outside a flag's choices
+        return exc.code
+
+
+#: verb -> the arguments before its analysis flags.
+_VERB_ARGS = {
+    "analyze": ["analyze", "{file}"],
+    "simulate": ["simulate", "{file}"],
+    "invariants": ["invariants", "{file}"],
+    "lint": ["lint", "{file}"],
+    "bench": ["bench", "rdwalk"],
+    "batch": ["batch", "{spec}", "--quiet", "--no-cache"],
+    "fuzz": ["fuzz", "--count", "1"],
+}
+
+#: (verb, flag, bad value, expected stderr substring) for every flag a
+#: verb takes that sets an AnalysisOptions field and has a bad value.
+_BAD_FLAG_VALUES = [
+    ("analyze", "--init", "x:3", "invalid --init"),
+    ("analyze", "--degree", "two", "--degree"),
+    ("analyze", "--degree", "0", "--degree"),
+    ("analyze", "--max-degree", "0", "--max-degree"),
+    ("analyze", "--mode", "strict", "--mode"),
+    ("analyze", "--invariant", "abc", "LABEL:COND"),
+    ("analyze", "--invariant", "foo: x >= 0", "integer CFG label"),
+    ("analyze", "--max-multiplicands", "0", "--max-multiplicands"),
+    ("analyze", "--tail-horizon", "0", "--tail-horizon"),
+    ("analyze", "--tail-probes", "-1", "--tail-probes"),
+    ("analyze", "--tail-probes", "a,b", "--tail-probes"),
+    ("analyze", "--invariant-domain", "polyhedra", "--invariant-domain"),
+    ("simulate", "--init", "x=ten", "not a number"),
+    ("simulate", "--runs", "0", "--runs"),
+    ("simulate", "--seed", "-1", "--seed"),
+    ("simulate", "--max-steps", "0", "--max-steps"),
+    ("simulate", "--engine", "turbo", "--engine"),
+    ("invariants", "--init", "x:3", "invalid --init"),
+    ("invariants", "--domain", "polyhedra", "--domain"),
+    ("lint", "--init", "x:3", "invalid --init"),
+    ("lint", "--invariant", "foo: x >= 0", "integer CFG label"),
+    ("lint", "--invariant-domain", "polyhedra", "--invariant-domain"),
+    ("bench", "--init", "x:3", "invalid --init"),
+    ("bench", "--degree", "0", "--degree"),
+    ("bench", "--max-degree", "0", "--max-degree"),
+    ("bench", "--max-multiplicands", "0", "--max-multiplicands"),
+    ("bench", "--timeout", "0", "--timeout"),
+    ("bench", "--invariant-domain", "polyhedra", "--invariant-domain"),
+    ("batch", "--timeout", "0", "--timeout"),
+    ("batch", "--timeout", "-5", "--timeout"),
+    ("batch", "--invariant-domain", "polyhedra", "--invariant-domain"),
+    ("fuzz", "--invariant-domain", "polyhedra", "--invariant-domain"),
+]
+
+
+class TestAnalysisFlags:
+    """The analysis flags come from one table over AnalysisOptions: the
+    record checks their values, and a bad one exits 2 naming the flag."""
+
+    @pytest.mark.parametrize(
+        "verb,flag,value,expected",
+        _BAD_FLAG_VALUES,
+        ids=[f"{verb}{flag}={value}" for verb, flag, value, _ in _BAD_FLAG_VALUES],
+    )
+    def test_bad_value_exits_2_naming_the_flag(
+        self, program_file, tmp_path, capsys, verb, flag, value, expected
+    ):
+        spec = tmp_path / "spec.json"
+        # Every task sets its own timeout: --timeout is still checked.
+        spec.write_text(json.dumps([{"benchmark": "rdwalk", "timeout_s": 30}]))
+        argv = [arg.format(file=program_file, spec=spec) for arg in _VERB_ARGS[verb]]
+        assert _exit_status([*argv, flag, value]) == 2
+        err = capsys.readouterr().err
+        assert flag in err and expected in err
+
+    def test_choices_are_the_option_constants(self):
+        from repro.api.options import INVARIANT_DOMAINS, MODES, SIMULATE_ENGINES
+        from repro.cli import build_parser
+
+        expected = {
+            "--mode": MODES,
+            "--invariant-domain": INVARIANT_DOMAINS,
+            "--domain": INVARIANT_DOMAINS,
+            "--engine": SIMULATE_ENGINES,
+        }
+        (verbs,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+        seen = []
+        for verb, parser in verbs.choices.items():
+            for action in parser._actions:
+                flag = action.option_strings[0] if action.option_strings else None
+                if flag in expected:
+                    assert action.choices is expected[flag], (verb, flag)
+                    seen.append((verb, flag))
+        assert sorted(seen) == [
+            ("analyze", "--invariant-domain"),
+            ("analyze", "--mode"),
+            ("batch", "--invariant-domain"),
+            ("bench", "--invariant-domain"),
+            ("fuzz", "--invariant-domain"),
+            ("invariants", "--domain"),
+            ("lint", "--invariant-domain"),
+            ("simulate", "--engine"),
+        ]
+
+    def test_negative_seed_is_rejected_before_any_run(self, program_file, capsys):
+        code = main(["simulate", program_file, "--init", "x=10", "--runs", "1000", "--seed", "-1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "--seed" in captured.err and captured.out == ""
+
+
+class TestLintSpecFlags:
+    SPEC = {"tasks": [{"benchmark": "rdwalk"}]}
+
+    @pytest.fixture
+    def spec(self, tmp_path):
+        path = tmp_path / "rd.json"
+        path.write_text(json.dumps(self.SPEC))
+        return str(path)
+
+    def test_init_on_a_spec_exits_2(self, spec, capsys):
+        # The tasks carry their own init; --benchmark rdwalk with this
+        # init has findings, so dropping it would read as clean.
+        assert main(["lint", spec, "--init", "x=2000,n=1000"]) == 2
+        assert "--init" in capsys.readouterr().err
+
+    def test_invariant_domain_applies_to_every_task(self, spec, capsys):
+        assert main(["lint", spec]) == 0
+        assert "REP013" not in capsys.readouterr().out
+        assert main(["lint", spec, "--invariant-domain", "octagon"]) == 0
+        out = capsys.readouterr().out
+        assert "REP013" in out and "(0 errors, 3 warnings)" in out

@@ -203,6 +203,22 @@ class TestStagedVsEngine:
         assert [r.status for r in reports] == ["ok"] * len(requests)
         assert len(calls) == len(requests)
 
+    def test_cached_request_resolves_and_parses_once(self, monkeypatch, tmp_path):
+        # The cache key, a hit's name restore and a miss's run share one
+        # resolved triple.  The source is this test's own, so no earlier
+        # fingerprint has memoized its canonical form.
+        source = "var x;\nwhile x >= 1 do\n  x := x - 1;\n  tick(7)\nod\n"
+        parses = _count_runs(monkeypatch, parse_program)
+        resolves = _count_runs(monkeypatch, resolve)
+        analyzer = Analyzer(cache=ResultCache(tmp_path))
+        cold = analyzer.analyze(source, init={"x": 3})
+        assert cold.status == "ok" and cold.name == "<source>"
+        assert (len(parses), len(resolves)) == (1, 1)
+        del parses[:], resolves[:]
+        warm = analyzer.analyze(source, init={"x": 3})
+        assert analyzer.cache.hits == 1 and warm.name == "<source>"
+        assert (len(parses), len(resolves)) == (0, 1)
+
     def test_tail_refit_reuses_the_degree_1_rung(self, monkeypatch):
         # bitcoin_pool settles at degree 2, whose certificate has no
         # constant step-difference bound; the tail refits at degree 1,

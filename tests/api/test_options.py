@@ -31,6 +31,8 @@ class TestValidation:
             {"nondet_prob": -0.1},
             {"simulate_runs": 0},
             {"simulate_max_steps": 0},
+            {"simulate_seed": -1},
+            {"simulate_seed": 1.5},
             {"timeout_s": 0},
             {"invariants": {"one": "x >= 0"}},
         ],

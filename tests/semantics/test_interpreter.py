@@ -120,6 +120,12 @@ class TestProbabilistic:
         with pytest.raises(ValueError):
             simulate(rdwalk_cfg, {"x": 5}, runs=0)
 
+    @pytest.mark.parametrize("engine", ["reference", "vectorized", "auto"])
+    def test_negative_seed_rejected(self, rdwalk_cfg, engine):
+        # random.Random(-1) would quietly reuse seed 1's stream.
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            simulate(rdwalk_cfg, {"x": 5}, runs=10, seed=-1, engine=engine)
+
 
 class TestSchedulers:
     SOURCE = "var x; if * then tick(10) else tick(-10) fi"

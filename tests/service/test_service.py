@@ -145,9 +145,9 @@ class TestAnalyze:
         real = repro.cache.request_key
         calls = []
 
-        def counting(request):
+        def counting(request, resolved=None):
             calls.append(request)
-            return real(request)
+            return real(request, resolved)
 
         monkeypatch.setattr(repro.cache, "request_key", counting)
         body = {
@@ -163,6 +163,32 @@ class TestAnalyze:
             assert status == 200 and payload["status"] == "ok"
             assert cache.stats().hits == hits + expected_hits
             assert len(calls) == 1
+
+    def test_coalesced_post_resolves_at_most_twice(self, service, monkeypatch):
+        # One resolve for the coalescing key, one for the run (miss) or
+        # the hit's name restore.
+        import repro.programs
+        from repro.programs import resolve
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return resolve(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "repro" and getattr(module, "resolve", None) is resolve:
+                monkeypatch.setattr(module, "resolve", counting)
+        assert repro.programs.resolve is counting
+        _, cache, base = service
+        body = {"source": "var x;\nwhile x >= 1 do\n x := x - 1;\n tick(5)\nod", "init": {"x": 4}}
+        for expected_hits in (0, 1):
+            hits = cache.stats().hits
+            calls.clear()
+            status, payload = _post(base, "/analyze", body)
+            assert status == 200 and payload["status"] == "ok"
+            assert cache.stats().hits == hits + expected_hits
+            assert len(calls) <= 2
 
     def test_inline_source_request(self, service):
         _, _, base = service
