@@ -200,23 +200,27 @@ class Analyzer:
 
         return request_key(self.request(program, options, **overrides))
 
-    def request_cache_key(self, request: AnalysisRequest) -> Optional[str]:
+    def request_cache_key(self, request: AnalysisRequest, resolved=None) -> Optional[str]:
         """The session-level cache key for an engine request, exactly as
         :meth:`analyze_batch` would run it — or ``None`` when the session
         has no cache or the request is unresolvable (unknown benchmark,
-        parse error).  The HTTP service keys its single-flight request
-        coalescing on this.
+        parse error).  ``resolved`` is the request's
+        :func:`repro.programs.resolve` triple, when the caller holds it.
+        The HTTP service keys its single-flight request coalescing on
+        this.
         """
         if self._cache is None:
             return None
-        return self._cache.request_key(request)
+        return self._cache.request_key(request, resolved)
 
-    def cached_report(self, key: str, request: AnalysisRequest) -> Optional[AnalysisReport]:
+    def cached_report(
+        self, key: str, request: AnalysisRequest, resolved=None
+    ) -> Optional[AnalysisReport]:
         """Session-cache lookup only — no execution.  Counts a hit or a
         miss on the session cache like any other consult."""
         if self._cache is None:
             return None
-        return self._cache.lookup_for(key, request)
+        return self._cache.lookup_for(key, request, resolved)
 
     # -- full pipeline ---------------------------------------------------
 
@@ -242,6 +246,7 @@ class Analyzer:
         progress: Optional[Callable[[AnalysisReport], None]] = None,
         jobs: Optional[int] = None,
         keys: Optional[Sequence[Optional[str]]] = None,
+        resolved: Optional[Sequence[Optional[tuple]]] = None,
     ) -> List[AnalysisReport]:
         """Execute many requests; reports come back in request order.
 
@@ -250,19 +255,20 @@ class Analyzer:
         ``jobs`` defaults to the session's degree of parallelism (its
         persistent pool); pass an explicit value to override for one
         batch.  ``keys`` are cache keys the caller already holds (from
-        :meth:`request_cache_key`), one per expanded request.
+        :meth:`request_cache_key`) and ``resolved`` the
+        :func:`repro.programs.resolve` triples, one per expanded request.
         """
         from ..batch.spec import requests_from_spec
 
-        resolved: List[AnalysisRequest] = []
+        expanded: List[AnalysisRequest] = []
         for item in requests:
             if isinstance(item, AnalysisRequest):
-                resolved.append(item)
+                expanded.append(item)
             elif isinstance(item, Mapping) and "tasks" in item:
                 # A full {"defaults": ..., "tasks": ...} spec object.
-                resolved.extend(requests_from_spec(item))
+                expanded.extend(requests_from_spec(item))
             elif isinstance(item, Mapping):
-                resolved.extend(requests_from_spec([dict(item)]))
+                expanded.extend(requests_from_spec([dict(item)]))
             else:
                 raise TypeError(
                     f"requests must be AnalysisRequest objects or task dicts, "
@@ -271,7 +277,7 @@ class Analyzer:
         effective_jobs = self._jobs if jobs is None else jobs
         pool = self._session_pool() if jobs is None else None
         return run_batch(
-            resolved,
+            expanded,
             jobs=effective_jobs,
             progress=progress,
             cache=self._cache,
@@ -280,6 +286,7 @@ class Analyzer:
             # fields still win inside the engine.
             retry=self._options.retry,
             keys=keys,
+            resolved=resolved,
         )
 
     # -- staged pipeline -------------------------------------------------

@@ -215,7 +215,7 @@ def execute_request(request: AnalysisRequest, attempt: int = 1, resolved=None) -
 
 
 def _cached_execute(
-    request: AnalysisRequest, cache, attempt: int = 1, key: Optional[str] = None
+    request: AnalysisRequest, cache, attempt: int = 1, key: Optional[str] = None, resolved=None
 ) -> Tuple[AnalysisReport, Optional[bool], bool]:
     """Run one task through the content-addressed store.
 
@@ -225,20 +225,21 @@ def _cached_execute(
     — unknown benchmark, unparseable source — in which case the failure
     surfaces as a structured report exactly as in the uncached path);
     ``stored`` reports whether this call persisted a new entry.
-    ``key`` is the request's cache key when the caller already holds
-    it; ``None`` derives it here from the request's resolved triple,
-    which a hit's name restore and a miss's run then reuse: the request
-    is resolved (and an inline source parsed) once.  Only
-    ``status == "ok"`` reports are persisted — errors and timeouts are
+    ``key`` and ``resolved`` are the request's cache key and its
+    :func:`repro.programs.resolve` triple when the caller already holds
+    them; a missing key is derived here from the triple (resolved here
+    if not given), which a hit's name restore and a miss's run then
+    reuse: the request is resolved (and an inline source parsed) once.
+    Only ``status == "ok"`` reports are persisted — errors and timeouts are
     environment-dependent and must re-execute.  A cached report is
     returned verbatim (original runtimes included) so warm
     re-runs are byte-identical; only the presentation echoes (``name``,
     ``tag``) are re-derived for the incoming request.
     """
-    resolved = None
     if cache is not None and key is None:
         try:
-            resolved = resolve(request)
+            if resolved is None:
+                resolved = resolve(request)
         except Exception:
             pass  # unresolvable: the run reports the failure, uncached
         else:
@@ -309,6 +310,15 @@ def _crashed_report(request: AnalysisRequest, outcome) -> AnalysisReport:
     )
 
 
+def _per_request(values: Optional[Sequence], requests: Sequence, what: str) -> Sequence:
+    """``values`` (one per request, or ``None`` for none at all)."""
+    if values is None:
+        return [None] * len(requests)
+    if len(values) != len(requests):
+        raise ValueError(f"got {len(values)} {what} for {len(requests)} requests")
+    return values
+
+
 def run_batch(
     requests: Sequence[AnalysisRequest],
     jobs: int = 1,
@@ -317,6 +327,7 @@ def run_batch(
     pool=None,
     retry: Optional[RetryPolicy] = None,
     keys: Optional[Sequence[Optional[str]]] = None,
+    resolved: Optional[Sequence[Optional[tuple]]] = None,
 ) -> List[AnalysisReport]:
     """Execute ``requests`` and return reports in request order.
 
@@ -342,21 +353,22 @@ def run_batch(
 
     ``keys`` are cache keys the caller already derived, one per request
     (``None`` entries are derived as usual), so a request is not
-    fingerprinted twice.
+    fingerprinted twice.  ``resolved`` are the requests'
+    :func:`repro.programs.resolve` triples the caller already holds
+    (``None`` entries are resolved as usual); the in-process path runs
+    on them, while pool workers resolve their own copy.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if keys is None:
-        keys = [None] * len(requests)
-    elif len(keys) != len(requests):
-        raise ValueError(f"got {len(keys)} keys for {len(requests)} requests")
+    keys = _per_request(keys, requests, "keys")
+    resolved = _per_request(resolved, requests, "resolved triples")
     if not requests:
         return []
 
     if jobs == 1 and pool is None:
         reports = []
-        for request, key in zip(requests, keys):
-            report, _, _ = _cached_execute(request, cache, key=key)
+        for request, key, triple in zip(requests, keys, resolved):
+            report, _, _ = _cached_execute(request, cache, key=key, resolved=triple)
             if progress is not None:
                 progress(report)
             reports.append(report)

@@ -9,7 +9,8 @@ driver.
 
 * The driver is a FIFO worklist that widens a label once it has
   changed :data:`WIDEN_AFTER` times, followed by descending (narrowing)
-  passes that recover the guard-derived bounds widening destroyed.
+  passes that recover the guard-derived bounds widening destroyed.  A
+  label's transfer is re-run only when its input state changed.
 * It is parametrised by a small domain object: the entry state, join,
   widen, equality, the per-edge transfer function, and ``close``, the
   normal form a stored state is read through (the identity for
@@ -33,6 +34,8 @@ branch-edge feasibility and interval evaluation of polynomials.
 from __future__ import annotations
 
 import math
+import struct
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -219,6 +222,23 @@ def _join_states(a: State, b: State) -> State:
     return {k: a.get(k, Interval.top()).join(b.get(k, Interval.top())) for k in keys}
 
 
+def _bits(*values: float) -> bytes:
+    """The IEEE bits of ``values``: equal only for the same floats with
+    the same signed zeros (``0.0 == -0.0``, but their bits differ)."""
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def _states_identical(a: State, b: State) -> bool:
+    """The same box bit for bit (see :func:`_bits`)."""
+    if a.keys() != b.keys():
+        return False
+    for var, x in a.items():
+        y = b[var]
+        if x is not y and _bits(x.lo, x.hi) != _bits(y.lo, y.hi):
+            return False
+    return True
+
+
 def _states_equal(a: Optional[State], b: Optional[State]) -> bool:
     if a is None or b is None:
         return a is b
@@ -230,12 +250,14 @@ class _Domain:
     """What the fixpoint driver needs of an abstract domain.
 
     One instance per analysis.  Subclasses supply the state operations
-    — ``entry``, ``join``, ``widen``, ``equals``, ``contains`` — and the
+    — ``entry``, ``join``, ``widen``, ``equals``, ``identical`` (equal
+    bit for bit), ``contains`` — and the
     transfer primitives: ``assign``, ``assume`` (meet a conjunction of
     guard atoms) and ``_decompose`` (one guard atom to the form
     ``assume`` consumes, or ``None``).  ``close`` is the normal form a
     stored state is read through: the identity here, the strong closure
-    for octagons, whose widened states are stored unclosed.
+    for octagons, whose widened states are stored unclosed (and which
+    keep their closure once computed).
 
     The worklist revisits the same branch conditions dozens of times;
     DNF conversion and per-atom decomposition are pure functions of AST
@@ -302,6 +324,7 @@ class _IntervalDomain(_Domain):
 
     join = staticmethod(_join_states)
     equals = staticmethod(_states_equal)
+    identical = staticmethod(_states_identical)
     _decompose = staticmethod(_linear_bound)
 
     @staticmethod
@@ -359,24 +382,48 @@ def fixpoint(cfg: CFG, init: Mapping[str, float], domain) -> Tuple[object, Dict[
     destroyed.  A refinement travels one edge per pass, so passes repeat
     until stable (a fixed count under-narrows the loop heads of long
     loop bodies), capped in proportion to the CFG.
+
+    States are never mutated once stored, so work on one is done once:
+    a label's transfer is re-run only when its state object changed
+    since the transfer last read it, and a narrowing pass keeps a
+    label's old state object when the new inflow is ``identical`` to
+    it (``equals`` would also take ``-0.0`` for ``0.0``).  A narrowing
+    pass therefore re-runs only the labels whose input changed.  The
+    passes are Jacobi passes (every transfer reads the previous pass's
+    states), so the joins see the same inputs in the same order, and
+    every state comes out bit for bit as when every label is
+    recomputed.  An octagon also keeps its closure
+    (:meth:`repro.check.octagon.Octagon.close`).
     """
+    labels = cfg.labels
+    #: label id -> (the state object its transfer last read, its outflow)
+    flows: Dict[int, Tuple[object, list]] = {}
+
+    def outflow(label_id: int, state) -> list:
+        last = flows.get(label_id)
+        if last is not None and last[0] is state:
+            return last[1]
+        closed = domain.close(state)
+        out = [] if closed is None else domain.transfer(labels[label_id], closed)
+        flows[label_id] = (state, out)
+        return out
+
     entry_state = domain.entry(init)
     states: Dict[int, object] = {label.id: None for label in cfg}
     visit_counts: Dict[int, int] = {label.id: 0 for label in cfg}
     states[cfg.entry] = entry_state
 
-    worklist: List[int] = [cfg.entry]
+    worklist = deque([cfg.entry])
+    queued = {cfg.entry}
     iterations = 0
     while worklist and iterations < MAX_ITERATIONS:
         iterations += 1
-        label_id = worklist.pop(0)
+        label_id = worklist.popleft()
+        queued.discard(label_id)
         state = states[label_id]
         if state is None:
             continue
-        closed = domain.close(state)
-        if closed is None:
-            continue
-        for succ, new_state in domain.transfer(cfg.labels[label_id], closed):
+        for succ, new_state in outflow(label_id, state):
             if new_state is None:
                 continue
             old = states[succ]
@@ -386,28 +433,30 @@ def fixpoint(cfg: CFG, init: Mapping[str, float], domain) -> Tuple[object, Dict[
             if old is None or not domain.equals(old, merged):
                 states[succ] = merged
                 visit_counts[succ] += 1
-                if succ not in worklist:
+                if succ not in queued:
                     worklist.append(succ)
+                    queued.add(succ)
 
-    for _ in range(NARROW_PASSES * max(1, len(cfg.labels))):
+    for _ in range(NARROW_PASSES * max(1, len(labels))):
         inflow: Dict[int, object] = {label.id: None for label in cfg}
         inflow[cfg.entry] = entry_state
         for label_id, state in states.items():
             if state is None:
                 continue
-            closed = domain.close(state)
-            if closed is None:
-                continue
-            for succ, new_state in domain.transfer(cfg.labels[label_id], closed):
+            for succ, new_state in outflow(label_id, state):
                 if new_state is None:
                     continue
                 old = inflow[succ]
                 inflow[succ] = new_state if old is None else domain.join(old, new_state)
-        stable = all(
-            (states[label_id] is None) == (inflow[label_id] is None)
-            and (states[label_id] is None or domain.equals(states[label_id], inflow[label_id]))
-            for label_id in states
-        )
+        stable = True
+        for label_id, new in inflow.items():
+            old = states[label_id]
+            if old is None or new is None:
+                stable = stable and old is new
+            elif domain.identical(old, new):
+                inflow[label_id] = old
+            elif stable:
+                stable = domain.equals(old, new)
         states = inflow
         if stable:
             break

@@ -32,24 +32,29 @@ reachable state at a label satisfies every constraint of that label's
 octagon (``tests/check/test_octagon.py`` drives the interpreter against
 this containment).
 
-Widened states are stored *unclosed* (closing a widened DBM can undo
-the extrapolation and forfeit termination); the driver reads every
-stored state through ``close``, on a copy, before using it as a
-transfer input, and closes the final states it returns.
+Widened states and assignment outputs are stored *unclosed* (closing
+a widened DBM can undo the extrapolation and forfeit termination); the
+driver reads every stored state through ``close``.  A state's closure
+is computed once and kept with it (:meth:`Octagon.close`), so the
+worklist, the joins and the narrowing passes that read the same stored
+state again find its closure already there.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..polynomials import Monomial, Polynomial
 from ..semantics.cfg import CFG
-from .interp import FixpointAnalysis, Interval, _box_rows, _Domain, _eval_poly
+from .interp import FixpointAnalysis, Interval, _bits, _box_rows, _Domain, _eval_poly
 
 __all__ = ["Octagon", "OctagonAnalysis", "analyze_cfg_octagon"]
 
 _INF = math.inf
+#: ``Octagon._closure`` before :meth:`Octagon.close` has run.
+_UNCLOSED = object()
 
 
 class Octagon:
@@ -59,15 +64,21 @@ class Octagon:
     and for the same reason — the worklist allocates these in its inner
     loop.  Instances are treated as immutable once stored in the
     analysis; all mutators are only called on fresh copies.
+
+    ``closed`` says the matrix is its own strong closure; otherwise
+    ``_closure`` keeps the closure once :meth:`close` has computed it
+    (``None`` for an empty octagon, :data:`_UNCLOSED` before the first
+    call).  :meth:`copy` starts without it and every mutator drops it.
     """
 
-    __slots__ = ("vars", "index", "m", "closed")
+    __slots__ = ("vars", "index", "m", "closed", "_closure")
 
     def __init__(self, variables: Tuple[str, ...], m: List[List[float]], closed: bool = False):
         self.vars = tuple(variables)
         self.index = {var: k for k, var in enumerate(self.vars)}
         self.m = m
         self.closed = closed
+        self._closure = _UNCLOSED
 
     # -- constructors ---------------------------------------------------
 
@@ -102,6 +113,7 @@ class Octagon:
             self.m[i][j] = c
             self.m[j ^ 1][i ^ 1] = c
             self.closed = False
+            self._closure = _UNCLOSED
 
     def forget(self, k: int) -> None:
         """Project out variable ``k`` (call on a *closed* matrix, so
@@ -112,50 +124,21 @@ class Octagon:
             self.m[i][a] = self.m[i][b] = _INF
             self.m[a][i] = self.m[b][i] = _INF
         self.m[a][a] = self.m[b][b] = 0.0
+        self._closure = _UNCLOSED
 
     # -- closure --------------------------------------------------------
 
     def close(self) -> Optional["Octagon"]:
         """The strong closure, or ``None`` when the octagon is empty.
 
-        Floyd–Warshall shortest paths over the ``2n`` signed indices,
-        then one strengthening step ``m[i][j] <- min(m[i][j],
-        (m[i][bar(i)] + m[bar(j)][j]) / 2)``.  On a coherent matrix one
-        pass of each already gives the strong closure (Bagnara, Hill,
-        Zaffanella, "Weakly-relational shapes for numeric abstractions",
-        FMSD 2009): strengthening never changes the ``m[i][bar(i)]``
-        entries it reads, and its results need no further path
-        propagation.
+        Computed on the first call (:func:`_strong_closure`) and kept
+        with the state, so every later read of the same state is free.
         """
         if self.closed:
             return self
-        n2 = 2 * len(self.vars)
-        m = [row[:] for row in self.m]
-        for k in range(n2):
-            mk = m[k]
-            for i in range(n2):
-                mik = m[i][k]
-                if mik == _INF:
-                    continue
-                row = m[i]
-                for j in range(n2):
-                    alt = mik + mk[j]
-                    if alt < row[j]:
-                        row[j] = alt
-        for i in range(n2):
-            half_i = m[i][i ^ 1]
-            if half_i == _INF:
-                continue
-            row = m[i]
-            for j in range(n2):
-                alt = (half_i + m[j ^ 1][j]) / 2.0
-                if alt < row[j]:
-                    row[j] = alt
-        for i in range(n2):
-            if m[i][i] < 0.0:
-                return None
-            m[i][i] = 0.0
-        return Octagon(self.vars, m, closed=True)
+        if self._closure is _UNCLOSED:
+            self._closure = _strong_closure(self)
+        return self._closure
 
     # -- lattice operations ---------------------------------------------
 
@@ -187,6 +170,15 @@ class Octagon:
 
     def equals(self, other: "Octagon") -> bool:
         return self.vars == other.vars and self.m == other.m
+
+    def identical(self, other: "Octagon") -> bool:
+        """The same matrix bit for bit, signed zeros included, and the
+        same ``closed`` flag: either state can stand for the other."""
+        return (
+            self.vars == other.vars
+            and self.closed == other.closed
+            and _bits(*chain.from_iterable(self.m)) == _bits(*chain.from_iterable(other.m))
+        )
 
     # -- queries (on closed matrices) -----------------------------------
 
@@ -239,6 +231,48 @@ class Octagon:
         return f"Octagon({', '.join(parts)})"
 
 
+def _strong_closure(oct_: Octagon) -> Optional[Octagon]:
+    """The strong closure of ``oct_`` as a new octagon, or ``None`` when
+    it is empty.
+
+    Floyd–Warshall shortest paths over the ``2n`` signed indices,
+    then one strengthening step ``m[i][j] <- min(m[i][j],
+    (m[i][bar(i)] + m[bar(j)][j]) / 2)``.  On a coherent matrix one
+    pass of each already gives the strong closure (Bagnara, Hill,
+    Zaffanella, "Weakly-relational shapes for numeric abstractions",
+    FMSD 2009): strengthening never changes the ``m[i][bar(i)]``
+    entries it reads, and its results need no further path
+    propagation.
+    """
+    n2 = 2 * len(oct_.vars)
+    m = [row[:] for row in oct_.m]
+    for k in range(n2):
+        mk = m[k]
+        for i in range(n2):
+            mik = m[i][k]
+            if mik == _INF:
+                continue
+            row = m[i]
+            for j in range(n2):
+                alt = mik + mk[j]
+                if alt < row[j]:
+                    row[j] = alt
+    for i in range(n2):
+        half_i = m[i][i ^ 1]
+        if half_i == _INF:
+            continue
+        row = m[i]
+        for j in range(n2):
+            alt = (half_i + m[j ^ 1][j]) / 2.0
+            if alt < row[j]:
+                row[j] = alt
+    for i in range(n2):
+        if m[i][i] < 0.0:
+            return None
+        m[i][i] = 0.0
+    return Octagon(oct_.vars, m, closed=True)
+
+
 # ---------------------------------------------------------------------------
 # Transfer functions
 # ---------------------------------------------------------------------------
@@ -288,6 +322,7 @@ def _shift(oct_: Octagon, k: int, g_lo: float, g_hi: float) -> None:
                 continue
             row[j] = row[j] + (g_hi * d if d > 0 else g_lo * d)
     oct_.closed = False
+    oct_._closure = _UNCLOSED
 
 
 def _swap_sign(oct_: Octagon, k: int) -> None:
@@ -296,6 +331,7 @@ def _swap_sign(oct_: Octagon, k: int) -> None:
     oct_.m[a], oct_.m[b] = oct_.m[b], oct_.m[a]
     for row in oct_.m:
         row[a], row[b] = row[b], row[a]
+    oct_._closure = _UNCLOSED
 
 
 def _assign(
@@ -445,6 +481,10 @@ class _OctagonDomain(_Domain):
     @staticmethod
     def equals(a: Octagon, b: Octagon) -> bool:
         return a.equals(b)
+
+    @staticmethod
+    def identical(a: Octagon, b: Octagon) -> bool:
+        return a.identical(b)
 
     contains = staticmethod(Octagon.contains)
 

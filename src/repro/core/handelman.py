@@ -59,7 +59,7 @@ from ..polynomials import LinForm, Monomial, Polynomial
 from .lp import LinearProgram, LPSolution
 
 __all__ = ["CertificateProblem", "CompiledTarget", "ProductBlock", "certificate_equalities",
-           "clear_product_blocks", "column_map", "monoid_products", "product_block"]
+           "clear_product_blocks", "column_map", "gamma_key", "monoid_products", "product_block"]
 
 #: One certificate row ``(cols, vals, block_row, rhs, key)``: the
 #: unknowns' columns and coefficients, the :class:`ProductBlock` row
@@ -68,7 +68,7 @@ __all__ = ["CertificateProblem", "CompiledTarget", "ProductBlock", "certificate_
 #: sites; :meth:`CertificateProblem.solve` keeps the first of each.
 Row = Tuple[Tuple[int, ...], Tuple[float, ...], int, float, Optional[tuple]]
 
-#: ``(per-gamma term sets, cap) -> ProductBlock``; bounded so a
+#: ``(gamma_key(Gamma), cap) -> ProductBlock``; bounded so a
 #: long-lived process sweeping many programs cannot grow it unboundedly.
 _BLOCKS: Dict[tuple, "ProductBlock"] = {}
 _BLOCKS_MAX = 4096
@@ -170,12 +170,22 @@ class ProductBlock:
         return self.size
 
 
-def product_block(gammas: Sequence[Polynomial], max_multiplicands: int) -> ProductBlock:
-    """The memoised :class:`ProductBlock` of ``Gamma`` and the cap."""
-    # Equal constraints share a block whatever their term order; a
-    # constraint that is not numeric and linear never gets one, as
-    # monoid_products raises on the miss.
-    key = (tuple(frozenset(g.terms()) for g in gammas), int(max_multiplicands))
+def gamma_key(gammas: Sequence[Polynomial]) -> tuple:
+    """The memo key of the constraint list ``Gamma``: one term set per
+    constraint, so equal constraints share a block whatever their term
+    order.  A caller that certifies many sites on one ``Gamma`` (or one
+    part of it) computes this once and hands it on."""
+    return tuple(frozenset(g.terms()) for g in gammas)
+
+
+def product_block(
+    gammas: Sequence[Polynomial], max_multiplicands: int, key: Optional[tuple] = None
+) -> ProductBlock:
+    """The memoised :class:`ProductBlock` of ``Gamma`` and the cap;
+    ``key`` is ``gamma_key(gammas)`` when the caller already holds it."""
+    # A constraint that is not numeric and linear never gets a block,
+    # as monoid_products raises on the miss.
+    key = (gamma_key(gammas) if key is None else key, int(max_multiplicands))
     block = _BLOCKS.get(key)
     if block is None:
         block = ProductBlock(monoid_products(gammas, max_multiplicands))
@@ -275,6 +285,7 @@ def certificate_equalities(
     gammas: Sequence[Polynomial],
     max_multiplicands: int,
     columns: Mapping[str, int],
+    key: Optional[tuple] = None,
 ) -> Tuple[List[Row], ProductBlock, Optional[float]]:
     """Encode ``target = sum_k c_k f_k`` as rows over integer columns.
 
@@ -292,13 +303,14 @@ def certificate_equalities(
     The first ``0 = c`` row ends the rows: its ``c`` is returned as the
     site's contradiction, which makes any LP holding the site
     infeasible.  Returns ``(rows, block, contradiction)``;
-    ``len(block)`` is the number of multipliers.
+    ``len(block)`` is the number of multipliers.  ``key`` is
+    :func:`gamma_key` of ``gammas``, when the caller already holds it.
     """
     if not isinstance(target, CompiledTarget):
         target = CompiledTarget(target, columns)
     elif target.columns is not columns and target.columns != columns:
         raise SynthesisError("target compiled for another numbering of the unknowns")
-    block = product_block(gammas, max_multiplicands)
+    block = product_block(gammas, max_multiplicands, key)
     position, starts, ids, tiny = block.position, block.starts, block.ids, block.tiny
     rows: List[Row] = []
     seen = set()
@@ -368,18 +380,21 @@ class CertificateProblem:
         gammas: Sequence[Polynomial],
         cap: Optional[int] = None,
         tag: Optional[Tuple[int, int]] = None,
+        key: Optional[tuple] = None,
     ) -> None:
         """Certify ``target >= 0`` on ``<gammas>``; a compiled target
         must be compiled for :attr:`columns`.  ``cap`` bounds the
         multiplicands per product; ``None`` picks the target's degree
-        (at least 1), the smallest cap that can match it."""
+        (at least 1), the smallest cap that can match it.  ``key`` is
+        :func:`gamma_key` of ``gammas``, when the caller already holds
+        it."""
         # Cooperative per-site checkpoint: certificate extraction
         # dominates preparation time, and SIGALRM budgets do not fire
         # on service handler threads.
         check_deadline()
         if cap is None:
             cap = max(target.degree(), 1)
-        rows, block, contradiction = certificate_equalities(target, gammas, cap, self.columns)
+        rows, block, contradiction = certificate_equalities(target, gammas, cap, self.columns, key)
         self.sites.append(_Site(name, tag, rows, block, contradiction))
 
     def content_key(self) -> tuple:

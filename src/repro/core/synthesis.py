@@ -44,13 +44,14 @@ import time
 import weakref
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from typing import Callable, Dict, Hashable, List, Mapping, Optional
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from ..errors import InfeasibleError, SynthesisError
 from ..invariants import InvariantMap
+from ..invariants.polyhedron import Polyhedron
 from ..polynomials import LinForm, Polynomial
 from ..semantics.cfg import CFG, NondetLabel, TerminalLabel
-from .handelman import CertificateProblem, CompiledTarget, column_map
+from .handelman import CertificateProblem, CompiledTarget, column_map, gamma_key
 from .preexpectation import PreCase, pre_expectation_cases, step_difference_cases
 from .templates import Template, make_template
 
@@ -134,14 +135,30 @@ class BoundResult:
 # Template / pre-expectation memoisation (shared by PUCS and PLCS runs)
 # ---------------------------------------------------------------------------
 
+#: polyhedron -> :func:`gamma_key` of its constraints.  Polyhedra are
+#: immutable and one serves every site of its label, in both kinds and
+#: at every degree of a request, so its key is computed once.
+_POLYHEDRON_KEYS: "weakref.WeakKeyDictionary[Polyhedron, tuple]" = weakref.WeakKeyDictionary()
+
+
+def _polyhedron_gammas(polyhedron: Polyhedron) -> Tuple[List[Polynomial], tuple]:
+    """The polyhedron's constraints and their :func:`gamma_key`."""
+    constraints = polyhedron.constraints
+    key = _POLYHEDRON_KEYS.get(polyhedron)
+    if key is None:
+        key = _POLYHEDRON_KEYS[polyhedron] = gamma_key(constraints)
+    return constraints, key
+
+
 class TemplateMemo:
     """What every request on one CFG and degree shares: the template,
-    its pre-expectation cases per non-terminal label, and the compiled
+    its pre-expectation cases per non-terminal label (with each case's
+    guard polynomials and their :func:`gamma_key`), and the compiled
     site targets.  Templates are deterministic in (cfg, degree) — same
     unknown names, same polynomials — so sharing them across synthesis
     kinds and requests is observationally free."""
 
-    __slots__ = ("template", "cases", "columns", "targets")
+    __slots__ = ("template", "cases", "guards", "columns", "targets")
 
     def __init__(self, cfg: CFG, degree: int):
         self.template = make_template(cfg, degree)
@@ -150,6 +167,11 @@ class TemplateMemo:
             for label in cfg
             if not isinstance(label, TerminalLabel)
         }
+        #: Per case of :attr:`cases`, its guard's polynomials and their key.
+        self.guards: Dict[int, List[Tuple[List[Polynomial], tuple]]] = {}
+        for label_id, cases in self.cases.items():
+            guards = [[atom.poly for atom in case.guard] for case in cases]
+            self.guards[label_id] = [(guard, gamma_key(guard)) for guard in guards]
         #: The columns of every ``CertificateProblem(template.unknowns)``.
         self.columns = column_map(self.template.unknowns)
         self.targets: Dict[Hashable, CompiledTarget] = {}
@@ -225,7 +247,9 @@ class _PreparedSynthesis:
             if isinstance(label, TerminalLabel):
                 continue
             region = invariants.get(label.id)
-            for case_index, case in enumerate(memo.cases[label.id]):
+            for case_index, (case, (guard, guard_key)) in enumerate(
+                zip(memo.cases[label.id], memo.guards[label.id])
+            ):
                 tag = None
                 if isinstance(label, NondetLabel) and kind == "lower":
                     # (C3') at a nondet label: max over successors >= h is
@@ -240,15 +264,17 @@ class _PreparedSynthesis:
                 # The inequality must hold on the whole invariant region:
                 # one Handelman site per polyhedron of the union.
                 for d_index, polyhedron in enumerate(region):
-                    gammas = polyhedron.constraints + [atom.poly for atom in case.guard]
+                    constraints, key = _polyhedron_gammas(polyhedron)
                     self.problem.add_site(
-                        f"l{label.id}_{case_index}_{d_index}", target, gammas, cap=cap, tag=tag
+                        f"l{label.id}_{case_index}_{d_index}", target, constraints + guard,
+                        cap=cap, tag=tag, key=key + guard_key,
                     )
             if options.nonnegative:
                 target = memo.target(("nn", label.id), lambda: h[label.id])
                 for d_index, polyhedron in enumerate(region):
+                    constraints, key = _polyhedron_gammas(polyhedron)
                     self.problem.add_site(
-                        f"l{label.id}_nn_{d_index}", target, polyhedron.constraints, cap=cap
+                        f"l{label.id}_nn_{d_index}", target, constraints, cap=cap, key=key
                     )
         #: Certificate-extraction time, charged to every solved policy so
         #: ``BoundResult.runtime`` keeps meaning "time to produce this
@@ -391,11 +417,14 @@ def difference_bound(
         for case_index, case in enumerate(step_difference_cases(cfg, h, label)):
             if case.diff.is_zero():
                 continue  # a self-loop-free no-op step never moves X
+            extra = [atom.poly for atom in case.guard] + case.support
+            extra_key = gamma_key(extra)
             for d_index, polyhedron in enumerate(region):
-                gammas = polyhedron.constraints + [atom.poly for atom in case.guard] + case.support
+                constraints, key = _polyhedron_gammas(polyhedron)
+                gammas, key = constraints + extra, key + extra_key
                 for sign, target in (("up", c_poly - case.diff), ("dn", c_poly + case.diff)):
                     name = f"diff_{label.id}_{case_index}_{d_index}_{sign}"
-                    problem.add_site(name, target, gammas, cap=max_multiplicands)
+                    problem.add_site(name, target, gammas, cap=max_multiplicands, key=key)
     if not problem.sites:
         return 0.0
     solution = problem.solve(LinForm.unknown("tail_c"))

@@ -91,6 +91,7 @@ from urllib.parse import urlparse
 
 from .api import AnalysisOptions, Analyzer, version_info
 from .batch import AnalysisRequest, requests_from_spec
+from .programs import resolve
 from .resilience import AdmissionController, SingleFlight
 
 __all__ = ["AnalysisHTTPServer", "create_server", "run_server", "serve"]
@@ -442,13 +443,20 @@ class _Handler(BaseHTTPRequestHandler):
         if not requests:
             self._send_error_json(400, "request expands to no tasks")
             return
-        if single:
+        if single and self.server.analyzer.cache is not None:
             # Single-request POSTs coalesce by cache fingerprint: N
-            # concurrent identical racers cost one LP solve.
-            key = self.server.analyzer.request_cache_key(requests[0])
-            if key is not None:
-                self._analyze_coalesced(requests[0], key)
-                return
+            # concurrent identical racers cost one LP solve.  The request
+            # is resolved once, here: the key, the run and a hit's name
+            # restore all read this triple.
+            try:
+                resolved = resolve(requests[0])
+            except Exception:
+                pass  # unresolvable: the run reports the failure, uncached
+            else:
+                key = self.server.analyzer.request_cache_key(requests[0], resolved)
+                if key is not None:
+                    self._analyze_coalesced(requests[0], key, resolved)
+                    return
         if not self.server.admission.try_acquire():
             self._send_throttled()
             return
@@ -531,8 +539,9 @@ class _Handler(BaseHTTPRequestHandler):
             },
         )
 
-    def _analyze_coalesced(self, request: AnalysisRequest, key: str) -> None:
-        """Run one cacheable request with single-flight coalescing.
+    def _analyze_coalesced(self, request: AnalysisRequest, key: str, resolved: tuple) -> None:
+        """Run one cacheable request, resolved to ``resolved``, with
+        single-flight coalescing on its cache ``key``.
 
         The leader takes an admission slot and solves; followers park
         slot-free on the flight, then answer from the cache entry the
@@ -551,7 +560,9 @@ class _Handler(BaseHTTPRequestHandler):
                 return
             outcome = "error"
             try:
-                reports = self.server.analyzer.analyze_batch([request], jobs=1, keys=[key])
+                reports = self.server.analyzer.analyze_batch(
+                    [request], jobs=1, keys=[key], resolved=[resolved]
+                )
                 outcome = "done"
             finally:
                 self.server.admission.release()
@@ -562,7 +573,7 @@ class _Handler(BaseHTTPRequestHandler):
         if flight.outcome == "throttled":
             self._send_throttled()
             return
-        report = self.server.analyzer.cached_report(key, request)
+        report = self.server.analyzer.cached_report(key, request, resolved)
         if report is not None:
             self._send_json(200, report.to_dict())
             return
@@ -572,7 +583,9 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_throttled()
             return
         try:
-            reports = self.server.analyzer.analyze_batch([request], jobs=1, keys=[key])
+            reports = self.server.analyzer.analyze_batch(
+                [request], jobs=1, keys=[key], resolved=[resolved]
+            )
         finally:
             self.server.admission.release()
         self._send_json(200, reports[0].to_dict())

@@ -3,8 +3,8 @@
 Two layers:
 
 * unit tests of the difference-bound matrix — strong closure (tightening,
-  emptiness detection), join, widening (stabilisation) — on hand-built
-  octagons;
+  emptiness detection, computed once per state), join, widening
+  (stabilisation) — on hand-built octagons;
 * the soundness property, mirroring ``test_soundness.py`` for the
   interval domain: 200 seeded concrete runs across registry benchmarks,
   every trajectory point contained in its label's closed octagon.
@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.api import Analyzer
 from repro.check import Octagon, analyze_cfg_octagon
+from repro.check import octagon as octagon_module
 from repro.programs import get_benchmark
 from repro.semantics import build_cfg
 from repro.semantics.interpreter import run
@@ -113,6 +114,80 @@ def test_one_pass_closure_equals_two_rounds(oct_):
         assert closed is None
     else:
         assert closed is not None and closed.m == reference
+
+
+class TestClosureMemo:
+    """``close()`` computes a state's closure once and keeps it."""
+
+    @pytest.fixture
+    def closures(self, monkeypatch):
+        """Every octagon the inner closure function is run on, in order."""
+        seen = []
+        inner = octagon_module._strong_closure
+
+        def counted(oct_):
+            seen.append(oct_)
+            return inner(oct_)
+
+        monkeypatch.setattr(octagon_module, "_strong_closure", counted)
+        return seen
+
+    def test_closure_is_computed_once(self, closures):
+        oct_ = _octagon(("x", "y"), {(0, 2): 1.0, (2, 3): 6.0})  # x - y <= 1, y <= 3
+        first = oct_.close()
+        assert oct_.close() is first
+        assert closures == [oct_]
+
+    def test_copy_carries_no_memo(self, closures):
+        oct_ = _octagon(("x", "y"), {(0, 2): 1.0, (2, 3): 6.0})
+        oct_.close()
+        twin = oct_.copy()
+        assert twin.close().m == oct_.close().m
+        assert closures == [oct_, twin]
+
+    def test_empty_result_is_memoised(self, closures):
+        empty = _octagon(("x",), {(0, 1): 2.0, (1, 0): -4.0})  # x <= 1 and x >= 2
+        assert empty.close() is None
+        assert empty.close() is None
+        assert closures == [empty]
+
+    def test_set_bound_drops_the_memo(self):
+        oct_ = _octagon(("x", "y"), {(0, 2): 1.0, (2, 3): 6.0})
+        assert oct_.close().interval_of("x").hi == 4.0
+        oct_.set_bound(2, 3, 2.0)  # y <= 1
+        assert oct_.close().interval_of("x").hi == 2.0
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda o: o.set_bound(3, 2, -2.0),
+            lambda o: o.forget(1),
+            lambda o: octagon_module._shift(o, 1, 1.0, 2.0),
+            lambda o: octagon_module._swap_sign(o, 1),
+        ],
+        ids=["set_bound", "forget", "shift", "swap_sign"],
+    )
+    def test_every_mutator_drops_the_memo(self, mutate):
+        oct_ = _octagon(("x", "y"), {(0, 2): 1.0, (2, 3): 6.0})
+        before = oct_.close().m
+        mutate(oct_)
+        after = oct_.close()
+        assert after.m == _two_round_close(oct_)
+        assert after.m != before
+
+    def test_identical_tells_signed_zeros_apart(self):
+        # x = 0 stores x >= 0 as -2 * 0.0 == -0.0; equal to 0.0, other bits.
+        point = Octagon.from_point(("x",), {"x": 0.0})
+        twin = point.copy()
+        twin.m[1][0] = 0.0
+        assert point.equals(twin) and not point.identical(twin)
+        assert point.identical(point.copy())
+
+    def test_each_state_of_an_analysis_is_closed_once(self, closures):
+        bench = get_benchmark("race")
+        analyze_cfg_octagon(bench.cfg, bench.init)
+        assert closures
+        assert len({id(oct_) for oct_ in closures}) == len(closures)
 
 
 class TestLattice:

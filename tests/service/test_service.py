@@ -164,9 +164,9 @@ class TestAnalyze:
             assert cache.stats().hits == hits + expected_hits
             assert len(calls) == 1
 
-    def test_coalesced_post_resolves_at_most_twice(self, service, monkeypatch):
-        # One resolve for the coalescing key, one for the run (miss) or
-        # the hit's name restore.
+    def test_coalesced_post_resolves_once(self, service, monkeypatch):
+        # The handler resolves the request once; the coalescing key, the
+        # run (miss) and the hit's name restore all read that triple.
         import repro.programs
         from repro.programs import resolve
 
@@ -188,7 +188,7 @@ class TestAnalyze:
             status, payload = _post(base, "/analyze", body)
             assert status == 200 and payload["status"] == "ok"
             assert cache.stats().hits == hits + expected_hits
-            assert len(calls) <= 2
+            assert len(calls) == 1
 
     def test_inline_source_request(self, service):
         _, _, base = service
